@@ -52,6 +52,8 @@ __all__ = [
     "grad_norm_sq",
     "laplacian",
     "laplacian_divergence_form",
+    "PointGeometry",
+    "point_geometry",
     "tensor_gnorm",
     "metric_inverse",
     "conformal_hessian_check",
@@ -301,8 +303,29 @@ def tensor_gnorm(G_inv: np.ndarray, T: np.ndarray) -> float:
 def christoffel(g: MetricChart, p) -> np.ndarray:
     """Christoffel symbols Gamma^k_{ij} = (1/2) g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
     G, dG, _ = g.components(p)
+    return _christoffel_from(metric_inverse(G), dG)
+
+
+def christoffel_with_derivative(g: MetricChart, p) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma^k_{ij} and its coordinate derivative d_m Gamma^k_{ij} (index m first)."""
+    G, dG, d2G = g.components(p)
     G_inv = metric_inverse(G)
-    return _christoffel_from(G_inv, dG)
+    return _christoffel_from(G_inv, dG), _christoffel_derivative_from(G_inv, dG, d2G)
+
+
+def ricci(g: MetricChart, p) -> SymmetricForm:
+    """Ricci tensor R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj."""
+    return _ricci_from(*christoffel_with_derivative(g, p))
+
+
+def scalar_curvature(g: MetricChart, p) -> float:
+    G, _, _ = g.components(p)
+    return _trace_g(metric_inverse(G), ricci(g, p).mat)
+
+
+# The pointwise formulas behind the public functions above and below, on
+# already-evaluated metric data; PointGeometry reads the same ones, so the
+# per-point bundle and the reference functions agree bit for bit.
 
 
 def _christoffel_from(G_inv: np.ndarray, dG: np.ndarray) -> np.ndarray:
@@ -311,24 +334,17 @@ def _christoffel_from(G_inv: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("kl,lij->kij", G_inv, bracket)
 
 
-def christoffel_with_derivative(g: MetricChart, p) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma^k_{ij} and its coordinate derivative d_m Gamma^k_{ij} (index m first)."""
-    G, dG, d2G = g.components(p)
-    G_inv = metric_inverse(G)
-    gamma = _christoffel_from(G_inv, dG)
+def _christoffel_derivative_from(G_inv: np.ndarray, dG: np.ndarray, d2G: np.ndarray) -> np.ndarray:
     # d_m g^{kl} = - g^{ka} (d_m g_ab) g^{bl}
     dG_inv = -np.einsum("ka,mab,bl->mkl", G_inv, dG, G_inv)
     bracket = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
     dbracket = np.einsum("mijl->mlij", d2G) + np.einsum("mjil->mlij", d2G) - d2G
-    dgamma = 0.5 * (
+    return 0.5 * (
         np.einsum("mkl,lij->mkij", dG_inv, bracket) + np.einsum("kl,mlij->mkij", G_inv, dbracket)
     )
-    return gamma, dgamma
 
 
-def ricci(g: MetricChart, p) -> SymmetricForm:
-    """Ricci tensor R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj."""
-    gamma, dgamma = christoffel_with_derivative(g, p)
+def _ricci_from(gamma: np.ndarray, dgamma: np.ndarray) -> SymmetricForm:
     ric = (
         np.einsum("kkij->ij", dgamma)
         - np.einsum("ikkj->ij", dgamma)
@@ -338,10 +354,16 @@ def ricci(g: MetricChart, p) -> SymmetricForm:
     return SymmetricForm(0.5 * (ric + ric.T))
 
 
-def scalar_curvature(g: MetricChart, p) -> float:
-    G, _, _ = g.components(p)
-    G_inv = metric_inverse(G)
-    return float(np.einsum("ij,ij->", G_inv, ricci(g, p).mat))
+def _hessian_from(gamma: np.ndarray, grad: np.ndarray, hess_coords: np.ndarray) -> SymmetricForm:
+    return SymmetricForm(hess_coords - np.einsum("kij,k->ij", gamma, grad))
+
+
+def _trace_g(G_inv: np.ndarray, T: np.ndarray) -> float:
+    return float(np.einsum("ij,ij->", G_inv, T))
+
+
+def _norm_sq_g(G_inv: np.ndarray, v: np.ndarray) -> float:
+    return float(v @ G_inv @ v)
 
 
 # -- scalar-field calculus ------------------------------------------------------
@@ -350,8 +372,7 @@ def scalar_curvature(g: MetricChart, p) -> float:
 def hessian(g: MetricChart, f: ScalarField, p) -> SymmetricForm:
     """Metric Hessian (hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     _, grad, hess_coords = f.evaluate(p)
-    gamma = christoffel(g, p)
-    return SymmetricForm(hess_coords - np.einsum("kij,k->ij", gamma, grad))
+    return _hessian_from(christoffel(g, p), grad, hess_coords)
 
 
 def gradient(g: MetricChart, f: ScalarField, p) -> np.ndarray:
@@ -364,13 +385,48 @@ def gradient(g: MetricChart, f: ScalarField, p) -> np.ndarray:
 def grad_norm_sq(g: MetricChart, f: ScalarField, p) -> float:
     G, _, _ = g.components(p)
     _, grad, _ = f.evaluate(p)
-    return float(grad @ metric_inverse(G) @ grad)
+    return _norm_sq_g(metric_inverse(G), grad)
 
 
 def laplacian(g: MetricChart, f: ScalarField, p) -> float:
     """lap f = trace_g(hess f), so lap(|x|^2 / 2) = n on flat space."""
     G, _, _ = g.components(p)
-    return float(np.einsum("ij,ij->", metric_inverse(G), hessian(g, f, p).mat))
+    return _trace_g(metric_inverse(G), hessian(g, f, p).mat)
+
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """The metric and field data of one point, from a single evaluation.
+
+    Holds the metric G, its inverse, the Ricci tensor, the field value f,
+    its coordinate gradient df and metric Hessian, and lap f and |grad f|^2
+    derived from those.  Build one with :func:`point_geometry`; every value
+    equals the one the matching public function computes at the same point.
+    """
+
+    G: np.ndarray = field(repr=False)
+    G_inv: np.ndarray = field(repr=False)
+    ric: np.ndarray = field(repr=False)
+    f: float
+    df: np.ndarray = field(repr=False)
+    hess_f: np.ndarray = field(repr=False)
+    lap_f: float
+    grad_sq: float
+
+    @property
+    def scalar_curvature(self) -> float:
+        return _trace_g(self.G_inv, self.ric)
+
+
+def point_geometry(g: MetricChart, f: ScalarField, p) -> PointGeometry:
+    """Evaluate g and f once at p and derive the soliton-equation quantities."""
+    G, dG, d2G = g.components(p)
+    f_val, df, hess_coords = f.evaluate(p)
+    G_inv = metric_inverse(G)
+    gamma = _christoffel_from(G_inv, dG)
+    ric = _ricci_from(gamma, _christoffel_derivative_from(G_inv, dG, d2G)).mat
+    hess_f = _hessian_from(gamma, df, hess_coords).mat
+    return PointGeometry(G, G_inv, ric, f_val, df, hess_f, _trace_g(G_inv, hess_f), _norm_sq_g(G_inv, df))
 
 
 def laplacian_divergence_form(g: MetricChart, f: ScalarField, p) -> float:
@@ -441,8 +497,8 @@ def conformal_ricci_check(g: MetricChart, tau: ScalarField, p) -> float:
     G_inv = metric_inverse(G)
     ric = ricci(g, p).mat
     hess_tau = hessian(g, tau, p).mat
-    lap_tau = float(np.einsum("ij,ij->", G_inv, hess_tau))
-    grad_tau_sq = float(dtau @ G_inv @ dtau)
+    lap_tau = _trace_g(G_inv, hess_tau)
+    grad_tau_sq = _norm_sq_g(G_inv, dtau)
     bracket = lap_tau / tau_val - (n - 1) * grad_tau_sq / tau_val**2
     assembled = ric + (n - 2) / tau_val * hess_tau + bracket * G
     residual = float(np.max(np.abs(direct - assembled)))

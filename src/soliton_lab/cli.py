@@ -64,8 +64,8 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 10:
             raise ValueError("sample count must be at least 10")
-        if self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ValueError("tolerances must be positive and finite")
 
     def echo(self) -> dict:
         cfg: dict = {
@@ -251,7 +251,7 @@ def cmd_verify(config: RunConfig) -> Report:
 
     report.add_bound("almost-soliton-residual", residuals.max_residual, config.tol_residual)
     report.add("coefficient-variation", "pass", residuals.coefficient_variation)
-    cls = sol.classify(pair, points, tol_residual=config.tol_residual)
+    cls = sol.classify_report(residuals, tol_residual=config.tol_residual)
     report.add("classification", "pass" if cls is not sol.SolitonClass.NONE else "fail", cls.value)
 
     if config.fixture == "koiso-m2-A1B0":
@@ -404,24 +404,41 @@ def cmd_completeness(config: RunConfig) -> Report:
 
 
 def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
+    """Fixture name or inline profile parameters from a JSON config.
+
+    Raises ValueError with a one-line message for a config that cannot be
+    read, is not JSON, or does not describe a valid parameter set.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"config {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path!r} must hold a JSON object")
     if "fixture" in doc:
         return str(doc["fixture"]), None
-    interval = doc.get("I", (-math.inf, math.inf))
-    lo, hi = (float(v) for v in interval)
-    params = skrp.SkrpParams(
-        m=int(doc["m"]),
-        kappa=float(doc.get("kappa", 0.0)),
-        c=float(doc.get("c", 0.0)),
-        A=float(doc.get("A", 0.0)),
-        B=float(doc.get("B", 0.0)),
-        I=(lo, hi),
-        s=int(doc.get("s", 1)),
-        a=float(doc.get("a", 1.0)),
-        p=float(doc.get("p", 1.0)),
-        phi_sign=int(doc.get("phi_sign", -1)),
-    )
+    try:
+        interval = doc.get("I", (-math.inf, math.inf))
+        lo, hi = (float(v) for v in interval)
+        params = skrp.SkrpParams(
+            m=int(doc["m"]),
+            kappa=float(doc.get("kappa", 0.0)),
+            c=float(doc.get("c", 0.0)),
+            A=float(doc.get("A", 0.0)),
+            B=float(doc.get("B", 0.0)),
+            I=(lo, hi),
+            s=int(doc.get("s", 1)),
+            a=float(doc.get("a", 1.0)),
+            p=float(doc.get("p", 1.0)),
+            phi_sign=int(doc.get("phi_sign", -1)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"config {path!r} lacks the parameter {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {path!r} has invalid parameters: {exc}") from None
     return None, params
 
 
@@ -447,11 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     fixture, params = args.fixture, None
-    if args.config:
-        cfg_fixture, params = _parse_config_file(args.config)
-        fixture = fixture or cfg_fixture
-
     try:
+        if args.config:
+            cfg_fixture, params = _parse_config_file(args.config)
+            fixture = fixture or cfg_fixture
         config = RunConfig(
             command=args.command,
             fixture=fixture,
@@ -475,6 +491,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = handler(config)
+        if config.command in ("verify", "dualize"):
+            _emit(report)
+    except OSError as exc:
+        target = repr(config.out) if config.out else "standard output"
+        print(f"soliton-lab: cannot write the report to {target}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     except UnknownFixture as exc:
         print(f"soliton-lab: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -487,9 +509,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         print(json.dumps(diagnostic, sort_keys=True, indent=2), file=sys.stderr)
         return EXIT_NUMERIC
-
-    if config.command in ("verify", "dualize"):
-        _emit(report)
     return EXIT_FAIL if report.status == "fail" else EXIT_PASS
 
 

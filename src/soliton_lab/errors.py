@@ -41,6 +41,10 @@ class IntegrationFailure(SolitonLabError):
     """Numerical ODE integration failed (step-size underflow, stiff blowup)."""
 
 
+class ConvergenceFailure(SolitonLabError):
+    """An iterative solve ran out of steps before meeting its tolerance."""
+
+
 class DomainSplit(SolitonLabError):
     """Quadrature interval crosses a zero of the positivity profile."""
 

@@ -49,6 +49,7 @@ from . import autodiff as ad
 from . import chart as ct
 from .errors import (
     CalibrationFailure,
+    ConvergenceFailure,
     DomainError,
     DomainSplit,
     IntegrationFailure,
@@ -83,6 +84,8 @@ __all__ = [
 
 # Relative margin keeping evaluation intervals away from the profile pole.
 POLE_MARGIN = 1e-6
+# Newton steps an ell-map inversion may take before it counts as unconverged.
+NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,9 @@ def phi_closed(params: SkrpParams, f: float) -> tuple[float, float, float]:
     if head != 0.0 and abs(x) < params.pole_margin:
         raise PoleError(f"profile has a pole at f = c = {params.c}; got f = {f}")
     const = params.phi_sign * params.kappa / (2.0 * params.m)
-    t, t1, t2 = _scaled_remainder_T(x, params.m)
+    # With B = 0 the remainder term drops out; evaluating it anyway would
+    # overflow exp(x) far out on an unbounded interval.
+    t, t1, t2 = _scaled_remainder_T(x, params.m) if params.B != 0.0 else (0.0, 0.0, 0.0)
     if head == 0.0:
         return (
             params.B * t + const,
@@ -460,14 +465,17 @@ class EllMap:
         i = min(max(i, 0), len(self._grid) - 2)
         f = float(np.interp(tt, t_nodes[i : i + 2], self._grid[i : i + 2]))
         # Newton refinement on log_ell(f) - t; derivative is a/Q.
-        for _ in range(60):
+        for _ in range(NEWTON_STEPS):
             resid = self.log_ell(f) - t
             step = resid * self.profile.q(f) / self.profile.a
             f_new = min(max(f - step, self.bounds[0]), self.bounds[1])
             if abs(f_new - f) <= 1e-15 * (1.0 + abs(f)):
                 return f_new
             f = f_new
-        return f
+        raise ConvergenceFailure(
+            f"ell-map inversion of log ell = {t!r} did not converge in {NEWTON_STEPS} Newton steps "
+            f"(last f = {f!r}, residual {resid:.3e})"
+        )
 
     def f_of_ell(self, ell: float) -> float:
         if ell <= 0:
@@ -680,14 +688,9 @@ def killing_residual(chart: CalabiChart, p) -> float:
 
 def gradient_soliton_residual(chart: CalabiChart, p, alpha: float = 1.0) -> float:
     """g-norm of ric + alpha hess f - c g with the profile's constant c."""
-    G, _, _ = chart.metric.components(p)
-    G_inv = ct.metric_inverse(G)
-    tensor = (
-        ct.ricci(chart.metric, p).mat
-        + alpha * ct.hessian(chart.metric, chart.f_field, p).mat
-        - chart.coefficient() * G
-    )
-    return ct.tensor_gnorm(G_inv, tensor)
+    geo = ct.point_geometry(chart.metric, chart.f_field, p)
+    tensor = geo.ric + alpha * geo.hess_f - chart.coefficient() * geo.G
+    return ct.tensor_gnorm(geo.G_inv, tensor)
 
 
 # Ratios of a s / (p^2 lambda_h) tried by the calibration sweep.

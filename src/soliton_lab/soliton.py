@@ -47,6 +47,7 @@ __all__ = [
     "extract_coefficient",
     "residual_report",
     "classify",
+    "classify_report",
     "dualize",
     "dual_factor_profile",
     "dual_coefficient",
@@ -82,18 +83,24 @@ class SolitonPair:
     def sample(self, count: int = 100, seed: int = DEFAULT_SEED) -> np.ndarray:
         return sample_box(self.metric.domain, count, seed=seed)
 
+    def geometry(self, p) -> ct.PointGeometry:
+        """Metric and field data at p from one evaluation of each."""
+        return ct.point_geometry(self.metric, self.f, p)
+
 
 @dataclass(frozen=True)
 class ResidualReport:
     """Pointwise almost-soliton data over a sample.
 
-    ``coefficients[k]`` is the trace coefficient c(p_k) and ``residuals[k]``
-    the g-norm of ric + hess f - c g at p_k.
+    ``coefficients[k]`` is the trace coefficient c(p_k), ``residuals[k]``
+    the g-norm of ric + hess f - c g at p_k and ``grad_norms_sq[k]`` the
+    squared gradient norm |grad f|^2 at p_k.
     """
 
     points: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
+    grad_norms_sq: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -119,26 +126,32 @@ class SolitonClass(enum.Enum):
     NONE = "none"
 
 
-def extract_coefficient(pair: SolitonPair, p) -> tuple[float, float]:
+def extract_coefficient(
+    pair: SolitonPair, p, geometry: ct.PointGeometry | None = None
+) -> tuple[float, float]:
     """Trace coefficient and equation residual at a point.
 
     Returns ``(c, r)`` with c = trace_g(ric + hess f) / n and r the g-norm of
-    ric + hess f - c g; the pair is an almost soliton at p iff r ~ 0.
+    ric + hess f - c g; the pair is an almost soliton at p iff r ~ 0.  A
+    caller that already holds the point's geometry passes it as ``geometry``
+    so the metric is not evaluated again.
     """
-    G, _, _ = pair.metric.components(p)
-    G_inv = ct.metric_inverse(G)
-    tensor = ct.ricci(pair.metric, p).mat + ct.hessian(pair.metric, pair.f, p).mat
-    c = float(np.einsum("ij,ij->", G_inv, tensor)) / pair.dim
-    return c, ct.tensor_gnorm(G_inv, tensor - c * G)
+    geo = pair.geometry(p) if geometry is None else geometry
+    tensor = geo.ric + geo.hess_f
+    c = float(np.einsum("ij,ij->", geo.G_inv, tensor)) / pair.dim
+    return c, ct.tensor_gnorm(geo.G_inv, tensor - c * geo.G)
 
 
 def residual_report(pair: SolitonPair, points: np.ndarray) -> ResidualReport:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     coeffs = np.empty(len(points))
     residuals = np.empty(len(points))
+    grad_sq = np.empty(len(points))
     for k, p in enumerate(points):
-        coeffs[k], residuals[k] = extract_coefficient(pair, p)
-    return ResidualReport(points, coeffs, residuals)
+        geo = pair.geometry(p)
+        coeffs[k], residuals[k] = extract_coefficient(pair, p, geo)
+        grad_sq[k] = geo.grad_sq
+    return ResidualReport(points, coeffs, residuals, grad_sq)
 
 
 def classify(
@@ -160,13 +173,22 @@ def classify(
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise EmptySample("classification needs a nonempty sample")
-    report = residual_report(pair, sample)
+    return classify_report(residual_report(pair, sample), tol_residual, tol_coeff, tol_grad)
+
+
+def classify_report(
+    report: ResidualReport,
+    tol_residual: float = SOLITON_RESIDUAL_TOL,
+    tol_coeff: float = COEFF_CONSTANCY_TOL,
+    tol_grad: float = GRADIENT_TRIVIALITY_TOL,
+) -> SolitonClass:
+    """Classify the pair a residual report was built from, by the rules of
+    :func:`classify`, without evaluating anything again."""
     if report.max_residual >= tol_residual:
         return SolitonClass.NONE
     if report.coefficient_variation >= tol_coeff:
         return SolitonClass.ALMOST_SOLITON
-    grad_sq = max(ct.grad_norm_sq(pair.metric, pair.f, p) for p in sample)
-    if grad_sq < tol_grad:
+    if np.max(report.grad_norms_sq) < tol_grad:
         return SolitonClass.TRIVIAL
     return SolitonClass.GRADIENT_RICCI_SOLITON
 
@@ -218,16 +240,15 @@ def dual_coefficient(
     """
     if pair.dim <= 2:
         raise DimensionTooSmall(f"duality needs dimension n > 2, got n = {pair.dim}")
-    c, residual = extract_coefficient(pair, p)
+    geo = pair.geometry(p)
+    c, residual = extract_coefficient(pair, p, geo)
     if residual > tol_residual:
         raise NotASoliton(
             f"almost-soliton residual {residual:.3e} at {np.asarray(p).tolist()} "
             f"exceeds {tol_residual:.1e}; dual coefficient undefined"
         )
     n = pair.dim
-    f_val = pair.f(p)
-    lap_f = ct.laplacian(pair.metric, pair.f, p)
-    grad_sq = ct.grad_norm_sq(pair.metric, pair.f, p)
+    f_val, lap_f, grad_sq = geo.f, geo.lap_f, geo.grad_sq
 
     if method == "closed":
         return math.exp(4.0 * f_val / (n - 2)) * (c + 2.0 / (n - 2) * (lap_f - grad_sq))
@@ -246,21 +267,15 @@ def dual_coefficient(
 
 def hamilton_invariant(pair: SolitonPair, c: float, p) -> float:
     """k(p) = lap f - |grad f|^2 + 2 c f; constant for genuine solitons."""
-    return (
-        ct.laplacian(pair.metric, pair.f, p)
-        - ct.grad_norm_sq(pair.metric, pair.f, p)
-        + 2.0 * c * pair.f(p)
-    )
+    geo = pair.geometry(p)
+    return geo.lap_f - geo.grad_sq + 2.0 * c * geo.f
 
 
 def steady_obstruction(pair: SolitonPair, p) -> float:
     """-R - |grad f|^2; identically zero for a complete steady soliton whose
     dual is again a soliton."""
-    return -scalar_curvature_of(pair, p) - ct.grad_norm_sq(pair.metric, pair.f, p)
-
-
-def scalar_curvature_of(pair: SolitonPair, p) -> float:
-    return ct.scalar_curvature(pair.metric, p)
+    geo = pair.geometry(p)
+    return -geo.scalar_curvature - geo.grad_sq
 
 
 def old_dualize(pair: SolitonPair, sample: int = 64, seed: int = DEFAULT_SEED) -> SolitonPair:
@@ -299,10 +314,8 @@ class RicciHessianFit:
 def ricci_hessian_fit(pair: SolitonPair, p) -> RicciHessianFit:
     """Fit (alpha, c) at a point; flags alpha as unidentifiable when hess f is
     numerically proportional to g (the fit is then exact but degenerate)."""
-    G, _, _ = pair.metric.components(p)
-    G_inv = ct.metric_inverse(G)
-    ric = ct.ricci(pair.metric, p).mat
-    hess = ct.hessian(pair.metric, pair.f, p).mat
+    geo = pair.geometry(p)
+    G, G_inv, ric, hess = geo.G, geo.G_inv, geo.ric, geo.hess_f
 
     design = np.stack([hess.ravel(), -G.ravel()], axis=1)
     solution, _, _, _ = np.linalg.lstsq(design, -ric.ravel(), rcond=None)

@@ -227,3 +227,93 @@ def test_dualize_non_soliton_is_numeric_error(capsys):
     code, _, err = run(["dualize", "--fixture", "non-soliton-cubic", "--samples", "20"], capsys)
     assert code == cli.EXIT_NUMERIC
     assert json.loads(err)["error"]["type"] == "NotASoliton"
+
+
+@pytest.mark.parametrize("fixture", ["gaussian-soliton", "sphere-trivial", "non-soliton-cubic"])
+def test_verify_evaluates_each_point_once(fixture, capsys, monkeypatch):
+    from soliton_lab import chart as ct
+    from soliton_lab import soliton as sol
+
+    reports, evaluations = [], []
+    build_report = sol.residual_report
+    components = ct.MetricChart.components
+
+    def counting_report(pair, points):
+        reports.append(len(points))
+        return build_report(pair, points)
+
+    def counting_components(self, p):
+        evaluations.append(self.name)
+        return components(self, p)
+
+    monkeypatch.setattr(sol, "residual_report", counting_report)
+    monkeypatch.setattr(ct.MetricChart, "components", counting_components)
+    run(["verify", "--fixture", fixture, "--samples", "30"], capsys)
+    assert reports == [30]
+    assert len(evaluations) == 30
+
+
+def _one_line_usage_error(code, err):
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("soliton-lab: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_missing_config_is_usage_error(tmp_path, capsys):
+    code, _, err = run(["completeness", "--config", str(tmp_path / "absent.json")], capsys)
+    _one_line_usage_error(code, err)
+
+
+def test_malformed_config_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text('{"m": 2, "kappa": ')
+    code, _, err = run(["completeness", "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        '{"m": 1, "kappa": 4.0, "A": 1.0, "I": [0.5, 2.0]}',
+        '{"m": 2, "kappa": 4.0, "A": 1.0, "I": [NaN, 2.0]}',
+        '{"m": 2, "kappa": 4.0, "A": 1.0, "I": [-1.0, 2.0]}',
+    ],
+    ids=["m-below-two", "nan-endpoint", "pole-inside-interval"],
+)
+def test_invalid_config_params_are_usage_errors(params, tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(params)
+    code, _, err = run(["skrp", "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--fixture", "gaussian-soliton", "--samples", "10"],
+        ["skrp", "--fixture", "koiso-m2-A1B0-flatbase", "--samples", "10"],
+    ],
+    ids=["verify", "skrp"],
+)
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    code, _, err = run([*argv, "--out", str(tmp_path / "no-such-dir" / "report.json")], capsys)
+    _one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(tol, capsys):
+    code, _, err = run(["verify", "--fixture", "gaussian-soliton", "--tol-residual", tol], capsys)
+    _one_line_usage_error(code, err)
+
+
+def test_completeness_b_zero_unbounded_interval(tmp_path, capsys):
+    # B = 0 on [0.5, inf): the infinite-range ladder integrates the tail far
+    # enough out that exp(f - c) overflows unless the B-term is skipped.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(
+        json.dumps({"m": 2, "kappa": 4, "A": 1, "B": 0, "I": [0.5, "inf"], "phi_sign": 1, "s": 2, "a": 2, "p": 2})
+    )
+    code, out, _ = run(["completeness", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    verdict = next(c for c in json.loads(out)["checks"] if c["name"] == "verdict")
+    assert verdict["measured"] == "inconclusive-at-end"

@@ -14,6 +14,7 @@ from soliton_lab import fixtures, skrp
 from soliton_lab import soliton as sol
 from soliton_lab.errors import (
     CalibrationFailure,
+    ConvergenceFailure,
     DomainSplit,
     IntegrationFailure,
     PoleError,
@@ -42,6 +43,16 @@ def test_phi_hand_values():
 
     pure_exp = skrp.SkrpParams(m=2, kappa=0.0, c=0.0, A=0.0, B=1.0, I=(0.3, 4.0))
     assert skrp.phi_closed(pure_exp, 1.0)[0] == pytest.approx(math.e, rel=1e-14)
+
+
+def test_phi_without_remainder_term_far_out():
+    # B = 0: the exp remainder drops out, so f far past exp's overflow stays finite.
+    params = skrp.SkrpParams(m=2, kappa=4.0, c=0.0, A=1.0, B=0.0, I=(0.5, math.inf), phi_sign=+1)
+    f = 800.0
+    phi, dphi, d2phi = skrp.phi_closed(params, f)
+    assert phi == pytest.approx((1.0 + f + f * f / 2.0) / f**2 + 1.0, rel=1e-14)
+    assert dphi == pytest.approx(-2.0 / f**3 - 1.0 / f**2, rel=1e-14)
+    assert math.isfinite(d2phi)
 
 
 def test_phi_pole_error():
@@ -239,6 +250,15 @@ def test_ell_map_monotone():
     values = [ell.ell(f) for f in np.linspace(0.85, 2.15, 40)]
     assert all(b > a for a, b in zip(values[:-1], values[1:]))
     assert all(v > 0 for v in values)
+
+
+def test_ell_map_inversion_raises_without_convergence(monkeypatch):
+    ell = skrp.ell_map(FLATBASE, 1.5, bounds=(0.8, 2.2))
+    exact = ell.log_ell
+    flip = iter(np.tile([1e-6, -1e-6], 100))  # a jittering residual Newton cannot settle
+    monkeypatch.setattr(ell, "log_ell", lambda f: exact(f) + next(flip))
+    with pytest.raises(ConvergenceFailure):
+        ell.f_of_log_ell(0.1)
 
 
 def test_ell_map_rejects_sign_change():

@@ -44,6 +44,64 @@ def test_sphere_trivial_coefficient_is_n_minus_one():
     assert residual < 1e-10
 
 
+# -- per-point geometry ------------------------------------------------------------
+
+
+PAIR_FIXTURES = (
+    "gaussian-soliton",
+    "gaussian-soliton-n3",
+    "gaussian-soliton-n4",
+    "gaussian-soliton-n5",
+    "sphere-trivial",
+    "non-soliton-cubic",
+    "koiso-m2-A1B0",
+)
+
+
+def _reference_quantities(pair, p):
+    """Coefficient, residual, dual coefficients and Hamilton invariant at p,
+    composed from the public chart functions (each evaluates the metric anew)."""
+    n = pair.dim
+    G = pair.metric.matrix(p)
+    G_inv = ct.metric_inverse(G)
+    tensor = ct.ricci(pair.metric, p).mat + ct.hessian(pair.metric, pair.f, p).mat
+    c = float(np.einsum("ij,ij->", G_inv, tensor)) / n
+    residual = ct.tensor_gnorm(G_inv, tensor - c * G)
+    f_val = pair.f(p)
+    lap_f = ct.laplacian(pair.metric, pair.f, p)
+    grad_sq = ct.grad_norm_sq(pair.metric, pair.f, p)
+    closed = math.exp(4.0 * f_val / (n - 2)) * (c + 2.0 / (n - 2) * (lap_f - grad_sq))
+    tau = math.exp(2.0 * f_val / (n - 2))
+    tau1 = 2.0 / (n - 2) * tau
+    tau2 = 4.0 / (n - 2) ** 2 * tau
+    beta = (tau1 * lap_f + tau2 * grad_sq) / tau - (n - 1) * (tau1 * tau1 * grad_sq) / tau**2
+    direct = tau * tau * (c + beta + tau1 / tau * grad_sq)
+    hamilton = lap_f - grad_sq + 2.0 * c * f_val
+    return c, residual, direct, closed, hamilton, grad_sq
+
+
+@pytest.mark.parametrize("name", PAIR_FIXTURES)
+def test_point_geometry_matches_public_functions_exactly(name):
+    source = fixtures.soliton_fixture(name)
+    for pair in (source, sol.dualize(source)):
+        points = sample_box(pair.metric.domain, 3, seed=5)
+        report = sol.residual_report(pair, points)
+        for k, p in enumerate(points):
+            c, residual, direct, closed, hamilton, grad_sq = _reference_quantities(pair, p)
+            assert sol.extract_coefficient(pair, p) == (c, residual)
+            assert (report.coefficients[k], report.residuals[k]) == (c, residual)
+            assert report.grad_norms_sq[k] == grad_sq
+            assert sol.hamilton_invariant(pair, c, p) == hamilton
+            scalar = ct.scalar_curvature(pair.metric, p)
+            assert sol.steady_obstruction(pair, p) == -scalar - grad_sq
+            if residual > sol.SOLITON_RESIDUAL_TOL:
+                with pytest.raises(NotASoliton):
+                    sol.dual_coefficient(pair, p)
+                continue
+            assert sol.dual_coefficient(pair, p, "direct") == direct
+            assert sol.dual_coefficient(pair, p, "closed") == closed
+
+
 # -- classify -----------------------------------------------------------------------
 
 
@@ -52,6 +110,13 @@ def test_classification_of_reference_pairs():
     assert sol.classify(SPHERE_TRIVIAL, 60) is sol.SolitonClass.TRIVIAL
     assert sol.classify(CUBIC, 60) is sol.SolitonClass.NONE
     assert sol.classify(sol.dualize(GAUSSIAN), 60) is sol.SolitonClass.ALMOST_SOLITON
+
+
+def test_classify_report_agrees_with_classify():
+    for pair in (GAUSSIAN, SPHERE_TRIVIAL, CUBIC, sol.dualize(GAUSSIAN)):
+        points = pair.sample(40)
+        report = sol.residual_report(pair, points)
+        assert sol.classify_report(report) is sol.classify(pair, points)
 
 
 def test_classify_empty_sample():
