@@ -403,6 +403,14 @@ def cmd_completeness(config: RunConfig) -> Report:
 # -- entry point ----------------------------------------------------------------------
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int; integral floats such as 2.0 pass, 2.9 is a ValueError."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(number)
+
+
 def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
     """Fixture name or inline profile parameters from a JSON config.
 
@@ -424,16 +432,16 @@ def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
         interval = doc.get("I", (-math.inf, math.inf))
         lo, hi = (float(v) for v in interval)
         params = skrp.SkrpParams(
-            m=int(doc["m"]),
+            m=_integral(doc["m"], "m"),
             kappa=float(doc.get("kappa", 0.0)),
             c=float(doc.get("c", 0.0)),
             A=float(doc.get("A", 0.0)),
             B=float(doc.get("B", 0.0)),
             I=(lo, hi),
-            s=int(doc.get("s", 1)),
+            s=_integral(doc.get("s", 1), "s"),
             a=float(doc.get("a", 1.0)),
             p=float(doc.get("p", 1.0)),
-            phi_sign=int(doc.get("phi_sign", -1)),
+            phi_sign=_integral(doc.get("phi_sign", -1), "phi_sign"),
         )
     except KeyError as exc:
         raise ValueError(f"config {path!r} lacks the parameter {exc}") from None

@@ -120,6 +120,9 @@ class SkrpParams:
     phi_sign: int = -1
 
     def __post_init__(self):
+        for name in ("m", "s", "kappa", "c", "A", "B", "a", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if int(self.m) != self.m or self.m < 2:
             raise ValueError("m must be an integer >= 2")
         if int(self.s) != self.s or self.s < 1:

@@ -317,3 +317,52 @@ def test_completeness_b_zero_unbounded_interval(tmp_path, capsys):
     assert code == cli.EXIT_PASS
     verdict = next(c for c in json.loads(out)["checks"] if c["name"] == "verdict")
     assert verdict["measured"] == "inconclusive-at-end"
+
+
+@pytest.mark.parametrize("seed", ["-1", "seven"])
+def test_bad_seed_env_is_usage_error(seed, capsys, monkeypatch):
+    monkeypatch.setenv("SOLITON_LAB_SEED", seed)
+    code, _, err = run(["verify", "--fixture", "gaussian-soliton", "--samples", "10"], capsys)
+    _one_line_usage_error(code, err)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"m": 2.9, "kappa": 4.0, "A": 1.0, "I": [0.5, 2.0], "phi_sign": 1},
+        {"m": 2, "kappa": 4.0, "A": 1.0, "I": [0.5, 2.0], "phi_sign": 1.7},
+        {"m": 2, "kappa": 4.0, "A": 1.0, "I": [0.5, 2.0], "phi_sign": 1, "s": 1.5},
+    ],
+    ids=["m", "phi_sign", "s"],
+)
+def test_non_integral_config_integers_are_usage_errors(params, tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    code, _, err = run(["skrp", "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+    assert "must be an integer" in err
+
+
+def test_integral_float_config_integers_are_accepted(tmp_path, capsys):
+    as_ints = {"m": 2, "kappa": 4, "A": 1, "B": 0, "I": [0.5, "inf"], "phi_sign": 1, "s": 2, "a": 2, "p": 2}
+    as_floats = {**as_ints, "m": 2.0, "phi_sign": 1.0, "s": 2.0}
+    outputs = []
+    for params in (as_ints, as_floats):
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(params))
+        code, out, _ = run(["completeness", "--config", str(cfg)], capsys)
+        assert code == cli.EXIT_PASS
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["kappa", "c", "A", "B", "a", "p"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_params_are_usage_errors(name, value, tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(
+        '{"m": 2, "kappa": 4.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.0], "phi_sign": 1, "%s": %s}' % (name, value)
+    )
+    code, _, err = run(["completeness", "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+    assert "must be finite" in err

@@ -27,6 +27,18 @@ FLATBASE = fixtures.skrp_fixture("koiso-m2-A1B0-flatbase")  # m=2, kappa=0, A=1,
 # -- phi_closed --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["m", "s", "kappa", "c", "A", "B", "a", "p"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_constants(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(FLATBASE, **{name: value})
+
+
+def test_params_accept_infinite_interval_ends():
+    assert replace(FLATBASE, I=(-math.inf, -0.5)).I[0] == -math.inf
+    assert fixtures.skrp_fixture("koiso-m2-tail").I[1] == math.inf
+
+
 def test_phi_constant_solution_value():
     params = skrp.SkrpParams(m=2, kappa=3.0, c=0.0, A=0.0, B=0.0, I=(0.5, 2.0))
     phi, dphi, d2phi = skrp.phi_closed(params, 1.3)
