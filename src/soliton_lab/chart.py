@@ -35,13 +35,10 @@ from .errors import DegenerateConformalFactor, DomainError, SingularMetric
 from .sampling import Box
 
 __all__ = [
-    "Point",
     "as_point",
     "ScalarField",
     "SmoothFunction1D",
     "compose_with_field",
-    "apply_univariate",
-    "SymmetricForm",
     "MetricChart",
     "christoffel",
     "christoffel_with_derivative",
@@ -59,10 +56,6 @@ __all__ = [
     "conformal_hessian_check",
     "conformal_ricci_check",
 ]
-
-# A chart point is a plain float vector; ops validate length/finiteness/domain.
-Point = np.ndarray
-
 
 def as_point(coords: Sequence[float] | np.ndarray, dim: int | None = None) -> np.ndarray:
     p = np.asarray(coords, dtype=float)
@@ -141,42 +134,10 @@ def compose_with_field(profile: SmoothFunction1D, base: ScalarField, name: str =
     return FieldOfField(profile, base, name)
 
 
-def apply_univariate(base: ScalarField, value, deriv, deriv2, name: str = "") -> ScalarField:
-    """New field h(f) from pointwise callables (h, h', h'') of the base value."""
-
-    def fn(jets):
-        f = _as_jet(base._fn(jets), len(jets))
-        return ad.lift_univariate(f, value(f.val), deriv(f.val), deriv2(f.val))
-
-    return ScalarField(fn, base.dim, name)
-
-
 def _as_jet(x, nvars: int) -> ad.Jet:
     if isinstance(x, ad.Jet):
         return x
     return ad.constant(float(x), nvars)
-
-
-@dataclass(frozen=True)
-class SymmetricForm:
-    """A symmetric bilinear form at a point (Ricci, Hessian, df (.) dtau, ...)."""
-
-    mat: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)
-        skew = np.max(np.abs(m - m.T))
-        scale = np.max(np.abs(m))
-        if skew > 1e-12 * max(1.0, scale):
-            raise ValueError(f"form is not symmetric: max |A - A^T| = {skew:.3e}")
-        object.__setattr__(self, "mat", 0.5 * (m + m.T))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.mat, dtype=dtype)
 
 
 class MetricChart:
@@ -313,14 +274,14 @@ def christoffel_with_derivative(g: MetricChart, p) -> tuple[np.ndarray, np.ndarr
     return _christoffel_from(G_inv, dG), _christoffel_derivative_from(G_inv, dG, d2G)
 
 
-def ricci(g: MetricChart, p) -> SymmetricForm:
+def ricci(g: MetricChart, p) -> np.ndarray:
     """Ricci tensor R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj."""
     return _ricci_from(*christoffel_with_derivative(g, p))
 
 
 def scalar_curvature(g: MetricChart, p) -> float:
     G, _, _ = g.components(p)
-    return _trace_g(metric_inverse(G), ricci(g, p).mat)
+    return _trace_g(metric_inverse(G), ricci(g, p))
 
 
 # The pointwise formulas behind the public functions above and below, on
@@ -344,18 +305,19 @@ def _christoffel_derivative_from(G_inv: np.ndarray, dG: np.ndarray, d2G: np.ndar
     )
 
 
-def _ricci_from(gamma: np.ndarray, dgamma: np.ndarray) -> SymmetricForm:
+def _ricci_from(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     ric = (
         np.einsum("kkij->ij", dgamma)
         - np.einsum("ikkj->ij", dgamma)
         + np.einsum("kkl,lij->ij", gamma, gamma)
         - np.einsum("kil,lkj->ij", gamma, gamma)
     )
-    return SymmetricForm(0.5 * (ric + ric.T))
+    return 0.5 * (ric + ric.T)
 
 
-def _hessian_from(gamma: np.ndarray, grad: np.ndarray, hess_coords: np.ndarray) -> SymmetricForm:
-    return SymmetricForm(hess_coords - np.einsum("kij,k->ij", gamma, grad))
+def _hessian_from(gamma: np.ndarray, grad: np.ndarray, hess_coords: np.ndarray) -> np.ndarray:
+    hess = hess_coords - np.einsum("kij,k->ij", gamma, grad)
+    return 0.5 * (hess + hess.T)
 
 
 def _trace_g(G_inv: np.ndarray, T: np.ndarray) -> float:
@@ -369,7 +331,7 @@ def _norm_sq_g(G_inv: np.ndarray, v: np.ndarray) -> float:
 # -- scalar-field calculus ------------------------------------------------------
 
 
-def hessian(g: MetricChart, f: ScalarField, p) -> SymmetricForm:
+def hessian(g: MetricChart, f: ScalarField, p) -> np.ndarray:
     """Metric Hessian (hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     _, grad, hess_coords = f.evaluate(p)
     return _hessian_from(christoffel(g, p), grad, hess_coords)
@@ -391,7 +353,7 @@ def grad_norm_sq(g: MetricChart, f: ScalarField, p) -> float:
 def laplacian(g: MetricChart, f: ScalarField, p) -> float:
     """lap f = trace_g(hess f), so lap(|x|^2 / 2) = n on flat space."""
     G, _, _ = g.components(p)
-    return _trace_g(metric_inverse(G), hessian(g, f, p).mat)
+    return _trace_g(metric_inverse(G), hessian(g, f, p))
 
 
 @dataclass(frozen=True)
@@ -424,8 +386,8 @@ def point_geometry(g: MetricChart, f: ScalarField, p) -> PointGeometry:
     f_val, df, hess_coords = f.evaluate(p)
     G_inv = metric_inverse(G)
     gamma = _christoffel_from(G_inv, dG)
-    ric = _ricci_from(gamma, _christoffel_derivative_from(G_inv, dG, d2G)).mat
-    hess_f = _hessian_from(gamma, df, hess_coords).mat
+    ric = _ricci_from(gamma, _christoffel_derivative_from(G_inv, dG, d2G))
+    hess_f = _hessian_from(gamma, df, hess_coords)
     return PointGeometry(G, G_inv, ric, f_val, df, hess_f, _trace_g(G_inv, hess_f), _norm_sq_g(G_inv, df))
 
 
@@ -446,6 +408,10 @@ def laplacian_divergence_form(g: MetricChart, f: ScalarField, p) -> float:
 # -- conformal-change identities ------------------------------------------------
 
 
+# t -> t^-2, the factor that turns g into g / tau^2.
+_INVERSE_SQUARE = SmoothFunction1D(lambda t: t**-2, lambda t: -2 * t**-3, lambda t: 6 * t**-4)
+
+
 def _check_conformal_factor(tau_val: float):
     if abs(tau_val) < 1e-12:
         raise DegenerateConformalFactor(f"conformal factor tau = {tau_val!r} vanishes")
@@ -462,14 +428,13 @@ def conformal_hessian_check(g: MetricChart, tau: ScalarField, f: ScalarField, p)
     tau_val, dtau, _ = tau.evaluate(p)
     _check_conformal_factor(tau_val)
 
-    factor = apply_univariate(tau, lambda t: t**-2, lambda t: -2 * t**-3, lambda t: 6 * t**-4)
-    g_hat = g.conformal_scale(factor, name="conformal")
-    direct = hessian(g_hat, f, p).mat
+    g_hat = g.conformal_scale(compose_with_field(_INVERSE_SQUARE, tau), name="conformal")
+    direct = hessian(g_hat, f, p)
 
     G, _, _ = g.components(p)
     G_inv = metric_inverse(G)
     _, df, _ = f.evaluate(p)
-    hess_f = hessian(g, f, p).mat
+    hess_f = hessian(g, f, p)
     sym = np.outer(dtau, df)
     cross = sym + sym.T  # 2 dtau (.) df
     assembled = hess_f + (cross - float(dtau @ G_inv @ df) * G) / tau_val
@@ -489,14 +454,13 @@ def conformal_ricci_check(g: MetricChart, tau: ScalarField, p) -> float:
     tau_val, dtau, _ = tau.evaluate(p)
     _check_conformal_factor(tau_val)
 
-    factor = apply_univariate(tau, lambda t: t**-2, lambda t: -2 * t**-3, lambda t: 6 * t**-4)
-    g_hat = g.conformal_scale(factor, name="conformal")
-    direct = ricci(g_hat, p).mat
+    g_hat = g.conformal_scale(compose_with_field(_INVERSE_SQUARE, tau), name="conformal")
+    direct = ricci(g_hat, p)
 
     G, _, _ = g.components(p)
     G_inv = metric_inverse(G)
-    ric = ricci(g, p).mat
-    hess_tau = hessian(g, tau, p).mat
+    ric = ricci(g, p)
+    hess_tau = hessian(g, tau, p)
     lap_tau = _trace_g(G_inv, hess_tau)
     grad_tau_sq = _norm_sq_g(G_inv, dtau)
     bracket = lap_tau / tau_val - (n - 1) * grad_tau_sq / tau_val**2
@@ -506,7 +470,7 @@ def conformal_ricci_check(g: MetricChart, tau: ScalarField, p) -> float:
     if isinstance(tau, FieldOfField):
         f = tau.base
         f_val, df, _ = f.evaluate(p)
-        hess_f = hessian(g, f, p).mat
+        hess_f = hessian(g, f, p)
         tau1 = tau.profile.deriv(f_val)
         tau2 = tau.profile.deriv2(f_val)
         expanded = (

@@ -25,7 +25,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +46,7 @@ COEFF_AGREE_TOL = 1e-9
 COEFF_EXTRACT_TOL = 1e-8
 PROFILE_ODE_TOL = 1e-10
 PROFILE_INTEGRATE_TOL = 1e-6
-COEFF_CONSTANCY_TOL = 1e-8
+PROFILE_COEFF_CONSTANCY_TOL = 1e-8
 ALPHA_FIT_TOL = 1e-5
 
 
@@ -82,18 +82,7 @@ class RunConfig:
 
 
 def _params_dict(params: skrp.SkrpParams) -> dict:
-    return {
-        "m": params.m,
-        "kappa": params.kappa,
-        "c": params.c,
-        "A": params.A,
-        "B": params.B,
-        "I": [_json_float(params.I[0]), _json_float(params.I[1])],
-        "s": params.s,
-        "a": params.a,
-        "p": params.p,
-        "phi_sign": params.phi_sign,
-    }
+    return {**asdict(params), "I": [_json_float(v) for v in params.I]}
 
 
 def _json_float(x: float):
@@ -120,9 +109,13 @@ class CheckRecord:
 
 @dataclass
 class Report:
+    """Checks of one command, plus the side tables (file suffix -> header and
+    rows) written next to the report when it goes to a file."""
+
     config: RunConfig
     checks: list[CheckRecord] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+    tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
 
     def add(self, name: str, status: str, measured=None, tolerance=None) -> CheckRecord:
         rec = CheckRecord(name, status, measured, tolerance)
@@ -168,19 +161,11 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["name", "status", "measured", "tolerance"])
-        for c in self.checks:
-            writer.writerow(
-                [
-                    c.name,
-                    c.status,
-                    _fmt_value(c.measured),
-                    "" if c.tolerance is None else f"{c.tolerance:.17g}",
-                ]
-            )
-        return buf.getvalue()
+        rows = [
+            (c.name, c.status, _fmt_value(c.measured), "" if c.tolerance is None else f"{c.tolerance:.17g}")
+            for c in self.checks
+        ]
+        return _table_csv(("name", "status", "measured", "tolerance"), rows)
 
     def render(self) -> str:
         if self.config.fmt == "json":
@@ -211,14 +196,12 @@ def _write_atomic(path: str, content: str) -> None:
         raise
 
 
-def _emit(report: Report, profile_rows=None, plot_rows=None, profile_header=None) -> None:
+def _emit(report: Report) -> None:
     content = report.render()
     if report.config.out:
         _write_atomic(report.config.out, content)
-        if profile_rows is not None:
-            _write_atomic(report.config.out + ".profile.csv", _table_csv(profile_header, profile_rows))
-        if plot_rows is not None:
-            _write_atomic(report.config.out + ".plotdata.csv", _table_csv(("endpoint", "f", "integrand"), plot_rows))
+        for suffix, (header, rows) in report.tables.items():
+            _write_atomic(report.config.out + suffix, _table_csv(header, rows))
     else:
         sys.stdout.write(content)
 
@@ -304,11 +287,14 @@ def _resolve_params(config: RunConfig) -> skrp.SkrpParams:
     raise UnknownFixture("skrp/completeness need --fixture or an inline parameter config")
 
 
+PROFILE_HEADER = ("f", "phi", "dphi", "Q", "ell", "integrand")
+
+
 def cmd_skrp(config: RunConfig) -> Report:
     report = Report(config)
     params = _resolve_params(config)
     t0 = time.perf_counter()
-    positive = [iv for iv in skrp.q_domain(params)]
+    positive = skrp.q_domain(params)
     if not positive:
         lo, hi = params.I
         lo = lo if math.isfinite(lo) else params.c - 10.0
@@ -319,7 +305,7 @@ def cmd_skrp(config: RunConfig) -> Report:
             report.add("phi-positivity", "fail", max(phis))
         else:
             report.add("q-domain", "inconclusive", "empty")
-        _emit(report, profile_rows=[], profile_header=("f", "phi", "dphi", "Q", "ell", "integrand"))
+        report.tables[".profile.csv"] = (PROFILE_HEADER, [])
         return report
 
     lo, hi = positive[0]
@@ -352,7 +338,7 @@ def cmd_skrp(config: RunConfig) -> Report:
 
     coeffs = [skrp.soliton_coeff_profile(params, 1.0, f) for f in check_grid]
     variation = (max(coeffs) - min(coeffs)) / (1.0 + max(abs(c) for c in coeffs))
-    report.add_bound("coefficient-constancy", variation, COEFF_CONSTANCY_TOL)
+    report.add_bound("coefficient-constancy", variation, PROFILE_COEFF_CONSTANCY_TOL)
     report.timings["profile-checks"] = time.perf_counter() - t0
 
     rows = []
@@ -360,7 +346,7 @@ def cmd_skrp(config: RunConfig) -> Report:
         phi, dphi, _ = skrp.phi_closed(params, f)
         q = skrp.q_profile(params, f)
         rows.append((float(f), phi, dphi, q, ell.ell(f), comp.arc_integrand(params, f)))
-    _emit(report, profile_rows=rows, profile_header=("f", "phi", "dphi", "Q", "ell", "integrand"))
+    report.tables[".profile.csv"] = (PROFILE_HEADER, rows)
     return report
 
 
@@ -384,7 +370,6 @@ def cmd_completeness(config: RunConfig) -> Report:
     report.add("verdict", status, verdict.overall.value)
 
     rows = []
-    profile_q = skrp.as_q_profile(profile) if not isinstance(profile, skrp.QProfile) else profile
     for side, analysis in (("inf", verdict.lower), ("sup", verdict.upper)):
         if not math.isfinite(analysis.endpoint):
             continue
@@ -393,10 +378,10 @@ def cmd_completeness(config: RunConfig) -> Report:
         for off in np.geomspace(1e-6, 1e-1, 25):
             f = a + direction * off
             try:
-                rows.append((side, float(f), comp.arc_integrand(profile_q, f)))
+                rows.append((side, float(f), comp.arc_integrand(profile, f)))
             except SolitonLabError:
                 continue
-    _emit(report, plot_rows=rows)
+    report.tables[".plotdata.csv"] = (("endpoint", "f", "integrand"), rows)
     return report
 
 
@@ -409,6 +394,15 @@ def _integral(value, name: str) -> int:
     if not number.is_integer():
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(number)
+
+
+def _interval(value, name: str) -> tuple[float, float]:
+    lo, hi = (float(v) for v in value)
+    return lo, hi
+
+
+# Converters of config values, by SkrpParams field type.
+_CONVERT = {"int": _integral, "float": lambda value, name: float(value), "tuple[float, float]": _interval}
 
 
 def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
@@ -429,20 +423,13 @@ def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
     if "fixture" in doc:
         return str(doc["fixture"]), None
     try:
-        interval = doc.get("I", (-math.inf, math.inf))
-        lo, hi = (float(v) for v in interval)
-        params = skrp.SkrpParams(
-            m=_integral(doc["m"], "m"),
-            kappa=float(doc.get("kappa", 0.0)),
-            c=float(doc.get("c", 0.0)),
-            A=float(doc.get("A", 0.0)),
-            B=float(doc.get("B", 0.0)),
-            I=(lo, hi),
-            s=_integral(doc.get("s", 1), "s"),
-            a=float(doc.get("a", 1.0)),
-            p=float(doc.get("p", 1.0)),
-            phi_sign=_integral(doc.get("phi_sign", -1), "phi_sign"),
-        )
+        kwargs = {}
+        for param in fields(skrp.SkrpParams):
+            if param.name in doc:
+                kwargs[param.name] = _CONVERT[param.type](doc[param.name], param.name)
+            elif param.default is MISSING:
+                raise KeyError(param.name)
+        params = skrp.SkrpParams(**kwargs)
     except KeyError as exc:
         raise ValueError(f"config {path!r} lacks the parameter {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -499,8 +486,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = handler(config)
-        if config.command in ("verify", "dualize"):
-            _emit(report)
+        _emit(report)
     except OSError as exc:
         target = repr(config.out) if config.out else "standard output"
         print(f"soliton-lab: cannot write the report to {target}: {exc.strerror or exc}", file=sys.stderr)

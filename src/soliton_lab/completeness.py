@@ -29,7 +29,7 @@ import enum
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
@@ -244,21 +244,20 @@ def exponent_fit(
     a: float,
     lo: float = 1e-8,
     hi: float = 1e-3,
-    points: int = 25,
 ) -> ExponentFit:
-    """Fit integrand ~ C (f - a)^p on a geometric grid of offsets.
+    """Fit integrand ~ C (f - a)^p on a 25-point geometric grid of offsets.
 
     Returns the least-squares slope of log integrand against log (f - a)
     with its standard error and the rms fit residual.
     """
-    offsets = np.geomspace(lo, hi, points)
+    offsets = np.geomspace(lo, hi, 25)
     logs = np.log(offsets)
     vals = np.log([integrand(a + d) for d in offsets])
     design = np.stack([logs, np.ones_like(logs)], axis=1)
     coef, res, _, _ = np.linalg.lstsq(design, vals, rcond=None)
     fitted = design @ coef
     rms = float(np.sqrt(np.mean((vals - fitted) ** 2)))
-    dof = max(points - 2, 1)
+    dof = len(offsets) - 2
     var = float(np.sum((vals - fitted) ** 2)) / dof
     sxx = float(np.sum((logs - logs.mean()) ** 2))
     stderr = math.sqrt(var / sxx)
@@ -306,12 +305,11 @@ def classify_endpoint(profile_or_params, a: float, side: str | None = None) -> E
 
     width = (hi - lo) if (math.isfinite(hi) and math.isfinite(lo)) else 1.0
     delta = min(1.0, 0.2 * width)
+    integrand = lambda f: arc_integrand(profile, f)
     if side == "inf":
-        integrand = lambda f: arc_integrand(profile, f)
         fit = exponent_fit(integrand, a, lo=1e-8 * delta, hi=1e-3 * delta)
         integral = improper_integral(integrand, a, a + delta, singular_end="lower")
     else:
-        integrand = lambda f: arc_integrand(profile, f)
         mirrored = lambda f: integrand(2 * a - f)
         fit = exponent_fit(mirrored, a, lo=1e-8 * delta, hi=1e-3 * delta)
         integral = improper_integral(integrand, a - delta, a, singular_end="upper")
@@ -451,8 +449,9 @@ def _infinite_lower_test(profile: QProfile, f_end: float) -> EndpointAnalysis:
 # -- whole-interval verdict ---------------------------------------------------------
 
 
-def completeness_verdict(params_or_profile, interval_index: int = 0) -> CompletenessVerdict:
-    """Combine the endpoint analyses of one Q-positive interval.
+def completeness_verdict(params_or_profile) -> CompletenessVerdict:
+    """Combine the endpoint analyses of a profile's Q-positive interval, the
+    first one when the closed form has several.
 
     Complete when every end has infinite length (higher-order zero or a
     divergent tail) or is a smooth cap over which the metric extends; the
@@ -465,8 +464,7 @@ def completeness_verdict(params_or_profile, interval_index: int = 0) -> Complete
         intervals = q_domain(profile.params)
         if not intervals:
             raise NonpositiveQ("profile has no Q-positive interval")
-        lo, hi = intervals[min(interval_index, len(intervals) - 1)]
-        profile = QProfile(profile.q, profile.dq, (lo, hi), profile.m, profile.a, profile.c, profile.params)
+        profile = replace(profile, interval=intervals[0])
     lo, hi = profile.interval
 
     if math.isfinite(lo):
@@ -536,12 +534,7 @@ def gradient_flow_length_crosscheck(chart: CalabiChart, f1: float, f2: float) ->
         speed_sq = math.exp(rate * f) * float(vel @ G @ vel)
         return np.append(vel, math.sqrt(speed_sq))
 
-    try:
-        sol = integrate.solve_ivp(
-            rhs, (lo, hi), np.append(start, 0.0), method="DOP853", rtol=1e-10, atol=1e-12
-        )
-    except DomainExit:
-        raise
+    sol = integrate.solve_ivp(rhs, (lo, hi), np.append(start, 0.0), method="DOP853", rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise DomainExit(f"flow integration failed: {sol.message}")
     return float(sol.y[4, -1])

@@ -25,7 +25,6 @@ __all__ = [
     "skrp_fixture",
     "q_profile_fixture",
     "calabi_fixture",
-    "list_fixtures",
 ]
 
 
@@ -192,6 +191,11 @@ def _cubic_pair() -> SolitonPair:
     return SolitonPair(_flat(3), f, "non-soliton-cubic")
 
 
+def _calabi_pair(name: str) -> SolitonPair:
+    chart = calabi_fixture(name)
+    return SolitonPair(chart.metric, chart.f_field, name)
+
+
 _PAIRS = {
     "gaussian-soliton": lambda: _gaussian(3),
     "gaussian-soliton-n3": lambda: _gaussian(3),
@@ -201,23 +205,11 @@ _PAIRS = {
         _round_sphere(3), ct.ScalarField.constant(0.0, 3), "sphere-trivial"
     ),
     "non-soliton-cubic": _cubic_pair,
+    "koiso-m2-A1B0": lambda: _calabi_pair("koiso-m2-A1B0"),
 }
 
 
 def soliton_fixture(name: str) -> SolitonPair:
-    if name in _PAIRS:
-        return _PAIRS[name]()
-    if name in _SKRP and name in ("koiso-m2-A1B0",):
-        chart = calabi_fixture(name)
-        return SolitonPair(chart.metric, chart.f_field, name)
-    known = sorted(_PAIRS) + ["koiso-m2-A1B0"]
-    raise UnknownFixture(f"unknown soliton fixture {name!r}; known: {known}")
-
-
-def list_fixtures() -> dict[str, list[str]]:
-    return {
-        "metrics": sorted(_METRICS),
-        "pairs": sorted(_PAIRS) + ["koiso-m2-A1B0"],
-        "profiles": sorted(_SKRP),
-        "completeness": sorted(_SYNTHETIC_Q) + sorted(_SKRP),
-    }
+    if name not in _PAIRS:
+        raise UnknownFixture(f"unknown soliton fixture {name!r}; known: {sorted(_PAIRS)}")
+    return _PAIRS[name]()

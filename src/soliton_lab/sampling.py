@@ -101,21 +101,18 @@ def sample_box(box: Box, count: int, seed: int = DEFAULT_SEED, margin: float = E
     return unit * (inner.hi - inner.lo) + inner.lo
 
 
-def resolve_seed(explicit: int | None = None) -> int:
-    """Sampling seed: explicit argument, then SOLITON_LAB_SEED, then default.
+def resolve_seed() -> int:
+    """Sampling seed: SOLITON_LAB_SEED if set, else the default.
 
     Raises ValueError for a seed that is not a non-negative integer.
     """
-    if explicit is not None:
-        seed = int(explicit)
-    else:
-        env = os.environ.get("SOLITON_LAB_SEED")
-        if env is None:
-            return DEFAULT_SEED
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"SOLITON_LAB_SEED={env!r} is not an integer") from None
+    env = os.environ.get("SOLITON_LAB_SEED")
+    if env is None:
+        return DEFAULT_SEED
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ValueError(f"SOLITON_LAB_SEED={env!r} is not an integer") from None
     if seed < 0:
         raise ValueError(f"sampling seed {seed} is negative; it must be a non-negative integer")
     return seed

@@ -59,12 +59,10 @@ from .sampling import Box, sample_box
 
 __all__ = [
     "SkrpParams",
-    "PhiProfile",
     "QProfile",
     "EllMap",
     "CalabiChart",
     "phi_closed",
-    "phi_profile",
     "phi_ode_residual",
     "phi_ode_integrate",
     "soliton_coeff_profile",
@@ -106,14 +104,17 @@ class SkrpParams:
     phi_sign : sign of the constant term kappa/(2m); must match sgn(phi) on
         the working interval for the profile ODE to hold (default -1, the
         fixed-minus-sign form).
+
+    Every field but m has a default: kappa = c = A = B = 0, I the whole
+    line, s = 1, a = p = 1 and phi_sign = -1.
     """
 
     m: int
-    kappa: float
-    c: float
-    A: float
-    B: float
-    I: tuple[float, float]
+    kappa: float = 0.0
+    c: float = 0.0
+    A: float = 0.0
+    B: float = 0.0
+    I: tuple[float, float] = (-math.inf, math.inf)
     s: int = 1
     a: float = 1.0
     p: float = 1.0
@@ -144,19 +145,6 @@ class SkrpParams:
         lo, hi = self.I
         width = hi - lo if math.isfinite(hi) and math.isfinite(lo) else 1.0 + abs(self.c)
         return POLE_MARGIN * width
-
-
-@dataclass(frozen=True)
-class PhiProfile:
-    """Profile phi with analytic first and second derivatives."""
-
-    phi: Callable[[float], float]
-    dphi: Callable[[float], float]
-    d2phi: Callable[[float], float]
-    params: SkrpParams
-
-    def triple(self, f: float) -> tuple[float, float, float]:
-        return self.phi(f), self.dphi(f), self.d2phi(f)
 
 
 def _series_S(x: float, j: int) -> float:
@@ -221,23 +209,29 @@ def phi_closed(params: SkrpParams, f: float) -> tuple[float, float, float]:
     """Profile value and derivatives (phi, phi', phi'') at f.
 
     Derivatives are the hand-differentiated closed forms, not differences.
-    Raises :class:`PoleError` at f = c when the numerator is singular there.
+    Raises :class:`PoleError` at f = c when the numerator is singular there,
+    and :class:`DomainError` where a term overflows float64.
     """
-    x = f - params.c
+    # A Python float overflows with OverflowError where a numpy scalar would
+    # return inf with only a warning.
+    x = float(f - params.c)
     head = params.A + params.B
     if head != 0.0 and abs(x) < params.pole_margin:
         raise PoleError(f"profile has a pole at f = c = {params.c}; got f = {f}")
     const = params.phi_sign * params.kappa / (2.0 * params.m)
     # With B = 0 the remainder term drops out; evaluating it anyway would
     # overflow exp(x) far out on an unbounded interval.
-    t, t1, t2 = _scaled_remainder_T(x, params.m) if params.B != 0.0 else (0.0, 0.0, 0.0)
-    if head == 0.0:
-        return (
-            params.B * t + const,
-            params.B * t1,
-            params.B * t2,
-        )
-    u, u1, u2 = _laurent_U(x, params.m)
+    try:
+        t, t1, t2 = _scaled_remainder_T(x, params.m) if params.B != 0.0 else (0.0, 0.0, 0.0)
+        if head == 0.0:
+            return (
+                params.B * t + const,
+                params.B * t1,
+                params.B * t2,
+            )
+        u, u1, u2 = _laurent_U(x, params.m)
+    except OverflowError:
+        raise DomainError(f"profile overflows float64 at f = {f} (f - c = {x})") from None
     return (
         head * u + params.B * t + const,
         head * u1 + params.B * t1,
@@ -245,27 +239,22 @@ def phi_closed(params: SkrpParams, f: float) -> tuple[float, float, float]:
     )
 
 
-def phi_profile(params: SkrpParams) -> PhiProfile:
-    return PhiProfile(
-        phi=lambda f: phi_closed(params, f)[0],
-        dphi=lambda f: phi_closed(params, f)[1],
-        d2phi=lambda f: phi_closed(params, f)[2],
-        params=params,
-    )
-
-
 def phi_ode_residual(
     params: SkrpParams,
     alpha: float,
     f: float,
-    profile: PhiProfile | None = None,
+    profile: ct.SmoothFunction1D | None = None,
 ) -> float:
     """Left-minus-right residual of the profile ODE at f.
 
+    ``profile`` replaces the closed form phi (default) with another phi.
     Zero (to roundoff) for the closed form with alpha = 1 on intervals where
     sgn(phi) matches the params' branch sign.
     """
-    phi, dphi, d2phi = (profile or phi_profile(params)).triple(f)
+    if profile is None:
+        phi, dphi, d2phi = phi_closed(params, f)
+    else:
+        phi, dphi, d2phi = profile.value(f), profile.deriv(f), profile.deriv2(f)
     x = f - params.c
     sgn = math.copysign(1.0, phi) if phi != 0.0 else 1.0
     return x * x * d2phi + x * (params.m - x * alpha) * dphi - params.m * phi + sgn * params.kappa / 2.0
@@ -322,12 +311,12 @@ def q_derivative(params: SkrpParams, f: float) -> float:
     return 2.0 * phi + 2.0 * (f - params.c) * dphi
 
 
-def q_domain(params: SkrpParams, grid: int = 2048) -> list[tuple[float, float]]:
+def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     """Maximal open subintervals of I on which Q > 0.
 
-    Sign changes of phi and of f_c are bracketed on a fine grid and refined by
-    root finding; an unbounded right end is scanned out to where the
-    exponential/constant behaviour of the profile is settled.
+    Sign changes of phi and of f_c are bracketed on a 2048-point grid and
+    refined by root finding; an unbounded right end is scanned out to where
+    the exponential/constant behaviour of the profile is settled.
     """
     lo, hi = params.I
     scan_lo = lo if math.isfinite(lo) else params.c - 60.0
@@ -353,7 +342,7 @@ def q_domain(params: SkrpParams, grid: int = 2048) -> list[tuple[float, float]]:
 
     intervals: list[tuple[float, float]] = []
     for left, right in pieces:
-        xs = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), grid)
+        xs = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), 2048)
         vals = np.array([q(x) for x in xs])
         roots = []
         for i in range(len(xs) - 1):
@@ -412,12 +401,12 @@ class EllMap:
     """Monotone fiber-norm map ell(f) on a Q-positive interval.
 
     log ell(f) = integral_{f0}^{f} a / Q(t) dt with ell(f0) = 1.  Built once
-    from a cumulative-quadrature table over a fixed grid; lookups refine a
-    table bracket by Newton steps on the exact quadrature, so round trips
-    f -> ell -> f are accurate to ~1e-12.  Read-only after construction.
+    from a cumulative-quadrature table over a fixed 257-node grid; lookups
+    refine a table bracket by Newton steps on the exact quadrature, so round
+    trips f -> ell -> f are accurate to ~1e-12.  Read-only after construction.
     """
 
-    def __init__(self, profile: QProfile, f0: float, bounds: tuple[float, float] | None = None, nodes: int = 257):
+    def __init__(self, profile: QProfile, f0: float, bounds: tuple[float, float] | None = None):
         self.profile = profile
         lo, hi = bounds if bounds is not None else profile.interval
         if not (lo < f0 < hi):
@@ -425,21 +414,20 @@ class EllMap:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DomainError("ell map needs finite working bounds; pass bounds=")
         self.f0 = float(f0)
-        self._grid = np.linspace(lo, hi, nodes)
+        self._grid = np.linspace(lo, hi, 257)
         qvals = np.array([profile.q(f) for f in self._grid])
         if np.any(qvals <= 0):
             bad = self._grid[qvals <= 0][0]
             raise DomainSplit(f"Q vanishes or changes sign inside the working interval near f = {bad}")
         integrand = lambda f: profile.a / profile.q(f)
         # Cumulative log-ell values at the grid nodes, anchored at f0.
-        segs = np.empty(nodes - 1)
-        for i in range(nodes - 1):
+        segs = np.empty(len(self._grid) - 1)
+        for i in range(len(segs)):
             segs[i], _ = integrate.quad(integrand, self._grid[i], self._grid[i + 1], epsabs=1e-14, epsrel=1e-13, limit=200)
         cumulative = np.concatenate([[0.0], np.cumsum(segs)])
-        anchor = np.interp(self.f0, self._grid, cumulative)
-        # Refine the anchor exactly so log ell(f0) = 0.
+        # Anchor exactly so log ell(f0) = 0.
         i0 = int(np.searchsorted(self._grid, self.f0)) - 1
-        i0 = min(max(i0, 0), nodes - 2)
+        i0 = min(max(i0, 0), len(self._grid) - 2)
         extra, _ = integrate.quad(integrand, self._grid[i0], self.f0, epsabs=1e-14, epsrel=1e-13, limit=200)
         anchor = cumulative[i0] + extra
         self._t_nodes = cumulative - anchor
@@ -602,14 +590,13 @@ def _metric_components_fn(params: SkrpParams, core: _PotentialCore, lambda_h: fl
 
     s = float(params.s)
     inv_p2 = 1.0 / params.p**2
-    profile = phi_profile(params)
 
     def comps(jets):
         z1, z2, w1, w2 = jets
         one_pz = 1.0 + z1 * z1 + z2 * z2
         wsq = w1 * w1 + w2 * w2
         fj = core.f_jet(jets)
-        phi_j = ad.lift_univariate(fj, *profile.triple(fj.val))
+        phi_j = ad.lift_univariate(fj, *phi_closed(params, fj.val))
         x = fj - params.c
         q_j = 2.0 * x * phi_j
         pre = q_j * inv_p2
@@ -671,7 +658,7 @@ def hermitian_metric_residual(metric: ct.MetricChart, J: np.ndarray, p) -> float
 
 def hermitian_hessian_residual(chart: CalabiChart, p) -> float:
     """Max-norm of hess f (J., J.) - hess f; zero when the Hessian is Hermitian."""
-    H = ct.hessian(chart.metric, chart.f_field, p).mat
+    H = ct.hessian(chart.metric, chart.f_field, p)
     J = chart.complex_structure
     return float(np.max(np.abs(J.T @ H @ J - H)))
 
@@ -704,7 +691,6 @@ CLOSEDNESS_TOL = 1e-8
 def assemble_calabi_metric(
     params: SkrpParams,
     f_window: tuple[float, float] | None = None,
-    anchor: float | None = None,
     name: str = "",
     calibrate: bool = True,
 ) -> CalabiChart:
@@ -725,7 +711,7 @@ def assemble_calabi_metric(
     lambda_h = 4.0 / params.kappa
     base = _fubini_study_chart(lambda_h)
     zb = np.array([0.21, -0.33])
-    base_resid = np.max(np.abs(ct.ricci(base, zb).mat - params.kappa * base.matrix(zb)))
+    base_resid = np.max(np.abs(ct.ricci(base, zb) - params.kappa * base.matrix(zb)))
     if base_resid > 1e-9:
         raise CalibrationFailure(f"base normalization failed: |ric(h) - kappa h| = {base_resid:.3e}")
 
@@ -738,7 +724,7 @@ def assemble_calabi_metric(
         f_window = (lo + 0.15 * width, hi - 0.15 * width)
     if not any(a_ <= f_window[0] and f_window[1] <= b_ for a_, b_ in positive):
         raise DomainSplit(f"f-window {f_window} is not inside a Q-positive interval {positive}")
-    anchor = anchor if anchor is not None else 0.5 * (f_window[0] + f_window[1])
+    anchor = 0.5 * (f_window[0] + f_window[1])
     fc_sign = math.copysign(1.0, anchor - params.c)
 
     ratios = CALIBRATION_RATIOS if calibrate else (params.a * params.s / (params.p**2 * lambda_h),)

@@ -158,37 +158,30 @@ def classify(
     pair: SolitonPair,
     sample: np.ndarray | int = 100,
     tol_residual: float = SOLITON_RESIDUAL_TOL,
-    tol_coeff: float = COEFF_CONSTANCY_TOL,
-    tol_grad: float = GRADIENT_TRIVIALITY_TOL,
     seed: int = DEFAULT_SEED,
 ) -> SolitonClass:
     """Classify the pair over a point sample.
 
     almost soliton: max residual < tol_residual; soliton additionally needs
-    coefficient variation < tol_coeff; trivial additionally needs
-    |grad f|^2 < tol_grad everywhere.
+    coefficient variation < COEFF_CONSTANCY_TOL; trivial additionally needs
+    |grad f|^2 < GRADIENT_TRIVIALITY_TOL everywhere.
     """
     if isinstance(sample, (int, np.integer)):
         sample = pair.sample(int(sample), seed=seed)
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise EmptySample("classification needs a nonempty sample")
-    return classify_report(residual_report(pair, sample), tol_residual, tol_coeff, tol_grad)
+    return classify_report(residual_report(pair, sample), tol_residual)
 
 
-def classify_report(
-    report: ResidualReport,
-    tol_residual: float = SOLITON_RESIDUAL_TOL,
-    tol_coeff: float = COEFF_CONSTANCY_TOL,
-    tol_grad: float = GRADIENT_TRIVIALITY_TOL,
-) -> SolitonClass:
+def classify_report(report: ResidualReport, tol_residual: float = SOLITON_RESIDUAL_TOL) -> SolitonClass:
     """Classify the pair a residual report was built from, by the rules of
     :func:`classify`, without evaluating anything again."""
     if report.max_residual >= tol_residual:
         return SolitonClass.NONE
-    if report.coefficient_variation >= tol_coeff:
+    if report.coefficient_variation >= COEFF_CONSTANCY_TOL:
         return SolitonClass.ALMOST_SOLITON
-    if np.max(report.grad_norms_sq) < tol_grad:
+    if np.max(report.grad_norms_sq) < GRADIENT_TRIVIALITY_TOL:
         return SolitonClass.TRIVIAL
     return SolitonClass.GRADIENT_RICCI_SOLITON
 
@@ -196,14 +189,22 @@ def classify_report(
 # -- duality -------------------------------------------------------------------
 
 
-def dual_factor_profile(n: int) -> ct.SmoothFunction1D:
-    """The conformal factor exp(-4 f / (n-2)) of the duality, as a profile in f."""
-    rate = -4.0 / (n - 2)
+def _exp_profile(rate: float) -> ct.SmoothFunction1D:
+    """f -> exp(rate * f) with its two derivatives."""
     return ct.SmoothFunction1D(
         lambda f: math.exp(rate * f),
         lambda f: rate * math.exp(rate * f),
         lambda f: rate * rate * math.exp(rate * f),
     )
+
+
+# f -> -f, the duality's soliton-function profile.
+_NEGATION = ct.SmoothFunction1D(lambda f: -f, lambda f: -1.0, lambda f: 0.0)
+
+
+def dual_factor_profile(n: int) -> ct.SmoothFunction1D:
+    """The conformal factor exp(-4 f / (n-2)) of the duality, as a profile in f."""
+    return _exp_profile(-4.0 / (n - 2))
 
 
 def dualize(pair: SolitonPair) -> SolitonPair:
@@ -219,7 +220,7 @@ def dualize(pair: SolitonPair) -> SolitonPair:
         raise DimensionTooSmall(f"duality needs dimension n > 2, got n = {n}")
     factor = ct.compose_with_field(dual_factor_profile(n), pair.f, name="dual-factor")
     metric_hat = pair.metric.conformal_scale(factor, name=f"{pair.metric.name}-dual")
-    f_hat = ct.apply_univariate(pair.f, lambda v: -v, lambda v: -1.0, lambda v: 0.0, name="-f")
+    f_hat = ct.compose_with_field(_NEGATION, pair.f, name="-f")
     return SolitonPair(metric_hat, f_hat, name=f"{pair.name}-dual" if pair.name else "dual")
 
 
@@ -278,25 +279,25 @@ def steady_obstruction(pair: SolitonPair, p) -> float:
     return -geo.scalar_curvature - geo.grad_sq
 
 
-def old_dualize(pair: SolitonPair, sample: int = 64, seed: int = DEFAULT_SEED) -> SolitonPair:
+def old_dualize(pair: SolitonPair) -> SolitonPair:
     """Comparison involution (g, f) -> (f^{-2} g, f^{-1}).
 
     Requires f to be nonvanishing on the domain; sign constancy is checked
-    over a dense sample.  No almost-soliton structure is asserted for the
+    over 64 sample points, the centre and the corners.  No almost-soliton structure is asserted for the
     result beyond what ricci_hessian_fit reports.
     """
     box = pair.metric.domain
     corners = np.array(np.meshgrid(*zip(box.lo, box.hi))).reshape(pair.dim, -1).T
-    probe = np.vstack([pair.sample(sample, seed=seed), [0.5 * (box.lo + box.hi)], corners])
+    probe = np.vstack([pair.sample(64), [0.5 * (box.lo + box.hi)], corners])
     values = np.array([pair.f(p) for p in probe])
     if np.min(np.abs(values)) < 1e-9 or np.min(values) * np.max(values) < 0:
         raise ZeroCrossing("soliton function vanishes (or changes sign) on the domain")
-    factor = ct.apply_univariate(
-        pair.f, lambda v: v**-2, lambda v: -2.0 * v**-3, lambda v: 6.0 * v**-4, name="f^-2"
+    factor = ct.compose_with_field(
+        ct.SmoothFunction1D(lambda v: v**-2, lambda v: -2.0 * v**-3, lambda v: 6.0 * v**-4), pair.f, name="f^-2"
     )
     metric_new = pair.metric.conformal_scale(factor, name=f"{pair.metric.name}-olddual")
-    f_new = ct.apply_univariate(
-        pair.f, lambda v: 1.0 / v, lambda v: -(v**-2), lambda v: 2.0 * v**-3, name="1/f"
+    f_new = ct.compose_with_field(
+        ct.SmoothFunction1D(lambda v: 1.0 / v, lambda v: -(v**-2), lambda v: 2.0 * v**-3), pair.f, name="1/f"
     )
     return SolitonPair(metric_new, f_new, name=f"{pair.name}-olddual" if pair.name else "olddual")
 
@@ -342,14 +343,7 @@ class ProfilePair:
 
 def canonical_profile(n: int) -> ProfilePair:
     """The unique profile pair (up to constants) admitted by the duality."""
-    rate = 2.0 / (n - 2)
-    tau = ct.SmoothFunction1D(
-        lambda f: math.exp(rate * f),
-        lambda f: rate * math.exp(rate * f),
-        lambda f: rate * rate * math.exp(rate * f),
-    )
-    k = ct.SmoothFunction1D(lambda f: -f, lambda f: -1.0, lambda f: 0.0)
-    return ProfilePair(tau, k)
+    return ProfilePair(_exp_profile(2.0 / (n - 2)), _NEGATION)
 
 
 def uniqueness_residuals(profile: ProfilePair, n: int, f: float) -> tuple[float, float]:

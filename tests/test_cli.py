@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from soliton_lab import cli
+from soliton_lab import cli, fixtures
 
 
 def run(argv, capsys):
@@ -366,3 +366,55 @@ def test_non_finite_config_params_are_usage_errors(name, value, tmp_path, capsys
     code, _, err = run(["completeness", "--config", str(cfg)], capsys)
     _one_line_usage_error(code, err)
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["skrp", "completeness"])
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"m": 2, "A": 1, "B": 1, "I": [0.5, 800], "kappa": 4, "phi_sign": 1},
+        {"m": 2, "A": 1, "B": 0, "I": [1e-300, 1e-299], "kappa": 4, "phi_sign": 1},
+    ],
+    ids=["exp-overflow", "power-overflow"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_profile_overflow_is_numeric_error(params, command, tmp_path, capsys):
+    # exp(f - c) past f - c ~ 709, and (f - c)^-2 at f - c = 1e-300, exceed float64.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    code, _, err = run([command, "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+PROFILE_FIXTURES = [
+    "koiso-m2-A1B0",
+    "koiso-m2-A1B0-flatbase",
+    "koiso-m2-compact",
+    "koiso-m2-tail",
+    "koiso-m2-capped",
+    "negative-branch",
+]
+
+
+@pytest.mark.parametrize("command", ["skrp", "completeness"])
+@pytest.mark.parametrize("fixture", PROFILE_FIXTURES)
+def test_params_echo_reruns_as_config(fixture, command, tmp_path, capsys):
+    params = cli.RunConfig(command, params=fixtures.skrp_fixture(fixture)).echo()["params"]
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    by_fixture = run([command, "--fixture", fixture, "--samples", "20"], capsys)
+    by_config = run([command, "--config", str(cfg), "--samples", "20"], capsys)
+    assert by_config[0] == by_fixture[0] == cli.EXIT_PASS
+    assert json.loads(by_config[1])["checks"] == json.loads(by_fixture[1])["checks"]
+    assert json.loads(by_config[1])["config"]["params"] == params
+
+
+def test_config_omitted_keys_take_defaults(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "A": 1.0, "I": [0.5, 3.0]}))
+    _, out, _ = run(["skrp", "--config", str(cfg), "--samples", "10"], capsys)
+    assert json.loads(out)["config"]["params"] == {
+        "m": 2, "kappa": 0.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 3.0],
+        "s": 1, "a": 1.0, "p": 1.0, "phi_sign": -1,
+    }

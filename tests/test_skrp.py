@@ -137,11 +137,10 @@ def test_profile_ode_residual_constant_solution():
 
 
 def test_profile_ode_residual_detects_perturbation():
-    perturbed = skrp.PhiProfile(
-        phi=lambda f: skrp.phi_closed(FLATBASE, f)[0] + 0.01 * f,
-        dphi=lambda f: skrp.phi_closed(FLATBASE, f)[1] + 0.01,
-        d2phi=lambda f: skrp.phi_closed(FLATBASE, f)[2],
-        params=FLATBASE,
+    perturbed = ct.SmoothFunction1D(
+        lambda f: skrp.phi_closed(FLATBASE, f)[0] + 0.01 * f,
+        lambda f: skrp.phi_closed(FLATBASE, f)[1] + 0.01,
+        lambda f: skrp.phi_closed(FLATBASE, f)[2],
     )
     assert abs(skrp.phi_ode_residual(FLATBASE, 1.0, 2.0, profile=perturbed)) > 1e-3
 

@@ -64,7 +64,7 @@ def _reference_quantities(pair, p):
     n = pair.dim
     G = pair.metric.matrix(p)
     G_inv = ct.metric_inverse(G)
-    tensor = ct.ricci(pair.metric, p).mat + ct.hessian(pair.metric, pair.f, p).mat
+    tensor = ct.ricci(pair.metric, p) + ct.hessian(pair.metric, pair.f, p)
     c = float(np.einsum("ij,ij->", G_inv, tensor)) / n
     residual = ct.tensor_gnorm(G_inv, tensor - c * G)
     f_val = pair.f(p)

@@ -1,0 +1,133 @@
+"""Snapshot what every README command x fixture of a source tree prints.
+
+    python tools/snapshot_reports.py SRC OUT
+
+Runs each invocation below in a fresh interpreter with the package directory
+SRC (a checkout's ``src``) on ``PYTHONPATH``: ``verify``/``dualize`` on every
+pair fixture, ``skrp`` on every profile fixture and ``completeness`` on every
+completeness fixture, in json and csv format, at the default seed and at
+seed 7; then inline-parameter ``--config`` runs of ``skrp`` and
+``completeness``, and one usage error per kind.  ``skrp`` and
+``completeness`` write their report and side CSV with ``--out``.
+
+For each invocation OUT/<id>/ holds ``exit``, ``stdout``, ``stderr`` and any
+report or side-CSV file; OUT/manifest.json maps every id to the SHA-256 of
+each of those.  The last line printed is the SHA-256 of the manifest: two
+trees behave the same on this set exactly when it matches, and
+``diff -r OUT1 OUT2`` shows where they do not.  Paths are relative to OUT, so
+the outputs do not depend on where OUT is.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+
+PAIRS = (
+    "gaussian-soliton",
+    "gaussian-soliton-n3",
+    "gaussian-soliton-n4",
+    "gaussian-soliton-n5",
+    "sphere-trivial",
+    "non-soliton-cubic",
+    "koiso-m2-A1B0",
+)
+PROFILES = (
+    "koiso-m2-A1B0",
+    "koiso-m2-A1B0-flatbase",
+    "koiso-m2-compact",
+    "koiso-m2-tail",
+    "koiso-m2-capped",
+    "negative-branch",
+)
+COMPLETENESS = ("synthetic-simple-caps", "synthetic-double-zero") + PROFILES
+SEEDS = (None, "7")
+
+# Inline parameter configs: the profile fixtures spelled out, a config that
+# leaves every optional key to its default, and one that lacks ``m``.
+CONFIGS = {
+    "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
+                      "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
+    "koiso-m2-A1B0-flatbase": {"m": 2, "kappa": 0.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.3, 4.0],
+                               "s": 1, "a": 1.0, "p": 1.0, "phi_sign": -1},
+    "koiso-m2-compact": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": -1.0, "I": [0.0, 6.0],
+                         "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
+    "koiso-m2-tail": {"m": 2, "kappa": 4.0, "c": 0.0, "A": -1.0, "B": 1.0, "I": [0.0, "inf"],
+                      "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
+    "koiso-m2-capped": {"m": 2, "kappa": 1.0, "c": 0.0, "A": 1.0, "B": -0.01, "I": [0.05, 8.9],
+                        "s": 2, "a": 0.5, "p": 0.5, "phi_sign": 1},
+    "negative-branch": {"m": 2, "kappa": 1.0, "c": 0.0, "A": 0.0, "B": 1.0, "I": [-9.0, -2.6],
+                        "s": 1, "a": 1.0, "p": 1.0, "phi_sign": -1},
+    "defaults": {"m": 2, "A": 1.0, "I": [0.5, 3.0]},
+    "lacks-m": {"A": 1.0, "I": [0.5, 3.0]},
+}
+
+
+def invocations():
+    """(id, argv, seed) of every invocation, in run order."""
+    grid = [(cmd, fx) for fx in PAIRS for cmd in ("verify", "dualize")]
+    grid += [("skrp", fx) for fx in PROFILES] + [("completeness", fx) for fx in COMPLETENESS]
+    for cmd, fx in grid:
+        for fmt in ("json", "csv"):
+            for seed in SEEDS:
+                yield f"{cmd}-{fx}-{fmt}-seed{seed or 'default'}", [cmd, "--fixture", fx, "--format", fmt], seed
+    for name in CONFIGS:
+        for cmd in ("skrp", "completeness"):
+            yield f"{cmd}-config-{name}", [cmd, "--config", f"configs/{name}.json"], None
+    for cmd in ("verify", "skrp", "completeness"):
+        yield f"{cmd}-unknown-fixture", [cmd, "--fixture", "no-such-fixture"], None
+
+
+def run(src: str, out: str, ident: str, argv: list[str], seed: str | None) -> dict:
+    """Run one invocation from OUT and record its outputs under OUT/<ident>/."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON") and k != "SOLITON_LAB_SEED"}
+    env.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1", PYTHONHASHSEED="0",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    if seed is not None:
+        env["SOLITON_LAB_SEED"] = seed
+    if argv[0] in ("skrp", "completeness"):
+        argv = [*argv, "--out", f"{ident}/report"]
+    folder = os.path.join(out, ident)
+    os.makedirs(folder)
+    proc = subprocess.run([sys.executable, "-m", "soliton_lab.cli", *argv],
+                          cwd=out, env=env, capture_output=True, check=False)
+    print(ident, proc.returncode, flush=True)
+    for name, content in (("exit", str(proc.returncode).encode()), ("stdout", proc.stdout), ("stderr", proc.stderr)):
+        with open(os.path.join(folder, name), "wb") as handle:
+            handle.write(content)
+    hashes = {}
+    for name in sorted(os.listdir(folder)):
+        with open(os.path.join(folder, name), "rb") as handle:
+            hashes[name] = hashlib.sha256(handle.read()).hexdigest()
+    return hashes
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    src, out = os.path.abspath(sys.argv[1]), os.path.abspath(sys.argv[2])
+    if not os.path.isdir(os.path.join(src, "soliton_lab")):
+        print(f"{src} holds no soliton_lab package", file=sys.stderr)
+        return 2
+    shutil.rmtree(out, ignore_errors=True)
+    os.makedirs(os.path.join(out, "configs"))
+    for name, doc in CONFIGS.items():
+        with open(os.path.join(out, "configs", f"{name}.json"), "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+    manifest = {}
+    for ident, argv, seed in invocations():
+        manifest[ident] = run(src, out, ident, argv, seed)
+    text = json.dumps(manifest, sort_keys=True, indent=1) + "\n"
+    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(hashlib.sha256(text.encode()).hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
