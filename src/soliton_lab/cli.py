@@ -422,6 +422,10 @@ def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
         raise ValueError(f"config {path!r} must hold a JSON object")
     if "fixture" in doc:
         return str(doc["fixture"]), None
+    known = [param.name for param in fields(skrp.SkrpParams)]
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"config {path!r} has unknown keys {unknown}; known: {known}")
     try:
         kwargs = {}
         for param in fields(skrp.SkrpParams):

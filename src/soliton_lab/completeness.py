@@ -42,7 +42,7 @@ from .errors import (
     OscillationDetected,
     ToleranceAmbiguity,
 )
-from .skrp import CalabiChart, QProfile, as_q_profile, q_domain
+from .skrp import CalabiChart, QProfile, SkrpParams, as_q_profile, phi_closed, q_domain, q_profile
 
 __all__ = [
     "EndpointClass",
@@ -346,8 +346,6 @@ def tail_log_integrand(params, u: float) -> float:
     With u = 1 / f_c the tail integral becomes
     integral_0^{u1} exp(-f / (m-1)) Q(f)^{-1/2} u^{-2} du at f = c + 1/u.
     """
-    from .skrp import SkrpParams, phi_closed, q_profile  # local import to avoid cycle
-
     if not isinstance(params, SkrpParams):
         raise DomainError("tail substitution needs closed-form profile parameters")
     if u <= 0:
@@ -382,8 +380,11 @@ def tail_log_asymptote(params, u: float) -> float:
     return (-1.0 / (m - 1) - 0.5) / u - ((m - 1) / 2.0 + 2.0) * math.log(u)
 
 
-def infinite_range_test(params_or_profile, f_start: float | None = None) -> EndpointAnalysis:
+def infinite_range_test(params_or_profile) -> EndpointAnalysis:
     """Analyze an interval with sup f = +inf through the u = 1/f_c substitution.
+
+    The u-integral runs over (0, u1] with u1 = 1 / (f_start - c) and f_start
+    one unit above both the shift c and a finite lower end of the interval.
 
     The tail integral converges (finite dual length, hence incompleteness at
     that end) exactly when the truncation ladder of the u-integral settles;
@@ -398,11 +399,8 @@ def infinite_range_test(params_or_profile, f_start: float | None = None) -> Endp
     lo, hi = profile.interval
     if math.isfinite(hi):
         raise DomainError(f"interval {profile.interval} does not reach +inf")
-    if f_start is None:
-        f_start = max(lo + 1.0, params.c + 1.0) if math.isfinite(lo) else params.c + 1.0
+    f_start = max(lo + 1.0, params.c + 1.0) if math.isfinite(lo) else params.c + 1.0
     u1 = 1.0 / (f_start - params.c)
-    if u1 <= 0:
-        raise DomainError("f_start must exceed the shift c")
 
     def integrand(u: float) -> float:
         log_val = tail_log_integrand(params, u)

@@ -50,7 +50,8 @@ class DomainSplit(SolitonLabError):
 
 
 class CalibrationFailure(SolitonLabError):
-    """No candidate in the constant-calibration sweep met its tolerance."""
+    """An assembled chart fails a normalization, window, closedness,
+    Hermitian or soliton check (closedness needs a s = p^2 lambda_h)."""
 
 
 class NonpositiveQ(SolitonLabError):

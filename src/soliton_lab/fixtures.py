@@ -76,14 +76,14 @@ def _sphere_cross_line() -> ct.MetricChart:
     return ct.MetricChart.from_jets(comps, 3, Box([-0.8, -0.8, -1.0], [0.8, 0.8, 1.0]), "sphere2xline")
 
 
-def _half_square_field(dim: int, rate: float = 1.0) -> ct.ScalarField:
+def _half_square_field(dim: int) -> ct.ScalarField:
     def fn(jets):
         acc = jets[0] * jets[0]
         for j in jets[1:]:
             acc = acc + j * j
-        return (0.5 * rate) * acc
+        return 0.5 * acc
 
-    return ct.ScalarField(fn, dim, name=f"{rate}|x|^2/2")
+    return ct.ScalarField(fn, dim, name="1.0|x|^2/2")
 
 
 _METRICS = {
@@ -110,7 +110,8 @@ def metric_fixture(name: str) -> ct.MetricChart:
 
 _SKRP = {
     # Closed-form profile over CP^1 (kappa = 4, lambda_h = 1) with the
-    # branch sign matching the positive profile; calibrated a = p = s / lambda_h.
+    # branch sign matching the positive profile; a = p = s / lambda_h = 2
+    # gives a s = p^2 lambda_h, the relation the 2-form needs to close.
     "koiso-m2-A1B0": skrp.SkrpParams(
         m=2, kappa=4.0, c=0.0, A=1.0, B=0.0, I=(0.5, 2.5), s=2, a=2.0, p=2.0, phi_sign=+1
     ),
@@ -182,8 +183,8 @@ def calabi_fixture(name: str = "koiso-m2-A1B0") -> skrp.CalabiChart:
 # -- soliton pairs -----------------------------------------------------------------
 
 
-def _gaussian(dim: int, rate: float = 1.0) -> SolitonPair:
-    return SolitonPair(_flat(dim), _half_square_field(dim, rate), f"gaussian-soliton-n{dim}")
+def _gaussian(dim: int) -> SolitonPair:
+    return SolitonPair(_flat(dim), _half_square_field(dim), f"gaussian-soliton-n{dim}")
 
 
 def _cubic_pair() -> SolitonPair:

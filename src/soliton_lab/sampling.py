@@ -40,12 +40,11 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, point, margin: float = 0.0) -> bool:
+    def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         if p.shape != self.lo.shape or not np.all(np.isfinite(p)):
             return False
-        pad = margin * (self.hi - self.lo)
-        return bool(np.all(p >= self.lo + pad) and np.all(p <= self.hi - pad))
+        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
     def interior(self, margin: float = EDGE_MARGIN) -> "Box":
         pad = margin * (self.hi - self.lo)
@@ -92,9 +91,10 @@ def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
     return unit
 
 
-def sample_box(box: Box, count: int, seed: int = DEFAULT_SEED, margin: float = EDGE_MARGIN) -> np.ndarray:
-    """Low-discrepancy interior points of ``box``, shape (count, dim)."""
-    inner = box.interior(margin)
+def sample_box(box: Box, count: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Low-discrepancy points of ``box`` kept EDGE_MARGIN from every face,
+    shape (count, dim)."""
+    inner = box.interior(EDGE_MARGIN)
     unit = _scrambled_halton(box.dim, count, seed)
     if unit.max() > 1.0 or unit.min() < 0.0:
         raise ValueError("sample is not in the unit hypercube")

@@ -29,18 +29,17 @@ of the metric on a power of the tautological line bundle over CP^1:
 
 with h the Fubini-Study metric normalized to ric(h) = kappa h, the fiber
 Hermitian metric h_L = (1 + |z|^2)^s, and the horizontal space the kernel of
-the Chern-connection form.  The constants (a, p, s, kappa) must satisfy one
-relation for the fundamental 2-form to close; rather than hard-coding a
-normalization, the assembly calibrates it by sweeping the dimensionless
-ratio a s / (p^2 lambda_h) and keeping the value that minimizes the
-numerically measured closedness defect.
+the Chern-connection form.  The fundamental 2-form closes only when the
+constants satisfy a s = p^2 lambda_h (lambda_h = 4 / kappa); the assembly
+builds the chart from the constants as given and measures the closedness
+defect, so a parameter set off that relation is refused, not corrected.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, optimize
@@ -499,9 +498,7 @@ _J4 = np.array(
 )
 
 
-def standard_complex_structure(m: int = 2) -> np.ndarray:
-    if m != 2:
-        raise NotImplementedError("only the 4-dimensional (m = 2) chart is assembled")
+def standard_complex_structure() -> np.ndarray:
     return _J4.copy()
 
 
@@ -522,7 +519,6 @@ class CalabiChart:
     lambda_h: float
     f_window: tuple[float, float]
     fc_sign: float
-    calibration: dict = field(repr=False, default_factory=dict)
     name: str = ""
 
     @property
@@ -676,32 +672,27 @@ def killing_residual(chart: CalabiChart, p) -> float:
     return float(np.max(np.abs(lie)))
 
 
-def gradient_soliton_residual(chart: CalabiChart, p, alpha: float = 1.0) -> float:
-    """g-norm of ric + alpha hess f - c g with the profile's constant c."""
+def gradient_soliton_residual(chart: CalabiChart, p) -> float:
+    """g-norm of ric + hess f - c g with the profile's constant c."""
     geo = ct.point_geometry(chart.metric, chart.f_field, p)
-    tensor = geo.ric + alpha * geo.hess_f - chart.coefficient() * geo.G
+    tensor = geo.ric + geo.hess_f - chart.coefficient() * geo.G
     return ct.tensor_gnorm(geo.G_inv, tensor)
 
 
-# Ratios of a s / (p^2 lambda_h) tried by the calibration sweep.
-CALIBRATION_RATIOS = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0)
 CLOSEDNESS_TOL = 1e-8
 
 
-def assemble_calabi_metric(
-    params: SkrpParams,
-    f_window: tuple[float, float] | None = None,
-    name: str = "",
-    calibrate: bool = True,
-) -> CalabiChart:
+def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     """Build the explicit 4-dimensional chart for m = 2.
 
     The base is CP^1 with the Fubini-Study metric normalized so ric(h) =
     kappa h (checked numerically), the fiber metric is (1 + |z|^2)^s, and the
-    vertical projection uses the Chern-connection kernel.  The constant a is
-    calibrated by sweeping a s / (p^2 lambda_h) over a short ratio list and
-    keeping the closedness-minimizing value; the assembled chart is then
-    verified to be Hermitian, closed, and a gradient soliton with alpha = 1.
+    vertical projection uses the Chern-connection kernel.  The potential
+    window is the middle 70% of the finite interval I and must lie inside a
+    Q-positive interval.  The chart is built once from ``params`` as given
+    and then verified to be closed (which needs a s = p^2 lambda_h),
+    Hermitian, and a gradient soliton with alpha = 1; any failed check raises
+    :class:`CalibrationFailure`.
     """
     if params.m != 2:
         raise NotImplementedError("chart assembly is implemented for m = 2 only")
@@ -716,53 +707,40 @@ def assemble_calabi_metric(
         raise CalibrationFailure(f"base normalization failed: |ric(h) - kappa h| = {base_resid:.3e}")
 
     positive = q_domain(params)
-    if f_window is None:
-        lo, hi = params.I
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError("pass an explicit finite f_window for unbounded intervals")
-        width = hi - lo
-        f_window = (lo + 0.15 * width, hi - 0.15 * width)
+    lo, hi = params.I
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"chart assembly needs a finite interval I, not {params.I}")
+    width = hi - lo
+    f_window = (lo + 0.15 * width, hi - 0.15 * width)
     if not any(a_ <= f_window[0] and f_window[1] <= b_ for a_, b_ in positive):
         raise DomainSplit(f"f-window {f_window} is not inside a Q-positive interval {positive}")
     anchor = 0.5 * (f_window[0] + f_window[1])
     fc_sign = math.copysign(1.0, anchor - params.c)
 
-    ratios = CALIBRATION_RATIOS if calibrate else (params.a * params.s / (params.p**2 * lambda_h),)
-    sweep: dict[float, float] = {}
-    best = None
     pad = 0.02 * (f_window[1] - f_window[0])
-    for ratio in ratios:
-        a_cand = ratio * params.p**2 * lambda_h / params.s
-        cand = replace(params, a=a_cand)
-        ell = ell_map(cand, anchor, bounds=(f_window[0] - pad, f_window[1] + pad))
-        core = _PotentialCore(cand, ell)
-        domain = _chart_window(cand, ell, f_window)
-        metric = ct.MetricChart.from_jets(
-            _metric_components_fn(cand, core, lambda_h, fc_sign), 4, domain, name or "calabi-m2"
-        )
-        pts = sample_box(domain, 12, seed=7)
-        resid = max(kahler_closedness_residual(metric, _J4, p) for p in pts)
-        sweep[ratio] = resid
-        if best is None or resid < best[1]:
-            best = (ratio, resid, cand, ell, core, domain, metric)
-
-    ratio, resid, cand, ell, core, domain, metric = best
-    if resid > CLOSEDNESS_TOL:
+    ell = ell_map(params, anchor, bounds=(f_window[0] - pad, f_window[1] + pad))
+    core = _PotentialCore(params, ell)
+    domain = _chart_window(params, ell, f_window)
+    metric = ct.MetricChart.from_jets(
+        _metric_components_fn(params, core, lambda_h, fc_sign), 4, domain, name or "calabi-m2"
+    )
+    closedness = max(kahler_closedness_residual(metric, _J4, p) for p in sample_box(domain, 12, seed=7))
+    if closedness > CLOSEDNESS_TOL:
+        ratio = params.a * params.s / (params.p**2 * lambda_h)
         raise CalibrationFailure(
-            f"no calibration ratio reached closedness {CLOSEDNESS_TOL:.1e}; best {ratio} gave {resid:.3e}"
+            f"the fundamental 2-form is not closed: defect {closedness:.3e} > {CLOSEDNESS_TOL:.1e} "
+            f"with a s / (p^2 lambda_h) = {ratio:g} (closedness needs a s = p^2 lambda_h)"
         )
 
-    f_field = ct.ScalarField(core.f_jet, 4, name="potential")
     chart = CalabiChart(
-        params=cand,
+        params=params,
         metric=metric,
-        f_field=f_field,
+        f_field=ct.ScalarField(core.f_jet, 4, name="potential"),
         complex_structure=_J4.copy(),
         ell=ell,
         lambda_h=lambda_h,
-        f_window=tuple(f_window),
+        f_window=f_window,
         fc_sign=fc_sign,
-        calibration={"sweep": sweep, "ratio": ratio, "a": cand.a, "closedness": resid},
         name=name or "calabi-m2",
     )
 

@@ -36,7 +36,7 @@ from .errors import (
     NotASoliton,
     ZeroCrossing,
 )
-from .sampling import DEFAULT_SEED, sample_box
+from .sampling import sample_box
 
 __all__ = [
     "SolitonPair",
@@ -80,8 +80,8 @@ class SolitonPair:
     def dim(self) -> int:
         return self.metric.dim
 
-    def sample(self, count: int = 100, seed: int = DEFAULT_SEED) -> np.ndarray:
-        return sample_box(self.metric.domain, count, seed=seed)
+    def sample(self, count: int = 100) -> np.ndarray:
+        return sample_box(self.metric.domain, count)
 
     def geometry(self, p) -> ct.PointGeometry:
         """Metric and field data at p from one evaluation of each."""
@@ -154,24 +154,20 @@ def residual_report(pair: SolitonPair, points: np.ndarray) -> ResidualReport:
     return ResidualReport(points, coeffs, residuals, grad_sq)
 
 
-def classify(
-    pair: SolitonPair,
-    sample: np.ndarray | int = 100,
-    tol_residual: float = SOLITON_RESIDUAL_TOL,
-    seed: int = DEFAULT_SEED,
-) -> SolitonClass:
-    """Classify the pair over a point sample.
+def classify(pair: SolitonPair, sample: np.ndarray | int = 100) -> SolitonClass:
+    """Classify the pair over a point sample (a count draws that many points
+    at the default seed).
 
-    almost soliton: max residual < tol_residual; soliton additionally needs
-    coefficient variation < COEFF_CONSTANCY_TOL; trivial additionally needs
-    |grad f|^2 < GRADIENT_TRIVIALITY_TOL everywhere.
+    almost soliton: max residual < SOLITON_RESIDUAL_TOL; soliton additionally
+    needs coefficient variation < COEFF_CONSTANCY_TOL; trivial additionally
+    needs |grad f|^2 < GRADIENT_TRIVIALITY_TOL everywhere.
     """
     if isinstance(sample, (int, np.integer)):
-        sample = pair.sample(int(sample), seed=seed)
+        sample = pair.sample(int(sample))
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     if len(sample) == 0:
         raise EmptySample("classification needs a nonempty sample")
-    return classify_report(residual_report(pair, sample), tol_residual)
+    return classify_report(residual_report(pair, sample))
 
 
 def classify_report(report: ResidualReport, tol_residual: float = SOLITON_RESIDUAL_TOL) -> SolitonClass:

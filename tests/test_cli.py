@@ -418,3 +418,14 @@ def test_config_omitted_keys_take_defaults(tmp_path, capsys):
         "m": 2, "kappa": 0.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 3.0],
         "s": 1, "a": 1.0, "p": 1.0, "phi_sign": -1,
     }
+
+
+@pytest.mark.parametrize("command", ["skrp", "completeness"])
+def test_unknown_config_key_is_usage_error(command, tmp_path, capsys):
+    # A misspelt "kappa" must not fall back to the default kappa = 0.
+    cfg = tmp_path / "params.json"
+    cfg.write_text('{"m":2,"kapa":4,"A":1,"I":[0.5,2.5],"phi_sign":1,"s":2,"a":2,"p":2}')
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+    assert "'kapa'" in err
+    assert out == ""

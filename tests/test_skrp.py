@@ -282,11 +282,37 @@ def test_ell_map_rejects_sign_change():
 
 
 def test_assembly_calibration_picks_unit_ratio(koiso_chart):
-    assert koiso_chart.calibration["ratio"] == 1.0
-    assert koiso_chart.calibration["closedness"] < 1e-12
-    # (a s) / (p^2 lambda_h) = 1 with these constants.
+    # (a s) / (p^2 lambda_h) = 1 with these constants, and the 2-form closes
+    # on the points the assembly checks.
     params = koiso_chart.params
     assert params.a == pytest.approx(params.p**2 * koiso_chart.lambda_h / params.s)
+    J = koiso_chart.complex_structure
+    closedness = max(
+        skrp.kahler_closedness_residual(koiso_chart.metric, J, p)
+        for p in sample_box(koiso_chart.domain, 12, seed=7)
+    )
+    assert closedness < 1e-12
+
+
+def test_assembly_builds_one_ell_map(monkeypatch):
+    builds = []
+    init = skrp.EllMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(skrp.EllMap, "__init__", counting_init)
+    skrp.assemble_calabi_metric(fixtures.skrp_fixture("koiso-m2-A1B0"))
+    assert len(builds) == 1
+
+
+def test_assembly_refuses_constants_off_the_closedness_relation():
+    # a = -2 gives a s / (p^2 lambda_h) = -1; the chart is built as given and
+    # refused, never rebuilt with another a.
+    params = replace(fixtures.skrp_fixture("koiso-m2-A1B0"), a=-2.0)
+    with pytest.raises(CalibrationFailure, match=r"lambda_h\) = -1 "):
+        skrp.assemble_calabi_metric(params)
 
 
 def test_assembly_postconditions(koiso_chart):
@@ -402,7 +428,7 @@ def test_assembly_rejects_nonpositive_kappa():
 def test_assembly_detects_miscalibrated_constant():
     params = replace(fixtures.skrp_fixture("koiso-m2-A1B0"), a=3.7)
     with pytest.raises(CalibrationFailure):
-        skrp.assemble_calabi_metric(params, calibrate=False)
+        skrp.assemble_calabi_metric(params)
 
 
 def test_potential_field_matches_finite_differences(koiso_chart):
