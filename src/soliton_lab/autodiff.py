@@ -7,6 +7,14 @@ expansion.  Arithmetic on jets propagates both derivative orders exactly
 consumes two derivative orders of the metric components, so finite
 differences alone cannot reach the residual tolerances used in the tests.
 
+A jet may also be array-valued (vector forward mode; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008): its value has leading shape
+S, its gradient S + (n,) and its Hessian S + (n, n).  Arithmetic broadcasts
+over the leading axes the way numpy does, :func:`stack` and indexing build
+and slice such jets, and every entry carries exactly the bits the same
+operations give on scalar jets, so a 4 x 4 metric block is one jet
+expression instead of ten scalar ones.
+
 Central finite differences are kept in this module only as an independent
 oracle (:func:`fd_gradient`, :func:`fd_hessian`) against which every field's
 reported derivatives are cross-checked.
@@ -24,6 +32,7 @@ __all__ = [
     "Jet",
     "seed",
     "constant",
+    "stack",
     "lift_univariate",
     "jet_exp",
     "jet_log",
@@ -32,30 +41,61 @@ __all__ = [
     "fd_hessian",
 ]
 
+# Index suffixes that give a value of leading shape S one or two trailing
+# unit axes, so it broadcasts against a gradient S + (n,) or Hessian S + (n, n).
+_GRAD_AXES = (Ellipsis, None)
+_HESS_AXES = (Ellipsis, None, None)
+
+
+def _up(value, axes):
+    """An array value lined up with derivative arrays; floats pass as they are."""
+    return value[axes] if isinstance(value, np.ndarray) else value
+
+
+def _entrywise(fn: Callable[[float], float], value):
+    """``fn`` of a float, or of each entry of an array through Python floats,
+    so every entry has the bits of the scalar path (numpy's vectorised exp
+    and pow may differ from libm in the last place)."""
+    if isinstance(value, np.ndarray):
+        return np.array([fn(v) for v in value.ravel().tolist()]).reshape(value.shape)
+    return fn(value)
+
 
 class Jet:
-    """Truncated second-order Taylor expansion of a scalar in n variables.
+    """Truncated second-order Taylor expansion in n variables.
 
     Attributes
     ----------
-    val : float
-        Function value.
-    grad : ndarray, shape (n,)
+    val : float or ndarray of shape S
+        Function value; a float for a scalar jet.
+    grad : ndarray, shape S + (n,)
         First partial derivatives.
-    hess : ndarray, shape (n, n)
+    hess : ndarray, shape S + (n, n)
         Second partial derivatives; symmetric by construction.
+
+    Jets combine with jets of broadcastable leading shapes, with real
+    numbers, and (for ``*``) with arrays of constants shaped like a leading
+    shape.  ``jet[index]`` indexes the leading axes (``None`` adds
+    one; an Ellipsis would reach the derivative axes and is not supported).
     """
 
     __slots__ = ("val", "grad", "hess")
 
-    def __init__(self, val: float, grad: np.ndarray, hess: np.ndarray):
-        self.val = float(val)
+    # Make ``ndarray * jet`` defer to Jet.__rmul__ instead of building an
+    # object array of products.
+    __array_ufunc__ = None
+
+    def __init__(self, val, grad: np.ndarray, hess: np.ndarray):
+        self.val = val if isinstance(val, np.ndarray) and val.ndim else float(val)
         self.grad = grad
         self.hess = hess
 
     @property
     def nvars(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
+
+    def __getitem__(self, index) -> "Jet":
+        return Jet(self.val[index], self.grad[index], self.hess[index])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -85,14 +125,17 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            cross = np.outer(self.grad, other.grad)
+            a, b = self.val, other.val
+            cross = self.grad[..., :, None] * other.grad[..., None, :]
             return Jet(
-                self.val * other.val,
-                self.val * other.grad + other.val * self.grad,
-                self.val * other.hess + other.val * self.hess + cross + cross.T,
+                a * b,
+                _up(a, _GRAD_AXES) * other.grad + _up(b, _GRAD_AXES) * self.grad,
+                _up(a, _HESS_AXES) * other.hess + _up(b, _HESS_AXES) * self.hess + cross + cross.swapaxes(-1, -2),
             )
         if isinstance(other, numbers.Real):
             return Jet(self.val * other, self.grad * other, self.hess * other)
+        if isinstance(other, np.ndarray):
+            return Jet(self.val * other, self.grad * other[_GRAD_AXES], self.hess * other[_HESS_AXES])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -117,10 +160,13 @@ class Jet:
         if not isinstance(exponent, numbers.Real):
             return NotImplemented
         p = float(exponent)
+        x = self.val
         if p == 0:
-            return constant(1.0, self.nvars)
-        v = self.val**p
-        return lift_univariate(self, v, p * self.val ** (p - 1), p * (p - 1) * self.val ** (p - 2))
+            return Jet(x**0.0, np.zeros_like(self.grad), np.zeros_like(self.hess))
+        v = _entrywise(lambda e: e**p, x)
+        d1 = p * _entrywise(lambda e: e ** (p - 1), x)
+        d2 = p * (p - 1) * _entrywise(lambda e: e ** (p - 2), x)
+        return lift_univariate(self, v, d1, d2)
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Jet(val={self.val!r}, grad={self.grad!r})"
@@ -143,20 +189,30 @@ def constant(value: float, nvars: int) -> Jet:
     return Jet(value, np.zeros(nvars), np.zeros((nvars, nvars)))
 
 
-def lift_univariate(x: Jet, value: float, deriv1: float, deriv2: float) -> Jet:
+def stack(jets: Sequence[Jet]) -> Jet:
+    """One jet whose new leading axis runs over ``jets`` (of equal shapes)."""
+    return Jet(np.array([j.val for j in jets]), np.array([j.grad for j in jets]), np.array([j.hess for j in jets]))
+
+
+def lift_univariate(x: Jet, value, deriv1, deriv2) -> Jet:
     """Compose a scalar function (given by its 2-jet at ``x.val``) with ``x``.
 
     This is the chain rule through second order and is the extension point
     for primitives that have no closed form in coordinates (for example a
-    potential defined by inverting a quadrature).
+    potential defined by inverting a quadrature).  For an array-valued ``x``
+    the three derivatives are arrays of its leading shape (or floats).
     """
-    outer = np.outer(x.grad, x.grad)
-    return Jet(value, deriv1 * x.grad, deriv1 * x.hess + deriv2 * outer)
+    outer = x.grad[..., :, None] * x.grad[..., None, :]
+    return Jet(
+        value,
+        _up(deriv1, _GRAD_AXES) * x.grad,
+        _up(deriv1, _HESS_AXES) * x.hess + _up(deriv2, _HESS_AXES) * outer,
+    )
 
 
 def jet_exp(x: Jet | float):
     if isinstance(x, Jet):
-        v = math.exp(x.val)
+        v = _entrywise(math.exp, x.val)
         return lift_univariate(x, v, v, v)
     return math.exp(x)
 
@@ -164,13 +220,13 @@ def jet_exp(x: Jet | float):
 def jet_log(x: Jet | float):
     if isinstance(x, Jet):
         inv = 1.0 / x.val
-        return lift_univariate(x, math.log(x.val), inv, -inv * inv)
+        return lift_univariate(x, _entrywise(math.log, x.val), inv, -inv * inv)
     return math.log(x)
 
 
 def jet_sqrt(x: Jet | float):
     if isinstance(x, Jet):
-        v = math.sqrt(x.val)
+        v = _entrywise(math.sqrt, x.val)
         return lift_univariate(x, v, 0.5 / v, -0.25 / (v * v * v))
     return math.sqrt(x)
 

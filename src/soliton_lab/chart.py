@@ -170,14 +170,28 @@ class MetricChart:
     def from_jets(component_fn, dim: int, domain: Box, name: str = "") -> "MetricChart":
         """Metric whose components are given as a jet function.
 
-        ``component_fn`` receives the coordinate jets and returns an n x n
-        nested sequence of jets/floats (only the upper triangle is read).
+        ``component_fn`` receives the coordinate jets and returns either one
+        ``(n, n)``-valued :class:`~soliton_lab.autodiff.Jet` or an n x n
+        nested sequence of jets/floats.  Either way only the upper triangle
+        is read and mirrored, so the metric data is symmetric bit for bit.
         """
+        lower = np.tril_indices(dim, -1)
+        upper = lower[::-1]
 
         def evaluator(p: np.ndarray):
             jets = ad.seed(p)
             raw = component_fn(jets)
             n = dim
+            if isinstance(raw, ad.Jet):
+                if raw.val.shape != (n, n):
+                    raise ValueError(f"metric jet has value shape {raw.val.shape}, expected {(n, n)}")
+                G = raw.val.copy()
+                dG = raw.grad.transpose(2, 0, 1).copy()
+                d2G = raw.hess.transpose(2, 3, 0, 1).copy()
+                G[lower] = G[upper]
+                dG[:, lower[0], lower[1]] = dG[:, upper[0], upper[1]]
+                d2G[:, :, lower[0], lower[1]] = d2G[:, :, upper[0], upper[1]]
+                return G, dG, d2G
             G = np.empty((n, n))
             dG = np.empty((n, n, n))
             d2G = np.empty((n, n, n, n))

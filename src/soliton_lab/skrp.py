@@ -400,9 +400,16 @@ class EllMap:
     """Monotone fiber-norm map ell(f) on a Q-positive interval.
 
     log ell(f) = integral_{f0}^{f} a / Q(t) dt with ell(f0) = 1.  Built once
-    from a cumulative-quadrature table over a fixed 257-node grid; lookups
-    refine a table bracket by Newton steps on the exact quadrature, so round
-    trips f -> ell -> f are accurate to ~1e-12.  Read-only after construction.
+    from a cumulative-quadrature table over a fixed 257-node grid.  An
+    inversion t -> f starts from the quintic Hermite interpolant of f(t) on
+    the table bracket of t, built from f, df/dt = Q/a and d2f/dt2 = Q Q'/a^2
+    at the two nodes, and refines it by Newton steps on the exact
+    quadrature.  The start is accurate to roundoff, so an inversion costs
+    one quadrature; a zero-width bracket or a non-finite start falls back to
+    linear interpolation.  Round trips f -> ell -> f are accurate to
+    ~1e-12.  The node derivatives are computed on the first inversion, so a
+    map that is never inverted does not pay for them.  Read-only after
+    construction apart from that one-time table.
     """
 
     def __init__(self, profile: QProfile, f0: float, bounds: tuple[float, float] | None = None):
@@ -430,6 +437,8 @@ class EllMap:
         extra, _ = integrate.quad(integrand, self._grid[i0], self.f0, epsabs=1e-14, epsrel=1e-13, limit=200)
         anchor = cumulative[i0] + extra
         self._t_nodes = cumulative - anchor
+        self._q_nodes = qvals
+        self._node_slopes: tuple[list[float], list[float]] | None = None
         self._integrand = integrand
         self.bounds = (float(lo), float(hi))
         self.increasing = bool(self._t_nodes[-1] > self._t_nodes[0])
@@ -453,7 +462,9 @@ class EllMap:
             raise DomainError(f"log ell = {t} outside ell-map range")
         i = int(np.searchsorted(t_nodes, tt)) - 1
         i = min(max(i, 0), len(self._grid) - 2)
-        f = float(np.interp(tt, t_nodes[i : i + 2], self._grid[i : i + 2]))
+        f = self._hermite_start(t, i)
+        if f is None:
+            f = float(np.interp(tt, t_nodes[i : i + 2], self._grid[i : i + 2]))
         # Newton refinement on log_ell(f) - t; derivative is a/Q.
         for _ in range(NEWTON_STEPS):
             resid = self.log_ell(f) - t
@@ -466,6 +477,32 @@ class EllMap:
             f"ell-map inversion of log ell = {t!r} did not converge in {NEWTON_STEPS} Newton steps "
             f"(last f = {f!r}, residual {resid:.3e})"
         )
+
+    def _hermite_start(self, t: float, i: int) -> float | None:
+        """Quintic Hermite estimate of f(t) on the table bracket i, clipped to
+        the bracket; None when the bracket has zero width or the estimate is
+        not finite."""
+        t0, t1 = float(self._t_nodes[i]), float(self._t_nodes[i + 1])
+        h = t1 - t0
+        if h == 0.0:
+            return None
+        if self._node_slopes is None:
+            a = self.profile.a
+            dq = np.array([self.profile.dq(f) for f in self._grid])
+            self._node_slopes = ((self._q_nodes / a).tolist(), (self._q_nodes * dq / a**2).tolist())
+        d1, d2 = self._node_slopes
+        f0, f1 = float(self._grid[i]), float(self._grid[i + 1])
+        # Scaled end data: the jump, the slopes times h, the curvatures times h^2.
+        jump, s0, s1 = f1 - f0, h * d1[i], h * d1[i + 1]
+        c0, c1 = h * h * d2[i], h * h * d2[i + 1]
+        c3 = 10.0 * jump - 6.0 * s0 - 4.0 * s1 - 1.5 * c0 + 0.5 * c1
+        c4 = -15.0 * jump + 8.0 * s0 + 7.0 * s1 + 1.5 * c0 - c1
+        c5 = 6.0 * jump - 3.0 * s0 - 3.0 * s1 - 0.5 * c0 + 0.5 * c1
+        u = min(max((t - t0) / h, 0.0), 1.0)
+        f = f0 + u * (s0 + u * (0.5 * c0 + u * (c3 + u * (c4 + u * c5))))
+        if not math.isfinite(f):
+            return None
+        return min(max(f, min(f0, f1)), max(f0, f1))
 
     def f_of_ell(self, ell: float) -> float:
         if ell <= 0:
@@ -580,9 +617,19 @@ class _PotentialCore:
         return ad.lift_univariate(t, f0, self.ell.dfdt(f0), self.ell.d2fdt2(f0))
 
 
+# The horizontal (base) block of the chart's coordinates (z1, z2, w1, w2).
+_HORIZONTAL = np.diag([1.0, 1.0, 0.0, 0.0])
+_QUARTER_TURN_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
 def _metric_components_fn(params: SkrpParams, core: _PotentialCore, lambda_h: float, fc_sign: float, conformal_rate: float = 0.0):
-    """Jet function of the 4x4 metric components; an optional conformal factor
-    exp(conformal_rate * f) is multiplied in analytically."""
+    """Jet function of the 4x4 metric block, one (4, 4)-valued jet
+
+        G = pre (d (x) d + sg (x) sg) + base diag(1, 1, 0, 0)
+
+    with d and sg the (4,)-valued jets of the vertical projection's real and
+    imaginary parts; an optional conformal factor exp(conformal_rate * f) is
+    multiplied in analytically."""
 
     s = float(params.s)
     inv_p2 = 1.0 / params.p**2
@@ -604,17 +651,11 @@ def _metric_components_fn(params: SkrpParams, core: _PotentialCore, lambda_h: fl
 
         inv_o = one_pz**-1
         inv_r = wsq**-1
-        d = [s * z1 * inv_o, s * z2 * inv_o, w1 * inv_r, w2 * inv_r]
-        sg = [(-s) * z2 * inv_o, s * z1 * inv_o, (-1.0) * w2 * inv_r, w1 * inv_r]
-
-        G = [[None] * 4 for _ in range(4)]
-        for i in range(4):
-            for j2 in range(i, 4):
-                entry = pre * (d[i] * d[j2] + sg[i] * sg[j2])
-                if i == j2 and i < 2:
-                    entry = entry + base
-                G[i][j2] = G[j2][i] = entry
-        return G
+        d = ad.stack([s * z1 * inv_o, s * z2 * inv_o, w1 * inv_r, w2 * inv_r])
+        # sg = (-d1, d0, -d3, d2); negation is exact, so this is bit for bit
+        # the entrywise ((-s) z2 / o, s z1 / o, -w2 / r, w1 / r).
+        sg = d[[1, 0, 3, 2]] * _QUARTER_TURN_SIGNS
+        return pre * (d[:, None] * d[None, :] + sg[:, None] * sg[None, :]) + base * _HORIZONTAL
 
     return comps
 

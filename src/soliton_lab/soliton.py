@@ -225,6 +225,7 @@ def dual_coefficient(
     p,
     method: str = "direct",
     tol_residual: float = SOLITON_RESIDUAL_TOL,
+    geometry: ct.PointGeometry | None = None,
 ) -> float:
     """Coefficient of the dual almost soliton at p, by either of two formulas.
 
@@ -233,11 +234,12 @@ def dual_coefficient(
     identity, delta the g-coefficient of the Hessian identity); ``closed``
     uses exp(4 f / (n-2)) (c + 2/(n-2) (lap f - |grad f|^2)).  Both presume
     the source equation holds at p, so points whose residual exceeds
-    ``tol_residual`` are refused.
+    ``tol_residual`` are refused.  As in :func:`extract_coefficient`, a
+    caller that already holds the point's geometry passes it as ``geometry``.
     """
     if pair.dim <= 2:
         raise DimensionTooSmall(f"duality needs dimension n > 2, got n = {pair.dim}")
-    geo = pair.geometry(p)
+    geo = pair.geometry(p) if geometry is None else geometry
     c, residual = extract_coefficient(pair, p, geo)
     if residual > tol_residual:
         raise NotASoliton(

@@ -429,3 +429,57 @@ def test_unknown_config_key_is_usage_error(command, tmp_path, capsys):
     _one_line_usage_error(code, err)
     assert "'kapa'" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, fixture",
+    [
+        ("verify", "gaussian-soliton"),
+        ("dualize", "gaussian-soliton"),
+        ("skrp", "koiso-m2-A1B0-flatbase"),
+        ("completeness", "koiso-m2-A1B0-flatbase"),
+    ],
+)
+def test_fixture_config_with_other_keys_is_usage_error(command, fixture, tmp_path, capsys):
+    # "kappa": 3 next to a fixture name must not be dropped silently.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"fixture": fixture, "kappa": 3, "samples": 20}))
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+    assert "['kappa', 'samples']" in err
+    assert out == ""
+
+
+def test_dualize_evaluates_each_source_spot_point_once(capsys, monkeypatch):
+    from soliton_lab import soliton as sol
+
+    source_geometries, dual_extractions = [], []
+    in_report = []
+    geometry = sol.SolitonPair.geometry
+    extract = sol.extract_coefficient
+    build_report = sol.residual_report
+
+    def counting_geometry(self, p):
+        if self.name == "koiso-m2-A1B0":
+            source_geometries.append(tuple(p))
+        return geometry(self, p)
+
+    def counting_extract(pair, p, geometry=None):
+        if pair.name.endswith("-dual"):
+            dual_extractions.append(bool(in_report))
+        return extract(pair, p, geometry)
+
+    def marking_report(pair, points):
+        in_report.append(True)
+        try:
+            return build_report(pair, points)
+        finally:
+            in_report.pop()
+
+    monkeypatch.setattr(sol.SolitonPair, "geometry", counting_geometry)
+    monkeypatch.setattr(sol, "extract_coefficient", counting_extract)
+    monkeypatch.setattr(sol, "residual_report", marking_report)
+    code, _, _ = run(["dualize", "--fixture", "koiso-m2-A1B0", "--samples", "30"], capsys)
+    assert code == cli.EXIT_PASS
+    assert len(source_geometries) == len(set(source_geometries)) == 25
+    assert len(dual_extractions) == 30 and all(dual_extractions)

@@ -456,3 +456,97 @@ def test_ell_map_thousand_round_trips():
     for f in np.linspace(0.85, 2.15, 1000):
         worst = max(worst, abs(ell.f_of_ell(ell.ell(float(f))) - f))
     assert worst < 1e-10
+
+
+# -- the tensor-valued metric block and the one-quadrature inversion ---------------------
+
+
+def _entrywise_metric_fn(params, core, lambda_h, fc_sign, conformal_rate=0.0):
+    """The metric block written entry by entry with scalar jets: the oracle
+    for the (4, 4)-valued jet expression of skrp._metric_components_fn."""
+    s = float(params.s)
+    inv_p2 = 1.0 / params.p**2
+
+    def comps(jets):
+        z1, z2, w1, w2 = jets
+        one_pz = 1.0 + z1 * z1 + z2 * z2
+        wsq = w1 * w1 + w2 * w2
+        fj = core.f_jet(jets)
+        phi_j = ad.lift_univariate(fj, *skrp.phi_closed(params, fj.val))
+        x = fj - params.c
+        pre = 2.0 * x * phi_j * inv_p2
+        base = (2.0 * fc_sign) * x * (lambda_h * one_pz**-2)
+        if conformal_rate != 0.0:
+            scale = ad.jet_exp(conformal_rate * fj)
+            pre = pre * scale
+            base = base * scale
+        inv_o = one_pz**-1
+        inv_r = wsq**-1
+        d = [s * z1 * inv_o, s * z2 * inv_o, w1 * inv_r, w2 * inv_r]
+        sg = [(-s) * z2 * inv_o, s * z1 * inv_o, (-1.0) * w2 * inv_r, w1 * inv_r]
+        G = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                entry = pre * (d[i] * d[j] + sg[i] * sg[j])
+                if i == j and i < 2:
+                    entry = entry + base
+                G[i][j] = G[j][i] = entry
+        return G
+
+    return comps
+
+
+@pytest.mark.parametrize("conformal_rate", [0.0, -2.0], ids=["base", "dual-direct"])
+def test_tensor_metric_block_matches_entrywise_oracle(koiso_chart, conformal_rate):
+    chart = koiso_chart
+    core = skrp._PotentialCore(chart.params, chart.ell)
+    args = (chart.params, core, chart.lambda_h, chart.fc_sign, conformal_rate)
+    tensor = ct.MetricChart.from_jets(skrp._metric_components_fn(*args), 4, chart.domain)
+    oracle = ct.MetricChart.from_jets(_entrywise_metric_fn(*args), 4, chart.domain)
+    if conformal_rate:
+        direct = skrp.dual_metric_direct(chart)
+        p = chart.domain.lo + 0.5 * (chart.domain.hi - chart.domain.lo)
+        assert all(np.array_equal(a, b) for a, b in zip(direct.components(p), tensor.components(p)))
+    for p in sample_box(chart.domain, 200, seed=53):
+        for new, old in zip(tensor.components(p), oracle.components(p)):
+            assert np.max(np.abs(new - old)) <= 1e-15 * np.max(np.abs(old))
+
+
+def test_ell_inversion_costs_one_quadrature(koiso_chart, monkeypatch):
+    ell = koiso_chart.ell
+    targets = [ell.log_ell(f) for f in np.linspace(*koiso_chart.f_window, 200)]
+    calls = []
+    exact = ell.log_ell
+    monkeypatch.setattr(ell, "log_ell", lambda f: calls.append(f) or exact(f))
+    hermite = [ell.f_of_log_ell(t) for t in targets]
+    assert len(calls) <= 1.05 * len(targets)
+    # Non-finite node slopes force the linear start of the bracket, which
+    # takes more Newton steps to the same fixed point.
+    monkeypatch.setattr(ell, "_node_slopes", ([math.nan] * 257, [math.nan] * 257))
+    del calls[:]
+    linear = [ell.f_of_log_ell(t) for t in targets]
+    assert len(calls) > 2 * len(targets)
+    for a, b in zip(hermite, linear):
+        assert abs(a - b) <= 1e-15 * abs(b)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ell_inversion_on_zero_width_brackets_never_yields_nan():
+    # Far out on the koiso-m2-tail skrp window a / Q underflows against the
+    # cumulative table, so consecutive table nodes are equal.
+    params = fixtures.skrp_fixture("koiso-m2-tail")
+    lo, _ = skrp.q_domain(params)[0]
+    hi = params.c + 40.0
+    window = (lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
+    ell = skrp.ell_map(params, 0.5 * sum(window), bounds=window)
+    nodes = ell._t_nodes
+    flat = np.flatnonzero(np.diff(nodes) == 0.0)
+    assert len(flat) > 0
+    for i in flat:
+        assert ell._hermite_start(float(nodes[i]), int(i)) is None
+    for t in (*nodes[flat[0] - 3 :], nodes[-1] + 1e-13):
+        try:
+            f = ell.f_of_log_ell(float(t))
+        except ConvergenceFailure:
+            continue  # the inverse is ill-conditioned there, as before
+        assert window[0] <= f <= window[1]

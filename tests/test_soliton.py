@@ -189,6 +189,15 @@ def test_dual_coefficient_methods_agree_and_match_extraction():
         assert extracted == pytest.approx(direct, rel=1e-8)
 
 
+@pytest.mark.parametrize("name", [n for n in PAIR_FIXTURES if n != "non-soliton-cubic"])
+@pytest.mark.parametrize("method", ["direct", "closed"])
+def test_dual_coefficient_reads_a_given_geometry_exactly(name, method):
+    pair = fixtures.soliton_fixture(name)
+    for p in sample_box(pair.metric.domain, 5, seed=61):
+        given = sol.dual_coefficient(pair, p, method, geometry=pair.geometry(p))
+        assert given == sol.dual_coefficient(pair, p, method)
+
+
 def test_dual_coefficient_refuses_non_soliton_points():
     with pytest.raises(NotASoliton):
         sol.dual_coefficient(CUBIC, [0.4, 0.1, -0.2])
