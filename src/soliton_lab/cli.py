@@ -33,7 +33,7 @@ from . import __version__
 from . import completeness as comp
 from . import fixtures, skrp
 from . import soliton as sol
-from .errors import SolitonLabError, UnknownFixture
+from .errors import DomainError, SolitonLabError, UnknownFixture
 from .sampling import resolve_seed, sample_box
 
 EXIT_PASS = 0
@@ -319,11 +319,19 @@ def cmd_skrp(config: RunConfig) -> Report:
     ell = skrp.ell_map(params, anchor, bounds=window)
 
     grid = np.linspace(window[0], window[1], config.samples)
-    # Identity checks run where float64 can resolve them: near the pole and
-    # deep in an exponential tail the terms grow past 1e12 and the exact
-    # cancellation drowns in roundoff.
-    band = (max(window[0], params.c + 0.05), min(window[1], params.c + 12.0))
-    check_grid = np.linspace(band[0], band[1], config.samples) if band[0] < band[1] else grid
+    # Identity checks run where float64 can resolve them: within 0.05 of the
+    # pole on either side, and deep in the exponential tail above it, the
+    # terms grow past 1e12 and the exact cancellation drowns in roundoff.
+    if window[0] >= params.c:
+        band = (max(window[0], params.c + 0.05), min(window[1], params.c + 12.0))
+    else:
+        band = (window[0], min(window[1], params.c - 0.05))
+    if not band[0] < band[1]:
+        raise DomainError(
+            f"profile window ({window[0]}, {window[1]}) has no point where float64 resolves "
+            f"the profile identities (|f - c| > 0.05, and f - c < 12 above the pole c = {params.c})"
+        )
+    check_grid = np.linspace(band[0], band[1], config.samples)
     ode_res = max(abs(skrp.phi_ode_residual(params, 1.0, f)) for f in check_grid)
     report.add_bound("profile-ode-residual", ode_res, PROFILE_ODE_TOL)
 
@@ -469,9 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     fixture, params = args.fixture, None
     try:
+        if args.config and args.fixture:
+            raise ValueError("give --fixture or --config, not both")
         if args.config:
-            cfg_fixture, params = _parse_config_file(args.config)
-            fixture = fixture or cfg_fixture
+            fixture, params = _parse_config_file(args.config)
         config = RunConfig(
             command=args.command,
             fixture=fixture,

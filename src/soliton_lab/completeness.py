@@ -32,7 +32,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
 
 from . import chart as ct
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
     OscillationDetected,
     ToleranceAmbiguity,
 )
-from .skrp import CalabiChart, QProfile, SkrpParams, as_q_profile, phi_closed, q_domain, q_profile
+from .skrp import CalabiChart, QProfile, SkrpParams, as_q_profile, integrate, phi_closed, q_domain, q_profile
 
 __all__ = [
     "EndpointClass",

@@ -222,6 +222,36 @@ def test_skrp_unbounded_tail_fixture(capsys):
     assert doc["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "interval", [[1e-12, 2e-12], [20.0, 30.0]], ids=["at-the-pole", "deep-tail"]
+)
+def test_skrp_window_without_resolvable_band_is_numeric_error(interval, tmp_path, capsys):
+    # Checking the identities there would report float64 roundoff as a failure.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "A": 1, "I": interval}))
+    code, out, err = run(["skrp", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+def test_skrp_below_the_pole_checks_the_whole_window(tmp_path, capsys, monkeypatch):
+    # negative-branch lies below c - 0.05: its check band is its profile grid.
+    checked = []
+    residual = cli.skrp.phi_ode_residual
+
+    def recording(params, alpha, f):
+        checked.append(float(f))
+        return residual(params, alpha, f)
+
+    monkeypatch.setattr(cli.skrp, "phi_ode_residual", recording)
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(["skrp", "--fixture", "negative-branch", "--samples", "30", "--out", str(out_path)], capsys)
+    assert code == cli.EXIT_PASS
+    rows = (tmp_path / "report.json.profile.csv").read_text().splitlines()[1:]
+    assert checked == [float(row.split(",")[0]) for row in rows]
+
+
 def test_dualize_non_soliton_is_numeric_error(capsys):
     # the dual coefficient is undefined off the soliton equation
     code, _, err = run(["dualize", "--fixture", "non-soliton-cubic", "--samples", "20"], capsys)
@@ -447,6 +477,25 @@ def test_fixture_config_with_other_keys_is_usage_error(command, fixture, tmp_pat
     code, out, err = run([command, "--config", str(cfg)], capsys)
     _one_line_usage_error(code, err)
     assert "['kappa', 'samples']" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, fixture, config",
+    [
+        ("verify", "sphere-trivial", {"fixture": "gaussian-soliton-n3"}),
+        ("dualize", "sphere-trivial", {"fixture": "gaussian-soliton-n3"}),
+        ("skrp", "koiso-m2-tail", {"m": 2, "kappa": 4.0, "A": 1.0, "I": [0.5, 2.5], "phi_sign": 1}),
+        ("completeness", "koiso-m2-tail", {"fixture": "koiso-m2-compact"}),
+    ],
+)
+def test_fixture_with_config_is_usage_error(command, fixture, config, tmp_path, capsys):
+    # Neither the config nor the flag may win silently.
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run([command, "--fixture", fixture, "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+    assert "--fixture" in err and "--config" in err
     assert out == ""
 
 

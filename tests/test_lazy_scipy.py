@@ -1,0 +1,133 @@
+"""scipy's integrate and optimize load on first use, never at import.
+
+The analytic verify/dualize commands need no quadrature, root finding or
+ODE solve, so their cold start-up must not pay for scipy's numerics.
+"""
+
+import ast
+import glob
+import os
+import subprocess
+import sys
+import textwrap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PERFBENCH = os.path.join(ROOT, "perfbench")
+
+
+def _run_fresh(script: str, *path: str) -> None:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.pathsep.join((SRC, *path))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_analytic_commands_do_not_run_scipy_numerics():
+    _run_fresh(
+        """
+        import contextlib, io, sys
+        import soliton_lab.cli as cli
+
+        HEAVY = ("scipy.special", "scipy.integrate._quadpack_py", "scipy.optimize._zeros_py")
+
+        def loaded():
+            return [name for name in HEAVY if name in sys.modules]
+
+        assert "scipy.integrate" in sys.modules and "scipy.optimize" in sys.modules
+        assert loaded() == [], f"loaded by import: {loaded()}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--fixture", "gaussian-soliton", "--samples", "10"])
+            assert code == cli.EXIT_PASS, code
+            assert loaded() == [], f"loaded by verify: {loaded()}"
+            code = cli.main(["dualize", "--fixture", "gaussian-soliton", "--samples", "10"])
+            assert code == cli.EXIT_PASS, code
+            assert loaded() == [], f"loaded by dualize: {loaded()}"
+            code = cli.main(["skrp", "--fixture", "koiso-m2-A1B0", "--samples", "20"])
+        assert code == cli.EXIT_PASS, code
+        assert loaded() == list(HEAVY), loaded()
+        """
+    )
+
+
+def test_perfbench_tracer_wraps_lazy_scipy():
+    # The tracer looks scipy.integrate and scipy.optimize up in sys.modules
+    # right after the package import; the workload without quad must not
+    # need the test (or the tracer) to import scipy first.
+    _run_fresh(
+        """
+        import contextlib, io, sys
+        import soliton_lab.cli as cli
+        import layers
+        from spans import Recorder
+
+        assert "scipy.special" not in sys.modules
+        rec = Recorder()
+        patch = layers.install(rec)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["skrp", "--fixture", "koiso-m2-A1B0", "--samples", "20"])
+        finally:
+            patch.undo()
+        assert code == cli.EXIT_PASS, code
+        metrics = layers.layer_metrics(rec, 0)
+        assert metrics["scipy.quad.calls"] > 0, metrics["scipy.quad.calls"]
+        assert metrics["scipy.solve_ivp.calls"] > 0, metrics["scipy.solve_ivp.calls"]
+        """,
+        PERFBENCH,
+    )
+
+
+def _module_level_scipy_imports(source: str) -> list[int]:
+    """Lines of the scipy import statements that run when ``source`` is imported."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # bodies run when called, not at import
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            found.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_scipy_import_guard_sees_nested_module_level_statements():
+    source = textwrap.dedent(
+        """\
+        import numpy
+        from scipy import integrate
+        try:
+            import os, scipy.optimize as opt
+        except ImportError:
+            pass
+        class Holder:
+            from scipy.special import gamma
+        def later():
+            from scipy import stats
+        from .skrp import integrate
+        """
+    )
+    assert _module_level_scipy_imports(source) == [2, 4, 8]
+
+
+def test_package_has_no_module_level_scipy_imports():
+    # A module-level scipy import runs it eagerly and costs every command
+    # 0.4-0.7 s of start-up; bind scipy through skrp._lazy_module instead.
+    paths = sorted(glob.glob(os.path.join(SRC, "soliton_lab", "*.py")))
+    assert paths
+    offenders = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            lines = _module_level_scipy_imports(handle.read())
+        if lines:
+            offenders[os.path.basename(path)] = lines
+    assert offenders == {}
