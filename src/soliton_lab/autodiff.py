@@ -90,10 +90,6 @@ class Jet:
         self.grad = grad
         self.hess = hess
 
-    @property
-    def nvars(self) -> int:
-        return self.grad.shape[-1]
-
     def __getitem__(self, index) -> "Jet":
         return Jet(self.val[index], self.grad[index], self.hess[index])
 
@@ -210,25 +206,19 @@ def lift_univariate(x: Jet, value, deriv1, deriv2) -> Jet:
     )
 
 
-def jet_exp(x: Jet | float):
-    if isinstance(x, Jet):
-        v = _entrywise(math.exp, x.val)
-        return lift_univariate(x, v, v, v)
-    return math.exp(x)
+def jet_exp(x: Jet) -> Jet:
+    v = _entrywise(math.exp, x.val)
+    return lift_univariate(x, v, v, v)
 
 
-def jet_log(x: Jet | float):
-    if isinstance(x, Jet):
-        inv = 1.0 / x.val
-        return lift_univariate(x, _entrywise(math.log, x.val), inv, -inv * inv)
-    return math.log(x)
+def jet_log(x: Jet) -> Jet:
+    inv = 1.0 / x.val
+    return lift_univariate(x, _entrywise(math.log, x.val), inv, -inv * inv)
 
 
-def jet_sqrt(x: Jet | float):
-    if isinstance(x, Jet):
-        v = _entrywise(math.sqrt, x.val)
-        return lift_univariate(x, v, 0.5 / v, -0.25 / (v * v * v))
-    return math.sqrt(x)
+def jet_sqrt(x: Jet) -> Jet:
+    v = _entrywise(math.sqrt, x.val)
+    return lift_univariate(x, v, 0.5 / v, -0.25 / (v * v * v))
 
 
 # -- finite-difference oracle -----------------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "compose_with_field",
     "MetricChart",
     "christoffel",
-    "christoffel_with_derivative",
     "ricci",
     "scalar_curvature",
     "hessian",
@@ -75,9 +74,6 @@ class SmoothFunction1D:
     value: Callable[[float], float]
     deriv: Callable[[float], float]
     deriv2: Callable[[float], float]
-
-    def __call__(self, x: float) -> float:
-        return self.value(x)
 
     def jet(self, x: ad.Jet) -> ad.Jet:
         return ad.lift_univariate(x, self.value(x.val), self.deriv(x.val), self.deriv2(x.val))
@@ -281,16 +277,11 @@ def christoffel(g: MetricChart, p) -> np.ndarray:
     return _christoffel_from(metric_inverse(G), dG)
 
 
-def christoffel_with_derivative(g: MetricChart, p) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma^k_{ij} and its coordinate derivative d_m Gamma^k_{ij} (index m first)."""
-    G, dG, d2G = g.components(p)
-    G_inv = metric_inverse(G)
-    return _christoffel_from(G_inv, dG), _christoffel_derivative_from(G_inv, dG, d2G)
-
-
 def ricci(g: MetricChart, p) -> np.ndarray:
     """Ricci tensor R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj."""
-    return _ricci_from(*christoffel_with_derivative(g, p))
+    G, dG, d2G = g.components(p)
+    G_inv = metric_inverse(G)
+    return _ricci_from(_christoffel_from(G_inv, dG), _christoffel_derivative_from(G_inv, dG, d2G))
 
 
 def scalar_curvature(g: MetricChart, p) -> float:

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-    soliton-lab <verify|dualize|skrp|completeness>
-                [--fixture NAME | --config FILE] [--samples N]
+    soliton-lab verify|dualize [--fixture NAME | --config FILE] [--samples N]
                 [--tol-residual X] [--format json|csv|text] [--out PATH]
+    soliton-lab skrp [--fixture NAME | --config FILE] [--samples N]
+                [--format json|csv|text] [--out PATH]
+    soliton-lab completeness [--fixture NAME | --config FILE]
+                [--format json|csv|text] [--out PATH]
 
 Reports are deterministic given the same configuration: sampling uses a
 fixed seed (override with the SOLITON_LAB_SEED environment variable), the
@@ -23,7 +26,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
@@ -48,6 +50,7 @@ PROFILE_ODE_TOL = 1e-10
 PROFILE_INTEGRATE_TOL = 1e-6
 PROFILE_COEFF_CONSTANCY_TOL = 1e-8
 ALPHA_FIT_TOL = 1e-5
+DEFAULT_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class RunConfig:
     command: str
     fixture: str | None = None
     params: skrp.SkrpParams | None = None
-    samples: int = 200
-    tol_residual: float = 1e-6
+    samples: int = DEFAULT_SAMPLES
+    tol_residual: float = sol.SOLITON_RESIDUAL_TOL
     fmt: str = "json"
     out: str | None = None
     seed: int = 0
@@ -68,21 +71,13 @@ class RunConfig:
             raise ValueError("tolerances must be positive and finite")
 
     def echo(self) -> dict:
-        cfg: dict = {
-            "command": self.command,
-            "samples": self.samples,
-            "tol_residual": self.tol_residual,
-            "format": self.fmt,
-        }
+        cfg: dict = {"command": self.command, "format": self.fmt}
+        cfg.update((name, getattr(self, name)) for name in COMMANDS[self.command][2])
         if self.fixture:
             cfg["fixture"] = self.fixture
         if self.params is not None:
-            cfg["params"] = _params_dict(self.params)
+            cfg["params"] = {**asdict(self.params), "I": [_json_float(v) for v in self.params.I]}
         return cfg
-
-
-def _params_dict(params: skrp.SkrpParams) -> dict:
-    return {**asdict(params), "I": [_json_float(v) for v in params.I]}
 
 
 def _json_float(x: float):
@@ -117,13 +112,11 @@ class Report:
     timings: dict[str, float] = field(default_factory=dict)
     tables: dict[str, tuple[tuple[str, ...], list[tuple]]] = field(default_factory=dict)
 
-    def add(self, name: str, status: str, measured=None, tolerance=None) -> CheckRecord:
-        rec = CheckRecord(name, status, measured, tolerance)
-        self.checks.append(rec)
-        return rec
+    def add(self, name: str, status: str, measured=None, tolerance=None) -> None:
+        self.checks.append(CheckRecord(name, status, measured, tolerance))
 
-    def add_bound(self, name: str, measured: float, tolerance: float) -> CheckRecord:
-        return self.add(name, "pass" if measured < tolerance else "fail", measured, tolerance)
+    def add_bound(self, name: str, measured: float, tolerance: float) -> None:
+        self.add(name, "pass" if measured < tolerance else "fail", measured, tolerance)
 
     @property
     def status(self) -> str:
@@ -184,8 +177,10 @@ def _fmt_value(v) -> str:
 
 
 def _write_atomic(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".soliton-lab-")
+    # Mode 0o666 less the umask, as open() gives; mkstemp's 0o600 would survive the rename.
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".soliton-lab-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(content)
@@ -237,9 +232,11 @@ def cmd_verify(config: RunConfig) -> Report:
     cls = sol.classify_report(residuals, tol_residual=config.tol_residual)
     report.add("classification", "pass" if cls is not sol.SolitonClass.NONE else "fail", cls.value)
 
-    if config.fixture == "koiso-m2-A1B0":
-        fit = sol.ricci_hessian_fit(pair, points[0])
-        status = "pass" if fit.alpha_identifiable and abs(fit.alpha - 1.0) < ALPHA_FIT_TOL else "fail"
+    # Where ric + hess f = c g holds, fitting ric + alpha hess f = c g pins
+    # alpha = 1 unless hess f is a multiple of g; then alpha is free, not checked.
+    if cls is not sol.SolitonClass.NONE and sol.alpha_identifiable(residuals.first_geometry):
+        fit = sol.ricci_hessian_fit(pair, points[0], residuals.first_geometry)
+        status = "pass" if abs(fit.alpha - 1.0) < ALPHA_FIT_TOL else "fail"
         report.add("ricci-hessian-alpha", status, fit.alpha, ALPHA_FIT_TOL)
     return report
 
@@ -279,12 +276,13 @@ def cmd_dualize(config: RunConfig) -> Report:
     return report
 
 
-def _resolve_params(config: RunConfig) -> skrp.SkrpParams:
+def _resolve_params(config: RunConfig, lookup):
+    """The config's inline parameters, else what ``lookup`` gives for its fixture."""
     if config.params is not None:
         return config.params
     if config.fixture:
-        return fixtures.skrp_fixture(config.fixture)
-    raise UnknownFixture("skrp/completeness need --fixture or an inline parameter config")
+        return lookup(config.fixture)
+    raise UnknownFixture(f"{config.command} needs --fixture or an inline parameter config")
 
 
 PROFILE_HEADER = ("f", "phi", "dphi", "Q", "ell", "integrand")
@@ -292,7 +290,7 @@ PROFILE_HEADER = ("f", "phi", "dphi", "Q", "ell", "integrand")
 
 def cmd_skrp(config: RunConfig) -> Report:
     report = Report(config)
-    params = _resolve_params(config)
+    params = _resolve_params(config, fixtures.skrp_fixture)
     t0 = time.perf_counter()
     positive = skrp.q_domain(params)
     if not positive:
@@ -361,12 +359,7 @@ def cmd_skrp(config: RunConfig) -> Report:
 def cmd_completeness(config: RunConfig) -> Report:
     report = Report(config)
     t0 = time.perf_counter()
-    if config.params is not None:
-        profile = skrp.as_q_profile(config.params)
-    elif config.fixture:
-        profile = fixtures.q_profile_fixture(config.fixture)
-    else:
-        raise UnknownFixture("completeness needs --fixture or an inline parameter config")
+    profile = skrp.as_q_profile(_resolve_params(config, fixtures.q_profile_fixture))
 
     verdict = comp.completeness_verdict(profile)
     report.timings["verdict"] = time.perf_counter() - t0
@@ -396,21 +389,29 @@ def cmd_completeness(config: RunConfig) -> Report:
 # -- entry point ----------------------------------------------------------------------
 
 
+def _number(value, name: str) -> float:
+    """A JSON number as a float; a boolean or a string is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
 def _integral(value, name: str) -> int:
     """``value`` as an int; integral floats such as 2.0 pass, 2.9 is a ValueError."""
-    number = float(value)
+    number = _number(value, name)
     if not number.is_integer():
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(number)
 
 
 def _interval(value, name: str) -> tuple[float, float]:
-    lo, hi = (float(v) for v in value)
+    """Two numbers; an end may also be "inf" or "-inf", as the report echoes it."""
+    lo, hi = (float(v) if v in ("inf", "-inf") else _number(v, name) for v in value)
     return lo, hi
 
 
 # Converters of config values, by SkrpParams field type.
-_CONVERT = {"int": _integral, "float": lambda value, name: float(value), "tuple[float, float]": _interval}
+_CONVERT = {"int": _integral, "float": _number, "tuple[float, float]": _interval}
 
 
 def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
@@ -449,25 +450,34 @@ def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
         params = skrp.SkrpParams(**kwargs)
     except KeyError as exc:
         raise ValueError(f"config {path!r} lacks the parameter {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config {path!r} has invalid parameters: {exc}") from None
     return None, params
+
+
+# Options a command may take beside --fixture, --config, --format and --out:
+# RunConfig field -> (flag, type).  The default is the field's.
+OPTIONS = {"samples": ("--samples", int), "tol_residual": ("--tol-residual", float)}
+
+# name -> (handler, help, the OPTIONS the handler reads)
+COMMANDS = {
+    "verify": (cmd_verify, "almost-soliton residual report for a fixture pair", ("samples", "tol_residual")),
+    "dualize": (cmd_dualize, "conformal duality checks: residuals, coefficients, involution", ("samples", "tol_residual")),
+    "skrp": (cmd_skrp, "closed-form profile checks and profile table", ("samples",)),
+    "completeness": (cmd_completeness, "endpoint classification and completeness verdict", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="soliton-lab", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("verify", "almost-soliton residual report for a fixture pair"),
-        ("dualize", "conformal duality checks: residuals, coefficients, involution"),
-        ("skrp", "closed-form profile checks and profile table"),
-        ("completeness", "endpoint classification and completeness verdict"),
-    ):
+    for name, (_, helptext, options) in COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--fixture", help="named fixture (see README for the list)")
         cmd.add_argument("--config", help="JSON config: {'fixture': ...} or inline profile parameters")
-        cmd.add_argument("--samples", type=int, default=200)
-        cmd.add_argument("--tol-residual", type=float, default=1e-6)
+        for option in options:
+            flag, kind = OPTIONS[option]
+            cmd.add_argument(flag, type=kind, default=argparse.SUPPRESS)
         cmd.add_argument("--format", choices=("json", "csv", "text"), default="json")
         cmd.add_argument("--out", help="write the report here (atomically); default stdout")
     return parser
@@ -485,23 +495,16 @@ def main(argv: list[str] | None = None) -> int:
             command=args.command,
             fixture=fixture,
             params=params,
-            samples=args.samples,
-            tol_residual=args.tol_residual,
             fmt=args.format,
             out=args.out,
             seed=resolve_seed(),
+            **{option: value for option, value in vars(args).items() if option in OPTIONS},
         )
     except ValueError as exc:
         print(f"soliton-lab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    handler = {
-        "verify": cmd_verify,
-        "dualize": cmd_dualize,
-        "skrp": cmd_skrp,
-        "completeness": cmd_completeness,
-    }[config.command]
-
+    handler = COMMANDS[config.command][0]
     try:
         report = handler(config)
         _emit(report)

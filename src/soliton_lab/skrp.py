@@ -56,6 +56,7 @@ from .errors import (
     PoleError,
 )
 from .sampling import Box, sample_box
+from .soliton import SOLITON_RESIDUAL_TOL
 
 
 def _lazy_module(name: str):
@@ -348,11 +349,12 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     scan_hi = hi if math.isfinite(hi) else params.c + 60.0
     margin = params.pole_margin
 
-    # Split at the pole; with A + B = 0 the closed form is regular at c and
-    # the zero of f_c there is just an ordinary zero of Q.
+    # Split at c, where f_c changes sign: a pole when A + B != 0 (the pieces
+    # stop short of it), else an ordinary zero of Q, which a bracketing root
+    # finder would miss by ~1e-21 and so leave a sliver interval.
     has_pole = params.A + params.B != 0.0
     cuts = [scan_lo, scan_hi]
-    if has_pole and scan_lo < params.c < scan_hi:
+    if scan_lo < params.c < scan_hi:
         cuts[1:1] = [params.c]
     pieces = []
     for left, right in zip(cuts[:-1], cuts[1:]):
@@ -375,8 +377,6 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
                 roots.append(xs[i])
             elif vals[i] * vals[i + 1] < 0:
                 roots.append(optimize.brentq(q, xs[i], xs[i + 1], xtol=1e-14))
-        if not has_pole and left < params.c < right:
-            roots.append(params.c)
         edges = sorted({left, right, *roots})
         for a_, b_ in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (a_ + b_)
@@ -747,6 +747,8 @@ def gradient_soliton_residual(chart: CalabiChart, p) -> float:
 
 
 CLOSEDNESS_TOL = 1e-8
+BASE_NORMALIZATION_TOL = 1e-9
+HERMITIAN_TOL = 1e-10
 
 
 def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
@@ -770,7 +772,7 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     base = _fubini_study_chart(lambda_h)
     zb = np.array([0.21, -0.33])
     base_resid = np.max(np.abs(ct.ricci(base, zb) - params.kappa * base.matrix(zb)))
-    if base_resid > 1e-9:
+    if base_resid > BASE_NORMALIZATION_TOL:
         raise CalibrationFailure(f"base normalization failed: |ric(h) - kappa h| = {base_resid:.3e}")
 
     positive = q_domain(params)
@@ -814,9 +816,9 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     checks = sample_box(domain, 6, seed=11)
     herm = max(hermitian_metric_residual(metric, _J4, p) for p in checks)
     solres = max(gradient_soliton_residual(chart, p) for p in checks)
-    if herm > 1e-10:
+    if herm > HERMITIAN_TOL:
         raise CalibrationFailure(f"assembled metric is not Hermitian: residual {herm:.3e}")
-    if solres > 1e-6:
+    if solres > SOLITON_RESIDUAL_TOL:
         raise CalibrationFailure(f"assembled pair misses the soliton equation: residual {solres:.3e}")
     return chart
 

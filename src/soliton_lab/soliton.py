@@ -55,6 +55,7 @@ __all__ = [
     "steady_obstruction",
     "old_dualize",
     "ricci_hessian_fit",
+    "alpha_identifiable",
     "uniqueness_residuals",
     "nonhermitian_coefficient",
     "canonical_profile",
@@ -94,13 +95,14 @@ class ResidualReport:
 
     ``coefficients[k]`` is the trace coefficient c(p_k), ``residuals[k]``
     the g-norm of ric + hess f - c g at p_k and ``grad_norms_sq[k]`` the
-    squared gradient norm |grad f|^2 at p_k.
+    squared gradient norm |grad f|^2 at p_k; ``first_geometry`` is the geometry of p_0.
     """
 
     points: np.ndarray = field(repr=False)
     coefficients: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     grad_norms_sq: np.ndarray = field(repr=False)
+    first_geometry: ct.PointGeometry | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -147,11 +149,14 @@ def residual_report(pair: SolitonPair, points: np.ndarray) -> ResidualReport:
     coeffs = np.empty(len(points))
     residuals = np.empty(len(points))
     grad_sq = np.empty(len(points))
+    first = None
     for k, p in enumerate(points):
         geo = pair.geometry(p)
         coeffs[k], residuals[k] = extract_coefficient(pair, p, geo)
         grad_sq[k] = geo.grad_sq
-    return ResidualReport(points, coeffs, residuals, grad_sq)
+        if k == 0:
+            first = geo
+    return ResidualReport(points, coeffs, residuals, grad_sq, first)
 
 
 def classify(pair: SolitonPair, sample: np.ndarray | int = 100) -> SolitonClass:
@@ -310,22 +315,30 @@ class RicciHessianFit:
     alpha_identifiable: bool
 
 
-def ricci_hessian_fit(pair: SolitonPair, p) -> RicciHessianFit:
+# Trace-free part of hess f, relative to hess f, below which alpha is not identifiable.
+ALPHA_IDENTIFIABILITY_TOL = 1e-8
+
+
+def alpha_identifiable(geo: ct.PointGeometry) -> bool:
+    """Whether hess f is not numerically a multiple of g at the point, so that
+    ric + alpha hess f = c g determines alpha there."""
+    trace_part = np.einsum("ij,ij->", geo.G_inv, geo.hess_f) / len(geo.G)
+    deviatoric = ct.tensor_gnorm(geo.G_inv, geo.hess_f - trace_part * geo.G)
+    return deviatoric / (ct.tensor_gnorm(geo.G_inv, geo.hess_f) + 1e-30) > ALPHA_IDENTIFIABILITY_TOL
+
+
+def ricci_hessian_fit(pair: SolitonPair, p, geometry: ct.PointGeometry | None = None) -> RicciHessianFit:
     """Fit (alpha, c) at a point; flags alpha as unidentifiable when hess f is
-    numerically proportional to g (the fit is then exact but degenerate)."""
-    geo = pair.geometry(p)
+    numerically proportional to g (the fit is then exact but degenerate).
+    ``geometry`` is the point's geometry where the caller holds it."""
+    geo = pair.geometry(p) if geometry is None else geometry
     G, G_inv, ric, hess = geo.G, geo.G_inv, geo.ric, geo.hess_f
 
     design = np.stack([hess.ravel(), -G.ravel()], axis=1)
     solution, _, _, _ = np.linalg.lstsq(design, -ric.ravel(), rcond=None)
     alpha, coeff = float(solution[0]), float(solution[1])
     residual = ct.tensor_gnorm(G_inv, ric + alpha * hess - coeff * G)
-
-    trace_part = np.einsum("ij,ij->", G_inv, hess) / pair.dim
-    deviatoric = ct.tensor_gnorm(G_inv, hess - trace_part * G)
-    scale = ct.tensor_gnorm(G_inv, hess) + 1e-30
-    identifiable = deviatoric / scale > 1e-8
-    return RicciHessianFit(alpha, coeff, residual, identifiable)
+    return RicciHessianFit(alpha, coeff, residual, alpha_identifiable(geo))
 
 
 # -- profile-level identities ----------------------------------------------------

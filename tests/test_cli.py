@@ -1,7 +1,14 @@
 """Command-line contract: exit codes, formats, determinism, file outputs."""
 
+import ast
+import inspect
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -433,8 +440,9 @@ def test_params_echo_reruns_as_config(fixture, command, tmp_path, capsys):
     params = cli.RunConfig(command, params=fixtures.skrp_fixture(fixture)).echo()["params"]
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps(params))
-    by_fixture = run([command, "--fixture", fixture, "--samples", "20"], capsys)
-    by_config = run([command, "--config", str(cfg), "--samples", "20"], capsys)
+    samples = ["--samples", "20"] if command == "skrp" else []
+    by_fixture = run([command, "--fixture", fixture, *samples], capsys)
+    by_config = run([command, "--config", str(cfg), *samples], capsys)
     assert by_config[0] == by_fixture[0] == cli.EXIT_PASS
     assert json.loads(by_config[1])["checks"] == json.loads(by_fixture[1])["checks"]
     assert json.loads(by_config[1])["config"]["params"] == params
@@ -532,3 +540,107 @@ def test_dualize_evaluates_each_source_spot_point_once(capsys, monkeypatch):
     assert code == cli.EXIT_PASS
     assert len(source_geometries) == len(set(source_geometries)) == 25
     assert len(dual_extractions) == 30 and all(dual_extractions)
+
+
+def test_alpha_is_reported_where_hess_f_is_not_a_multiple_of_g(capsys):
+    # Only the Kahler pair has a soliton function whose Hessian is not a
+    # multiple of g; the Gaussian and trivial pairs leave alpha free.
+    reporting = set()
+    for fixture in fixtures._PAIRS:
+        _, out, _ = run(["verify", "--fixture", fixture, "--samples", "20"], capsys)
+        if any(c["name"] == "ricci-hessian-alpha" for c in json.loads(out)["checks"]):
+            reporting.add(fixture)
+    assert reporting == {"koiso-m2-A1B0"}
+
+
+def test_cli_names_no_fixture():
+    # What a command checks follows from what it measures, never from a name.
+    names = {*fixtures._PAIRS, *fixtures._SKRP, *fixtures._SYNTHETIC_Q, *fixtures._METRICS}
+    tree = ast.parse(inspect.getsource(cli))
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert strings & names == set()
+
+
+def test_each_command_takes_exactly_the_options_its_handler_reads():
+    for name, (handler, _, options) in cli.COMMANDS.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "config"
+        }
+        assert set(options) == read & set(cli.OPTIONS), name
+        assert set(cli.RunConfig(name).echo()) - {"command", "format"} == set(options), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["completeness", "--fixture", "koiso-m2-compact", "--samples", "50"],
+        ["completeness", "--fixture", "koiso-m2-compact", "--tol-residual", "1e-3"],
+        ["skrp", "--fixture", "koiso-m2-A1B0-flatbase", "--tol-residual", "1e-3"],
+    ],
+    ids=["completeness-samples", "completeness-tol-residual", "skrp-tol-residual"],
+)
+def test_option_a_command_does_not_read_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"m": 2, "s": True, "A": 1.0, "I": [0.5, 3.0]},
+        {"m": 2, "kappa": True, "A": 1.0, "I": [0.5, 3.0]},
+        {"m": "2", "A": 1.0, "I": [0.5, 3.0]},
+        {"m": 2, "A": "1", "I": [0.5, 3.0]},
+        {"m": 2, "A": 1.0, "I": ["0.5", "3"]},
+        {"m": 2, "A": 1.0, "I": [True, 3.0]},
+        {"m": 2, "A": 10**400, "I": [0.5, 3.0]},
+    ],
+    ids=["bool-s", "bool-kappa", "string-m", "string-A", "string-interval", "bool-interval", "huge-integer"],
+)
+def test_config_values_must_be_json_numbers(params, tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    code, out, err = run(["skrp", "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+    assert out == ""
+
+
+def test_config_interval_ends_may_be_infinity_strings(tmp_path, capsys):
+    # The report echoes an infinite end as "inf" or "-inf"; a config takes it back.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "kappa": 1, "B": 1, "I": ["-inf", -2.6]}))
+    code, out, _ = run(["completeness", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    assert json.loads(out)["config"]["params"]["I"] == ["-inf", -2.6]
+
+
+def test_whole_line_profile_with_a_regular_zero_of_q(tmp_path, capsys):
+    # koiso-m2-compact's constants on the default I: Q has a regular zero at c.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "kappa": 4, "A": 1, "B": -1, "s": 2, "a": 2, "p": 2, "phi_sign": 1}))
+    code, out, _ = run(["completeness", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    verdict = next(c for c in json.loads(out)["checks"] if c["name"] == "verdict")
+    assert verdict["measured"] == "complete-compact-extension"
+    code, _, err = run(["skrp", "--config", str(cfg), "--samples", "20"], capsys)
+    assert code == cli.EXIT_PASS, err
+
+
+def test_report_files_are_created_as_open_creates_them(tmp_path):
+    # Under umask 022 a plain open() gives 0o644; a temp file from mkstemp would stay 0o600.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    report = tmp_path / "r.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "soliton_lab.cli", "skrp", "--fixture", "koiso-m2-A1B0-flatbase",
+         "--samples", "10", "--out", str(report)],
+        env=env, umask=0o022, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == cli.EXIT_PASS, done.stderr
+    for path in (report, tmp_path / "r.json.profile.csv"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644

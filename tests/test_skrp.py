@@ -228,6 +228,16 @@ def test_q_domain_compact_interval_edges():
     assert skrp.q_profile(params, hi + 1e-8) < 0 < skrp.q_profile(params, hi - 1e-8)
 
 
+@pytest.mark.parametrize("interval", [(-3.0, 3.0), (-math.inf, math.inf)], ids=["finite", "whole-line"])
+def test_q_domain_regular_zero_at_c_is_one_edge(interval):
+    # A + B = 0: the profile is regular at c = 0 and Q changes sign there.  A
+    # root bracketed across c must not add a second edge beside it.
+    params = replace(fixtures.skrp_fixture("koiso-m2-compact"), I=interval)
+    intervals = skrp.q_domain(params)
+    assert intervals[0][0] == 0.0
+    assert min(hi - lo for lo, hi in intervals) > 1e-12
+
+
 # -- fiber-norm map ----------------------------------------------------------------------
 
 

@@ -47,7 +47,8 @@ PROFILES = (
 COMPLETENESS = ("synthetic-simple-caps", "synthetic-double-zero") + PROFILES
 SEEDS = (None, "7")
 
-# Inline parameter configs: the profile fixtures spelled out, a config that
+# Inline parameter configs: the profile fixtures spelled out, koiso-m2-compact
+# on the default whole-line I (where Q has a regular zero at c), a config that
 # leaves every optional key to its default, and one that lacks ``m``.
 CONFIGS = {
     "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
@@ -62,6 +63,8 @@ CONFIGS = {
                         "s": 2, "a": 0.5, "p": 0.5, "phi_sign": 1},
     "negative-branch": {"m": 2, "kappa": 1.0, "c": 0.0, "A": 0.0, "B": 1.0, "I": [-9.0, -2.6],
                         "s": 1, "a": 1.0, "p": 1.0, "phi_sign": -1},
+    "koiso-m2-compact-whole-line": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": -1.0,
+                                    "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
     "defaults": {"m": 2, "A": 1.0, "I": [0.5, 3.0]},
     "lacks-m": {"A": 1.0, "I": [0.5, 3.0]},
 }
