@@ -93,13 +93,15 @@ class ScalarField:
         self.dim = dim
         self.name = name
 
+    def jet(self, jets) -> ad.Jet:
+        """The field's jet at the point whose coordinate jets are ``jets``;
+        a constant evaluator gives a constant jet."""
+        return _as_jet(self._fn(jets), len(jets))
+
     def evaluate(self, p) -> tuple[float, np.ndarray, np.ndarray]:
         """Return (value, gradient, coordinate Hessian) at ``p``."""
-        p = as_point(p, self.dim)
-        out = self._fn(ad.seed(p))
-        if isinstance(out, ad.Jet):
-            return out.val, out.grad, out.hess
-        return float(out), np.zeros(self.dim), np.zeros((self.dim, self.dim))
+        out = self.jet(ad.seed(as_point(p, self.dim)))
+        return out.val, out.grad, out.hess
 
     def __call__(self, p) -> float:
         return self.evaluate(p)[0]
@@ -121,7 +123,7 @@ class FieldOfField(ScalarField):
     """
 
     def __init__(self, profile: SmoothFunction1D, base: ScalarField, name: str = ""):
-        super().__init__(lambda jets: profile.jet(_as_jet(base._fn(jets), len(jets))), base.dim, name)
+        super().__init__(lambda jets: profile.jet(base.jet(jets)), base.dim, name)
         self.profile = profile
         self.base = base
 
@@ -141,21 +143,24 @@ class MetricChart:
 
     Parameters
     ----------
-    evaluator : callable
-        Maps a point to ``(G, dG, d2G)`` where ``G[i, j] = g_ij``,
-        ``dG[k, i, j] = d_k g_ij`` and ``d2G[k, l, i, j] = d_k d_l g_ij``.
+    jet_fn : callable
+        Maps the coordinate jets of a point to one ``(n, n)``-valued
+        :class:`~soliton_lab.autodiff.Jet` of the components g_ij.  Only its
+        upper triangle is read; :meth:`components` mirrors it, so the metric
+        data is symmetric bit for bit.
     dim : int
         Chart dimension (n >= 2).
     domain : Box
         Coordinate box on which the components are valid.
     """
 
-    def __init__(self, evaluator, dim: int, domain: Box, name: str = ""):
+    def __init__(self, jet_fn, dim: int, domain: Box, name: str = ""):
         if dim < 2:
             raise ValueError("metric charts need dimension n >= 2")
         if domain.dim != dim:
             raise ValueError("domain box dimension does not match chart dimension")
-        self._evaluator = evaluator
+        self._jet_fn = jet_fn
+        self._lower = np.tril_indices(dim, -1)
         self.dim = dim
         self.domain = domain
         self.name = name
@@ -168,83 +173,56 @@ class MetricChart:
 
         ``component_fn`` receives the coordinate jets and returns either one
         ``(n, n)``-valued :class:`~soliton_lab.autodiff.Jet` or an n x n
-        nested sequence of jets/floats.  Either way only the upper triangle
-        is read and mirrored, so the metric data is symmetric bit for bit.
+        nested sequence of jets/floats, which is stacked into one.
         """
-        lower = np.tril_indices(dim, -1)
-        upper = lower[::-1]
 
-        def evaluator(p: np.ndarray):
-            jets = ad.seed(p)
+        def jet_fn(jets):
             raw = component_fn(jets)
-            n = dim
             if isinstance(raw, ad.Jet):
-                if raw.val.shape != (n, n):
-                    raise ValueError(f"metric jet has value shape {raw.val.shape}, expected {(n, n)}")
-                G = raw.val.copy()
-                dG = raw.grad.transpose(2, 0, 1).copy()
-                d2G = raw.hess.transpose(2, 3, 0, 1).copy()
-                G[lower] = G[upper]
-                dG[:, lower[0], lower[1]] = dG[:, upper[0], upper[1]]
-                d2G[:, :, lower[0], lower[1]] = d2G[:, :, upper[0], upper[1]]
-                return G, dG, d2G
-            G = np.empty((n, n))
-            dG = np.empty((n, n, n))
-            d2G = np.empty((n, n, n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    entry = raw[i][j]
-                    if isinstance(entry, ad.Jet):
-                        v, g, h = entry.val, entry.grad, entry.hess
-                    else:
-                        v, g, h = float(entry), np.zeros(n), np.zeros((n, n))
-                    G[i, j] = G[j, i] = v
-                    dG[:, i, j] = dG[:, j, i] = g
-                    d2G[:, :, i, j] = d2G[:, :, j, i] = h
-            return G, dG, d2G
+                return raw
+            return ad.stack([ad.stack([_as_jet(entry, dim) for entry in row]) for row in raw])
 
-        return MetricChart(evaluator, dim, domain, name)
+        return MetricChart(jet_fn, dim, domain, name)
 
     @staticmethod
     def euclidean(dim: int, domain: Box | None = None, name: str = "euclidean") -> "MetricChart":
         domain = domain or Box([-1.0] * dim, [1.0] * dim)
-
-        def evaluator(p: np.ndarray):
-            return np.eye(dim), np.zeros((dim, dim, dim)), np.zeros((dim, dim, dim, dim))
-
-        return MetricChart(evaluator, dim, domain, name)
+        identity = ad.Jet(np.eye(dim), np.zeros((dim, dim, dim)), np.zeros((dim, dim, dim, dim)))
+        return MetricChart(lambda jets: identity, dim, domain, name)
 
     def conformal_scale(self, factor: ScalarField, name: str = "") -> "MetricChart":
         """Metric ``u * g`` for a positive scalar field ``u``.
 
-        Derivatives are assembled analytically by the product rule, never by
-        re-differencing the scaled components, so the scaled chart keeps the
-        full accuracy of the base chart.
+        The scaled components are the jet product of u and g, so their
+        derivatives come from the product rule, never from re-differencing,
+        and the scaled chart keeps the full accuracy of the base chart.
         """
-        base = self
-
-        def evaluator(p: np.ndarray):
-            G, dG, d2G = base.components(p)
-            u, du, d2u = factor.evaluate(p)
-            Gs = u * G
-            dGs = u * dG + np.einsum("k,ij->kij", du, G)
-            d2Gs = (
-                u * d2G
-                + np.einsum("kl,ij->klij", d2u, G)
-                + np.einsum("k,lij->klij", du, dG)
-                + np.einsum("l,kij->klij", du, dG)
-            )
-            return Gs, dGs, d2Gs
-
-        return MetricChart(evaluator, base.dim, base.domain, name or f"{base.name}*scaled")
+        base_jet = self._jet_fn
+        return MetricChart(
+            lambda jets: factor.jet(jets) * base_jet(jets), self.dim, self.domain, name or f"{self.name}*scaled"
+        )
 
     # -- evaluation ----------------------------------------------------------
 
     def components(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(G, dG, d2G)`` at ``p``: ``G[i, j] = g_ij``, ``dG[k, i, j] = d_k g_ij``
+        and ``d2G[k, l, i, j] = d_k d_l g_ij``."""
         p = as_point(p, self.dim)
         if not self.domain.contains(p):
             raise DomainError(f"point {p.tolist()} outside chart domain {self.domain}")
-        return self._evaluator(p)
+        raw = self._jet_fn(ad.seed(p))
+        n = self.dim
+        if raw.val.shape != (n, n):
+            raise ValueError(f"metric jet has value shape {raw.val.shape}, expected {(n, n)}")
+        lower = self._lower
+        upper = lower[::-1]
+        G = raw.val.copy()
+        dG = raw.grad.transpose(2, 0, 1).copy()
+        d2G = raw.hess.transpose(2, 3, 0, 1).copy()
+        G[lower] = G[upper]
+        dG[:, lower[0], lower[1]] = dG[:, upper[0], upper[1]]
+        d2G[:, :, lower[0], lower[1]] = d2G[:, :, upper[0], upper[1]]
+        return G, dG, d2G
 
     def matrix(self, p) -> np.ndarray:
         return self.components(p)[0]

@@ -333,12 +333,16 @@ def cmd_skrp(config: RunConfig) -> Report:
     ode_res = max(abs(skrp.phi_ode_residual(params, 1.0, f)) for f in check_grid)
     report.add_bound("profile-ode-residual", ode_res, PROFILE_ODE_TOL)
 
-    anchor_chk = 0.5 * (check_grid[0] + check_grid[-1])
-    phi0, dphi0, _ = skrp.phi_closed(params, anchor_chk)
+    # Each segment between 9 check points is integrated from the closed form
+    # at its left end: one run from the band's midpoint would let the ODE's
+    # e^f mode grow the integrator's error by up to e^(band width / 2).
+    nodes = np.linspace(check_grid[0], check_grid[-1], 9)
+    closed = [skrp.phi_closed(params, f) for f in nodes]
     integrate_err = 0.0
-    for f in np.linspace(check_grid[0], check_grid[-1], 9):
-        phi_num, _ = skrp.phi_ode_integrate(params, 1.0, anchor_chk, phi0, dphi0, f)
-        phi_ref = skrp.phi_closed(params, f)[0]
+    for k in range(len(nodes) - 1):
+        phi0, dphi0, _ = closed[k]
+        phi_num, _ = skrp.phi_ode_integrate(params, 1.0, nodes[k], phi0, dphi0, nodes[k + 1])
+        phi_ref = closed[k + 1][0]
         integrate_err = max(integrate_err, abs(phi_num - phi_ref) / (1.0 + abs(phi_ref)))
     report.add_bound("closed-vs-integrated", integrate_err, PROFILE_INTEGRATE_TOL)
 

@@ -456,13 +456,16 @@ class EllMap:
         segs = np.empty(len(self._grid) - 1)
         for i in range(len(segs)):
             segs[i], _ = integrate.quad(integrand, self._grid[i], self._grid[i + 1], epsabs=1e-14, epsrel=1e-13, limit=200)
-        cumulative = np.concatenate([[0.0], np.cumsum(segs)])
         # Anchor exactly so log ell(f0) = 0.
         i0 = int(np.searchsorted(self._grid, self.f0)) - 1
         i0 = min(max(i0, 0), len(self._grid) - 2)
         extra, _ = integrate.quad(integrand, self._grid[i0], self.f0, epsabs=1e-14, epsrel=1e-13, limit=200)
-        anchor = cumulative[i0] + extra
-        self._t_nodes = cumulative - anchor
+        # An overflowing table (tiny Q, huge a) is refused below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cumulative = np.concatenate([[0.0], np.cumsum(segs)])
+            self._t_nodes = cumulative - (cumulative[i0] + extra)
+        if not np.all(np.isfinite(self._t_nodes)):
+            raise DomainError(f"log ell = integral of a / Q overflows float64 on ({lo}, {hi}) (a = {profile.a})")
         self._q_nodes = qvals
         self._node_slopes: tuple[list[float], list[float]] | None = None
         self._integrand = integrand
@@ -479,7 +482,11 @@ class EllMap:
         return float(self._t_nodes[i] + extra)
 
     def ell(self, f: float) -> float:
-        return math.exp(self.log_ell(f))
+        t = self.log_ell(f)
+        try:
+            return math.exp(t)
+        except OverflowError:
+            raise DomainError(f"ell = exp({t}) overflows float64 at f = {f}") from None
 
     def f_of_log_ell(self, t: float) -> float:
         t_nodes = self._t_nodes if self.increasing else -self._t_nodes
@@ -615,21 +622,19 @@ def _fubini_study_chart(lambda_h: float) -> ct.MetricChart:
 
 
 class _PotentialCore:
-    """Shared closed-form scaffolding of the chart: t(z, w) and f(t) jets."""
+    """Shared closed-form scaffolding of the chart: t(z, w) and f(t) jets.
+
+    The metric and every field built on the potential ask for f at the same
+    point in turn, so :meth:`f_jet` keeps the last point's jet, keyed on the
+    bits of the coordinates (the jets passed in are a point's coordinate
+    jets).  Key and jet are one tuple, so a concurrent reader never pairs
+    one point with another point's jet.
+    """
 
     def __init__(self, params: SkrpParams, ell: EllMap):
         self.params = params
         self.ell = ell
-        self._cache: dict[float, float] = {}
-
-    def f_value(self, t: float) -> float:
-        f = self._cache.get(t)
-        if f is None:
-            f = self.ell.f_of_log_ell(t)
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[t] = f
-        return f
+        self._last: tuple[bytes | None, ad.Jet | None] = (None, None)
 
     def t_jet(self, jets):
         z1, z2, w1, w2 = jets
@@ -638,9 +643,15 @@ class _PotentialCore:
         return 0.5 * self.params.s * ad.jet_log(one_pz) + 0.5 * ad.jet_log(wsq)
 
     def f_jet(self, jets):
+        key = np.array([j.val for j in jets]).tobytes()
+        last_key, last_jet = self._last
+        if last_key == key:
+            return last_jet
         t = self.t_jet(jets)
-        f0 = self.f_value(t.val)
-        return ad.lift_univariate(t, f0, self.ell.dfdt(f0), self.ell.d2fdt2(f0))
+        f0 = self.ell.f_of_log_ell(t.val)
+        fj = ad.lift_univariate(t, f0, self.ell.dfdt(f0), self.ell.d2fdt2(f0))
+        self._last = (key, fj)
+        return fj
 
 
 # The horizontal (base) block of the chart's coordinates (z1, z2, w1, w2).

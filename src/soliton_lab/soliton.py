@@ -211,10 +211,12 @@ def dual_factor_profile(n: int) -> ct.SmoothFunction1D:
 def dualize(pair: SolitonPair) -> SolitonPair:
     """Conformal dual (exp(-4 f / (n-2)) g, -f).
 
-    The scaled metric's derivative data is assembled analytically from g and
-    f (product/chain rule), which keeps the dual pair's residuals at the
-    source pair's accuracy.  Applying dualize twice reproduces the original
-    components to roundoff.
+    The scaled metric is the jet product of the factor's jet (the chain rule
+    through f) and g's jet, so its derivative data is exact and the dual
+    pair's residuals stay at the source pair's accuracy.  On the Kähler
+    chart the metric, the factor and -f share one potential evaluation per
+    point.  Applying dualize twice reproduces the original components to
+    roundoff.
     """
     n = pair.dim
     if n <= 2:

@@ -1,5 +1,6 @@
 """Curvature operators and conformal-change identities on reference charts."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from soliton_lab import autodiff as ad
 from soliton_lab import chart as ct
-from soliton_lab import fixtures
+from soliton_lab import fixtures, skrp
+from soliton_lab import soliton as sol
 from soliton_lab.errors import DegenerateConformalFactor, DomainError, SingularMetric
 from soliton_lab.sampling import Box, sample_box
 
@@ -262,3 +264,82 @@ def test_metric_component_derivatives_match_fd():
                 comp = lambda q, i=i, j=j: SPHERE2.matrix(q)[i, j]
                 np.testing.assert_allclose(dG[:, i, j], ad.fd_gradient(comp, p), rtol=1e-6, atol=1e-8)
                 np.testing.assert_allclose(d2G[:, :, i, j], ad.fd_hessian(comp, p), rtol=1e-5, atol=1e-6)
+
+
+# -- one jet engine: nested components and conformal scaling --------------------------
+
+
+def _einsum_conformal_components(base, factor, p):
+    """The hand-written second-order product rule for u * g: the oracle that
+    conformal_scale's jet product must reproduce bit for bit."""
+    G, dG, d2G = base.components(p)
+    u, du, d2u = factor.evaluate(p)
+    dGs = u * dG + np.einsum("k,ij->kij", du, G)
+    d2Gs = (
+        u * d2G
+        + np.einsum("kl,ij->klij", d2u, G)
+        + np.einsum("k,lij->klij", du, dG)
+        + np.einsum("l,kij->klij", du, dG)
+    )
+    return u * G, dGs, d2Gs
+
+
+def _assert_components_equal(a, b):
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures._METRICS))
+def test_conformal_scale_is_the_einsum_product_rule_bitwise(name):
+    g = fixtures.metric_fixture(name)
+    profile = ct.SmoothFunction1D(math.exp, math.exp, math.exp)
+    factor = ct.compose_with_field(profile, quadratic_field(g.dim, rate=0.7))
+    scaled = g.conformal_scale(factor)
+    for p in sample_box(g.domain, 5, seed=13):
+        _assert_components_equal(scaled.components(p), _einsum_conformal_components(g, factor, p))
+
+
+@pytest.mark.parametrize("name", ["gaussian-soliton-n4", "koiso-m2-A1B0"])
+def test_dual_metric_is_the_einsum_product_rule_bitwise(name):
+    pair = fixtures.soliton_fixture(name)
+    dual = sol.dualize(pair)
+    factor = ct.compose_with_field(sol.dual_factor_profile(pair.dim), pair.f)
+    for p in sample_box(pair.metric.domain, 5, seed=17):
+        _assert_components_equal(dual.metric.components(p), _einsum_conformal_components(pair.metric, factor, p))
+
+
+def _hand_stacked(nested, n):
+    """An n x n nested sequence of jets/floats written into one (n, n) jet."""
+    val, grad, hess = np.empty((n, n)), np.empty((n, n, n)), np.empty((n, n, n, n))
+    for i in range(n):
+        for j in range(n):
+            entry = nested[i][j]
+            if not isinstance(entry, ad.Jet):
+                entry = ad.constant(float(entry), n)
+            val[i, j], grad[i, j], hess[i, j] = entry.val, entry.grad, entry.hess
+    return ad.Jet(val, grad, hess)
+
+
+def _nested_component_fn(chart):
+    """The component function a ``from_jets`` chart was built from."""
+    return inspect.getclosurevars(chart._jet_fn).nonlocals["component_fn"]
+
+
+@pytest.mark.parametrize(
+    "name", [*(name for name in sorted(fixtures._METRICS) if not name.startswith("euclidean")), "fubini-study"]
+)
+def test_nested_from_jets_equals_hand_stacked_jet_bitwise(name):
+    g = skrp._fubini_study_chart(1.3) if name == "fubini-study" else fixtures.metric_fixture(name)
+    component_fn = _nested_component_fn(g)
+    stacked = ct.MetricChart.from_jets(lambda jets: _hand_stacked(component_fn(jets), g.dim), g.dim, g.domain)
+    for p in sample_box(g.domain, 4, seed=19):
+        raw, hand = g._jet_fn(ad.seed(p)), stacked._jet_fn(ad.seed(p))
+        for x, y in zip((raw.val, raw.grad, raw.hess), (hand.val, hand.grad, hand.hess)):
+            assert np.array_equal(x, y)
+        _assert_components_equal(g.components(p), stacked.components(p))
+
+
+def test_constant_field_jet_is_a_constant_jet():
+    jet = ct.ScalarField.constant(2.5, 3).jet(ad.seed([0.1, 0.2, 0.3]))
+    assert jet.val == 2.5
+    assert not jet.grad.any() and not jet.hess.any()
+    assert jet.grad.shape == (3,) and jet.hess.shape == (3, 3)

@@ -424,6 +424,50 @@ def test_profile_overflow_is_numeric_error(params, command, tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "DomainError"
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"m": 2, "kappa": 1e-200, "a": -1, "phi_sign": 1, "I": ["-inf", 0.2]},
+        {"m": 2, "kappa": 1e-300, "a": -1, "phi_sign": 1, "I": ["-inf", 0.2]},
+        {"m": 2, "kappa": 1e-320, "a": -1, "phi_sign": 1, "I": ["-inf", 0.2]},
+        {"m": 2, "kappa": 3, "c": 1, "B": 0, "a": 1e300, "p": 4, "phi_sign": -1, "I": [-50, -2]},
+    ],
+    ids=["ell-overflow-kappa-1e-200", "ell-overflow-kappa-1e-300", "log-ell-overflow", "huge-a"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ell_map_overflow_is_numeric_error(params, tmp_path, capsys):
+    # A tiny Q or a huge a drives log ell = int a / Q, or ell = exp(log ell),
+    # past float64: refused, not a traceback and not inf/nan in the side CSV.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    code, out, err = run(["skrp", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -2.6], "phi_sign": -1},
+        {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -0.2], "phi_sign": -1},
+        {"m": 3, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -2.6], "phi_sign": -1},
+    ],
+    ids=["m2-to-2.6", "m2-to-0.2", "m3-to-2.6"],
+)
+def test_closed_vs_integrated_holds_on_wide_bands(params, tmp_path, capsys):
+    # The check band spans ~38 units; integrating from its midpoint let the
+    # ODE's e^f mode grow the integrator's error past the tolerance.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    code, out, _ = run(["skrp", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["profile-ode-residual"]["measured"] < 1e-12
+    assert checks["closed-vs-integrated"]["measured"] < 1e-9
+
+
 PROFILE_FIXTURES = [
     "koiso-m2-A1B0",
     "koiso-m2-A1B0-flatbase",

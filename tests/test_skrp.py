@@ -560,3 +560,31 @@ def test_ell_inversion_on_zero_width_brackets_never_yields_nan():
         except ConvergenceFailure:
             continue  # the inverse is ill-conditioned there, as before
         assert window[0] <= f <= window[1]
+
+
+# -- the potential is evaluated once per point ---------------------------------------------
+
+
+def test_potential_is_computed_once_per_point_geometry(monkeypatch):
+    pair = fixtures.soliton_fixture("koiso-m2-A1B0")
+    dual = sol.dualize(pair)
+    calls = []
+    t_jet = skrp._PotentialCore.t_jet
+    monkeypatch.setattr(skrp._PotentialCore, "t_jet", lambda self, jets: calls.append(1) or t_jet(self, jets))
+    points = sample_box(pair.metric.domain, 6, seed=59)
+    for which in (pair, dual):
+        calls.clear()
+        for p in points:
+            which.geometry(p)
+        assert len(calls) == len(points)
+
+
+def test_potential_core_last_point_jet_matches_a_fresh_core(koiso_chart):
+    core = skrp._PotentialCore(koiso_chart.params, koiso_chart.ell)
+    a, b = sample_box(koiso_chart.domain, 2, seed=61)
+    for p in (a, b, a, a):
+        kept = core.f_jet(ad.seed(p))
+        fresh = skrp._PotentialCore(koiso_chart.params, koiso_chart.ell).f_jet(ad.seed(p))
+        assert kept.val == fresh.val
+        assert np.array_equal(kept.grad, fresh.grad)
+        assert np.array_equal(kept.hess, fresh.hess)

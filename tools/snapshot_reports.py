@@ -49,7 +49,9 @@ SEEDS = (None, "7")
 
 # Inline parameter configs: the profile fixtures spelled out, koiso-m2-compact
 # on the default whole-line I (where Q has a regular zero at c), a config that
-# leaves every optional key to its default, and one that lacks ``m``.
+# leaves every optional key to its default, one that lacks ``m``, three wide
+# check bands on which the closed-vs-integrated oracle must still hold, and
+# four profiles whose fiber-norm map overflows float64.
 CONFIGS = {
     "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
                       "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
@@ -67,6 +69,14 @@ CONFIGS = {
                                     "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
     "defaults": {"m": 2, "A": 1.0, "I": [0.5, 3.0]},
     "lacks-m": {"A": 1.0, "I": [0.5, 3.0]},
+    "wide-band-m2": {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -2.6], "phi_sign": -1},
+    "wide-band-m2-to-0.2": {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -0.2], "phi_sign": -1},
+    "wide-band-m3": {"m": 3, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -2.6], "phi_sign": -1},
+    "ell-overflow-kappa-1e-200": {"m": 2, "kappa": 1e-200, "a": -1, "phi_sign": 1, "I": ["-inf", 0.2]},
+    "ell-overflow-kappa-1e-300": {"m": 2, "kappa": 1e-300, "a": -1, "phi_sign": 1, "I": ["-inf", 0.2]},
+    "log-ell-overflow-kappa-1e-320": {"m": 2, "kappa": 1e-320, "a": -1, "phi_sign": 1, "I": ["-inf", 0.2]},
+    "ell-overflow-huge-a": {"m": 2, "kappa": 3, "c": 1, "B": 0, "a": 1e300, "p": 4, "phi_sign": -1,
+                            "I": [-50, -2]},
 }
 
 
