@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import chart as ct
+from . import quadpack
 from .errors import (
     DomainError,
     DomainExit,
@@ -72,8 +73,8 @@ def _quad(fn, a, b, **kw) -> float:
     """Adaptive quadrature with roundoff chatter silenced; near-singular
     pieces are expected here and handled by the callers' substitutions."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(fn, a, b, **kw)
+        warnings.simplefilter("ignore", quadpack.IntegrationWarning)
+        val, _ = quadpack.quad(fn, a, b, **kw)
     return val
 
 

@@ -37,6 +37,7 @@ defect, so a parameter set off that relation is refused, not corrected.
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
 import sys
@@ -47,6 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import chart as ct
+from . import quadpack
 from .errors import (
     CalibrationFailure,
     ConvergenceFailure,
@@ -62,17 +64,23 @@ from .soliton import SOLITON_RESIDUAL_TOL
 def _lazy_module(name: str):
     """``sys.modules[name]``, registered to run on its first attribute read.
 
-    scipy's integrate and optimize take 0.4-0.7 s to import, and the
-    analytic verify/dualize commands never use them.  The lazy module is
-    bound directly: ``from scipy import integrate`` would read its
-    ``__spec__`` through the import system and so run it at once.  It is in
-    ``sys.modules`` from import on, unlike a function-local import, so code
-    that patches ``integrate.quad`` there (perfbench's tracer) finds it, and
-    calls still look ``quad`` up on the module each time.
+    scipy's integrate and optimize take 0.4-0.7 s to import, and most
+    commands never use them: quadrature is the package's own
+    :mod:`.quadpack`, so scipy serves only ``q_domain``'s ``brentq`` and the
+    DOP853 ``solve_ivp`` oracles.  The lazy module is bound directly:
+    ``from scipy import integrate`` would read its ``__spec__`` through the
+    import system and so run it at once.  It is in ``sys.modules`` from
+    import on, unlike a function-local import, so code that patches
+    ``integrate.solve_ivp`` or ``optimize.brentq`` there (perfbench's tracer)
+    finds it, and calls still look the function up on the module each time.
+    The submodule is looked up in its package's directory, because
+    ``find_spec`` of a dotted name imports the package, and scipy's own
+    ``__init__`` costs ~20 ms.
     """
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec(name)
+    package = importlib.util.find_spec(name.partition(".")[0])
+    spec = importlib.machinery.PathFinder.find_spec(name, package.submodule_search_locations)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -455,11 +463,11 @@ class EllMap:
         # Cumulative log-ell values at the grid nodes, anchored at f0.
         segs = np.empty(len(self._grid) - 1)
         for i in range(len(segs)):
-            segs[i], _ = integrate.quad(integrand, self._grid[i], self._grid[i + 1], epsabs=1e-14, epsrel=1e-13, limit=200)
+            segs[i], _ = quadpack.quad(integrand, self._grid[i], self._grid[i + 1], epsabs=1e-14, epsrel=1e-13, limit=200)
         # Anchor exactly so log ell(f0) = 0.
         i0 = int(np.searchsorted(self._grid, self.f0)) - 1
         i0 = min(max(i0, 0), len(self._grid) - 2)
-        extra, _ = integrate.quad(integrand, self._grid[i0], self.f0, epsabs=1e-14, epsrel=1e-13, limit=200)
+        extra, _ = quadpack.quad(integrand, self._grid[i0], self.f0, epsabs=1e-14, epsrel=1e-13, limit=200)
         # An overflowing table (tiny Q, huge a) is refused below, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             cumulative = np.concatenate([[0.0], np.cumsum(segs)])
@@ -478,7 +486,7 @@ class EllMap:
             raise DomainError(f"f = {f} outside ell-map bounds {self.bounds}")
         i = int(np.searchsorted(self._grid, f)) - 1
         i = min(max(i, 0), len(self._grid) - 2)
-        extra, _ = integrate.quad(self._integrand, self._grid[i], f, epsabs=1e-14, epsrel=1e-13, limit=200)
+        extra, _ = quadpack.quad(self._integrand, self._grid[i], f, epsabs=1e-14, epsrel=1e-13, limit=200)
         return float(self._t_nodes[i] + extra)
 
     def ell(self, f: float) -> float:
@@ -824,9 +832,14 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
         name=name or "calabi-m2",
     )
 
-    checks = sample_box(domain, 6, seed=11)
-    herm = max(hermitian_metric_residual(metric, _J4, p) for p in checks)
-    solres = max(gradient_soliton_residual(chart, p) for p in checks)
+    # Both residuals at one check point before the next, so the potential's
+    # last-point cache serves both and each point is inverted once.
+    residuals = [
+        (hermitian_metric_residual(metric, _J4, p), gradient_soliton_residual(chart, p))
+        for p in sample_box(domain, 6, seed=11)
+    ]
+    herm = max(h for h, _ in residuals)
+    solres = max(s for _, s in residuals)
     if herm > HERMITIAN_TOL:
         raise CalibrationFailure(f"assembled metric is not Hermitian: residual {herm:.3e}")
     if solres > SOLITON_RESIDUAL_TOL:

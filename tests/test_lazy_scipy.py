@@ -1,7 +1,9 @@
 """scipy's integrate and optimize load on first use, never at import.
 
 The analytic verify/dualize commands need no quadrature, root finding or
-ODE solve, so their cold start-up must not pay for scipy's numerics.
+ODE solve, and the Kahler verify and completeness integrate with the
+package's own QUADPACK port, so their cold start-up must not pay for
+scipy's numerics.
 """
 
 import ast
@@ -52,6 +54,35 @@ def test_analytic_commands_do_not_run_scipy_numerics():
     )
 
 
+def test_quadrature_commands_do_not_load_scipy(tmp_path):
+    # Only brentq (koiso-m2-tail's Q has no zero to bracket) and the DOP853
+    # oracles still need scipy, and the lazy registration must not import
+    # the scipy package either.
+    _run_fresh(
+        f"""
+        import contextlib, io, sys
+        import soliton_lab.cli as cli
+
+        HEAVY = ("scipy.special", "scipy.integrate._quadpack_py", "scipy.optimize._zeros_py")
+
+        def loaded():
+            return [name for name in ("scipy",) + HEAVY if name in sys.modules]
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--fixture", "koiso-m2-A1B0", "--samples", "10"])
+            assert code == cli.EXIT_PASS, code
+            assert loaded() == [], f"loaded by verify: {{loaded()}}"
+            out = {str(tmp_path / "tail.json")!r}
+            code = cli.main(["completeness", "--fixture", "koiso-m2-tail", "--out", out])
+            assert code == cli.EXIT_PASS, code
+            assert loaded() == [], f"loaded by completeness: {{loaded()}}"
+            code = cli.main(["skrp", "--fixture", "koiso-m2-A1B0", "--samples", "20"])
+        assert code == cli.EXIT_PASS, code
+        assert loaded() == ["scipy", *HEAVY], loaded()
+        """
+    )
+
+
 def test_perfbench_tracer_wraps_lazy_scipy():
     # The tracer looks scipy.integrate and scipy.optimize up in sys.modules
     # right after the package import; the workload without quad must not
@@ -73,7 +104,7 @@ def test_perfbench_tracer_wraps_lazy_scipy():
             patch.undo()
         assert code == cli.EXIT_PASS, code
         metrics = layers.layer_metrics(rec, 0)
-        assert metrics["scipy.quad.calls"] > 0, metrics["scipy.quad.calls"]
+        assert metrics["skrp.ell_build.calls"] > 0, metrics["skrp.ell_build.calls"]
         assert metrics["scipy.solve_ivp.calls"] > 0, metrics["scipy.solve_ivp.calls"]
         """,
         PERFBENCH,
