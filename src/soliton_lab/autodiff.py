@@ -14,10 +14,6 @@ over the leading axes the way numpy does, :func:`stack` and indexing build
 and slice such jets, and every entry carries exactly the bits the same
 operations give on scalar jets, so a 4 x 4 metric block is one jet
 expression instead of ten scalar ones.
-
-Central finite differences are kept in this module only as an independent
-oracle (:func:`fd_gradient`, :func:`fd_hessian`) against which every field's
-reported derivatives are cross-checked.
 """
 
 from __future__ import annotations
@@ -37,8 +33,6 @@ __all__ = [
     "jet_exp",
     "jet_log",
     "jet_sqrt",
-    "fd_gradient",
-    "fd_hessian",
 ]
 
 # Index suffixes that give a value of leading shape S one or two trailing
@@ -219,50 +213,3 @@ def jet_log(x: Jet) -> Jet:
 def jet_sqrt(x: Jet) -> Jet:
     v = _entrywise(math.sqrt, x.val)
     return lift_univariate(x, v, 0.5 / v, -0.25 / (v * v * v))
-
-
-# -- finite-difference oracle -----------------------------------------------
-
-_EPS = np.finfo(float).eps
-
-
-def fd_gradient(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with step h = cbrt(eps) * (1 + |x_i|)."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    grad = np.empty(n)
-    for i in range(n):
-        h = _EPS ** (1.0 / 3.0) * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (func(xp) - func(xm)) / (2.0 * h)
-    return grad
-
-
-def fd_hessian(func: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian; step calibrated to eps**(1/4) for second
-    differences (the cbrt step optimal for gradients is too small here)."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    hess = np.empty((n, n))
-    steps = [_EPS**0.25 * (1.0 + abs(x[i])) for i in range(n)]
-    f0 = func(x)
-    for i in range(n):
-        hi = steps[i]
-        xp, xm = x.copy(), x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        hess[i, i] = (func(xp) - 2.0 * f0 + func(xm)) / (hi * hi)
-        for j in range(i + 1, n):
-            hj = steps[j]
-            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-            xpp[[i, j]] += [hi, hj]
-            xpm[i] += hi
-            xpm[j] -= hj
-            xmp[i] -= hi
-            xmp[j] += hj
-            xmm[[i, j]] -= [hi, hj]
-            val = (func(xpp) - func(xpm) - func(xmp) + func(xmm)) / (4.0 * hi * hj)
-            hess[i, j] = hess[j, i] = val
-    return hess

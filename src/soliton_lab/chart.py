@@ -47,7 +47,6 @@ __all__ = [
     "gradient",
     "grad_norm_sq",
     "laplacian",
-    "laplacian_divergence_form",
     "PointGeometry",
     "point_geometry",
     "tensor_gnorm",
@@ -372,20 +371,6 @@ def point_geometry(g: MetricChart, f: ScalarField, p) -> PointGeometry:
     ric = _ricci_from(gamma, _christoffel_derivative_from(G_inv, dG, d2G))
     hess_f = _hessian_from(gamma, df, hess_coords)
     return PointGeometry(G, G_inv, ric, f_val, df, hess_f, _trace_g(G_inv, hess_f), _norm_sq_g(G_inv, df))
-
-
-def laplacian_divergence_form(g: MetricChart, f: ScalarField, p) -> float:
-    """Independent oracle: lap f = det(g)^{-1/2} d_i(det(g)^{1/2} g^{ij} d_j f)."""
-    G, dG, _ = g.components(p)
-    G_inv = metric_inverse(G)
-    _, grad, hess_coords = f.evaluate(p)
-    dG_inv = -np.einsum("ka,mab,bl->mkl", G_inv, dG, G_inv)
-    dlog_sqrt_det = 0.5 * np.einsum("ij,mij->m", G_inv, dG)
-    return float(
-        np.einsum("ij,ij->", G_inv, hess_coords)
-        + np.einsum("iij,j->", dG_inv, grad)
-        + np.einsum("i,ij,j->", dlog_sqrt_det, G_inv, grad)
-    )
 
 
 # -- conformal-change identities ------------------------------------------------

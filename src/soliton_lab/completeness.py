@@ -58,7 +58,6 @@ __all__ = [
     "infinite_range_test",
     "gradient_flow_length_crosscheck",
     "completeness_verdict",
-    "u_substituted_integral",
     "tail_log_integrand",
     "tail_log_asymptote",
 ]
@@ -489,17 +488,6 @@ def completeness_verdict(params_or_profile) -> CompletenessVerdict:
 
 
 # -- cross-checks --------------------------------------------------------------------
-
-
-def u_substituted_integral(integrand: Callable[[float], float], f1: float, f2: float, c: float = 0.0) -> float:
-    """Evaluate integral_{f1}^{f2} I(f) df through the substitution u = 1/(f - c).
-
-    Used as an identity check of the tail transformation on smooth ranges.
-    """
-    if not c < f1 < f2:
-        raise DomainError("substitution needs c < f1 < f2")
-    u_lo, u_hi = 1.0 / (f2 - c), 1.0 / (f1 - c)
-    return float(_quad(lambda u: integrand(c + 1.0 / u) / (u * u), u_lo, u_hi, epsabs=1e-13, epsrel=1e-12, limit=400))
 
 
 def gradient_flow_length_crosscheck(chart: CalabiChart, f1: float, f2: float) -> float:

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import brent
 from . import chart as ct
 from . import quadpack
 from .errors import (
@@ -64,18 +65,17 @@ from .soliton import SOLITON_RESIDUAL_TOL
 def _lazy_module(name: str):
     """``sys.modules[name]``, registered to run on its first attribute read.
 
-    scipy's integrate and optimize take 0.4-0.7 s to import, and most
-    commands never use them: quadrature is the package's own
-    :mod:`.quadpack`, so scipy serves only ``q_domain``'s ``brentq`` and the
-    DOP853 ``solve_ivp`` oracles.  The lazy module is bound directly:
+    ``scipy.integrate`` takes 0.4-0.7 s to import, and most commands never
+    use it: quadrature is the package's own :mod:`.quadpack` and root
+    finding its own :mod:`.brent`, so scipy serves only the DOP853
+    ``solve_ivp`` oracles.  The lazy module is bound directly:
     ``from scipy import integrate`` would read its ``__spec__`` through the
     import system and so run it at once.  It is in ``sys.modules`` from
     import on, unlike a function-local import, so code that patches
-    ``integrate.solve_ivp`` or ``optimize.brentq`` there (perfbench's tracer)
-    finds it, and calls still look the function up on the module each time.
-    The submodule is looked up in its package's directory, because
-    ``find_spec`` of a dotted name imports the package, and scipy's own
-    ``__init__`` costs ~20 ms.
+    ``integrate.solve_ivp`` there (perfbench's tracer) finds it, and calls
+    still look the function up on the module each time.  The submodule is
+    looked up in its package's directory, because ``find_spec`` of a dotted
+    name imports the package, and scipy's own ``__init__`` costs ~20 ms.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -89,7 +89,6 @@ def _lazy_module(name: str):
 
 
 integrate = _lazy_module("scipy.integrate")
-optimize = _lazy_module("scipy.optimize")
 
 __all__ = [
     "SkrpParams",
@@ -349,8 +348,11 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     """Maximal open subintervals of I on which Q > 0.
 
     Sign changes of phi and of f_c are bracketed on a 2048-point grid and
-    refined by root finding; an unbounded right end is scanned out to where
-    the exponential/constant behaviour of the profile is settled.
+    refined with :func:`.brent.brentq`; an unbounded right end is scanned
+    out to where the exponential/constant behaviour of the profile is
+    settled.  The scan compares the signs of neighbouring values, not their
+    product, which underflows to -0.0 when both are below ~1e-162 in size:
+    scaling A, B and kappa scales Q and must leave its zeros put.
     """
     lo, hi = params.I
     scan_lo = lo if math.isfinite(lo) else params.c - 60.0
@@ -379,12 +381,13 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     for left, right in pieces:
         xs = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), 2048)
         vals = np.array([q(x) for x in xs])
+        signs = np.sign(vals)
         roots = []
         for i in range(len(xs) - 1):
             if vals[i] == 0.0:
                 roots.append(xs[i])
-            elif vals[i] * vals[i + 1] < 0:
-                roots.append(optimize.brentq(q, xs[i], xs[i + 1], xtol=1e-14))
+            elif signs[i] * signs[i + 1] < 0:
+                roots.append(brent.brentq(q, xs[i], xs[i + 1]))
         edges = sorted({left, right, *roots})
         for a_, b_ in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (a_ + b_)

@@ -1,9 +1,10 @@
-"""scipy's integrate and optimize load on first use, never at import.
+"""scipy loads on first use, never at import, and only for the DOP853 oracle.
 
 The analytic verify/dualize commands need no quadrature, root finding or
 ODE solve, and the Kahler verify and completeness integrate with the
-package's own QUADPACK port, so their cold start-up must not pay for
-scipy's numerics.
+package's own QUADPACK port and find roots with its own Brent port, so
+their cold start-up must not pay for scipy's numerics.  Only ``skrp``'s
+DOP853 oracle loads ``scipy.integrate``.
 """
 
 import ast
@@ -38,7 +39,7 @@ def test_analytic_commands_do_not_run_scipy_numerics():
         def loaded():
             return [name for name in HEAVY if name in sys.modules]
 
-        assert "scipy.integrate" in sys.modules and "scipy.optimize" in sys.modules
+        assert "scipy.integrate" in sys.modules
         assert loaded() == [], f"loaded by import: {loaded()}"
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["verify", "--fixture", "gaussian-soliton", "--samples", "10"])
@@ -55,9 +56,10 @@ def test_analytic_commands_do_not_run_scipy_numerics():
 
 
 def test_quadrature_commands_do_not_load_scipy(tmp_path):
-    # Only brentq (koiso-m2-tail's Q has no zero to bracket) and the DOP853
-    # oracles still need scipy, and the lazy registration must not import
-    # the scipy package either.
+    # Only the DOP853 oracles still need scipy, and the lazy registration
+    # must not import the scipy package either.  koiso-m2-tail's Q has no
+    # zero to bracket; koiso-m2-compact's and koiso-m2-capped's have one,
+    # which the package's own Brent port refines.
     _run_fresh(
         f"""
         import contextlib, io, sys
@@ -72,10 +74,11 @@ def test_quadrature_commands_do_not_load_scipy(tmp_path):
             code = cli.main(["verify", "--fixture", "koiso-m2-A1B0", "--samples", "10"])
             assert code == cli.EXIT_PASS, code
             assert loaded() == [], f"loaded by verify: {{loaded()}}"
-            out = {str(tmp_path / "tail.json")!r}
-            code = cli.main(["completeness", "--fixture", "koiso-m2-tail", "--out", out])
-            assert code == cli.EXIT_PASS, code
-            assert loaded() == [], f"loaded by completeness: {{loaded()}}"
+            for fixture in ("koiso-m2-tail", "koiso-m2-compact", "koiso-m2-capped"):
+                out = {str(tmp_path)!r} + f"/{{fixture}}.json"
+                code = cli.main(["completeness", "--fixture", fixture, "--out", out])
+                assert code == cli.EXIT_PASS, (fixture, code)
+                assert loaded() == [], f"loaded by completeness {{fixture}}: {{loaded()}}"
             code = cli.main(["skrp", "--fixture", "koiso-m2-A1B0", "--samples", "20"])
         assert code == cli.EXIT_PASS, code
         assert loaded() == ["scipy", *HEAVY], loaded()
@@ -150,15 +153,58 @@ def test_scipy_import_guard_sees_nested_module_level_statements():
     assert _module_level_scipy_imports(source) == [2, 4, 8]
 
 
-def test_package_has_no_module_level_scipy_imports():
-    # A module-level scipy import runs it eagerly and costs every command
-    # 0.4-0.7 s of start-up; bind scipy through skrp._lazy_module instead.
+def _package_offenders(find) -> dict[str, list[int]]:
+    """The package's modules in which ``find`` reports lines, with those lines."""
     paths = sorted(glob.glob(os.path.join(SRC, "soliton_lab", "*.py")))
     assert paths
     offenders = {}
     for path in paths:
         with open(path, encoding="utf-8") as handle:
-            lines = _module_level_scipy_imports(handle.read())
+            lines = find(handle.read())
         if lines:
             offenders[os.path.basename(path)] = lines
-    assert offenders == {}
+    return offenders
+
+
+def test_package_has_no_module_level_scipy_imports():
+    # A module-level scipy import runs it eagerly and costs every command
+    # 0.4-0.7 s of start-up; bind scipy through skrp._lazy_module instead.
+    assert _package_offenders(_module_level_scipy_imports) == {}
+
+
+def _scipy_optimize_references(source: str) -> list[int]:
+    """Lines that import ``scipy.optimize`` or name it in code or a module-name string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scipy_optimize_guard_sees_imports_strings_and_attributes():
+    source = textwrap.dedent(
+        """\
+        \"\"\"Mentions scipy.optimize.brentq in prose only.\"\"\"
+        import scipy.optimize
+        from scipy import optimize
+        optimize = _lazy_module("scipy.optimize")
+        root = scipy.optimize.brentq(f, 0, 1)
+        from scipy.integrate import quad
+        """
+    )
+    assert _scipy_optimize_references(source) == [2, 3, 4, 5]
+
+
+def test_package_never_names_scipy_optimize():
+    # Root finding is brent.brentq; scipy.optimize is a test oracle only.
+    assert _package_offenders(_scipy_optimize_references) == {}
