@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import chart as ct
-from . import quadpack
+from . import dop853, quadpack
 from .errors import (
     DomainError,
     DomainExit,
@@ -42,7 +42,7 @@ from .errors import (
     OscillationDetected,
     ToleranceAmbiguity,
 )
-from .skrp import CalabiChart, QProfile, SkrpParams, as_q_profile, integrate, phi_closed, q_domain, q_profile
+from .skrp import CalabiChart, QProfile, SkrpParams, as_q_profile, phi_closed, q_domain, q_profile
 
 __all__ = [
     "EndpointClass",
@@ -272,12 +272,16 @@ def _q_scale(profile: QProfile, a: float) -> float:
     The scale is sampled over the part of the interval within a few units of
     the endpoint; using the whole interval would let an exponentially
     growing tail inflate the zero tolerance past genuinely nonzero values.
+    The scale has no absolute floor, so scaling Q by any positive constant
+    scales the tolerance with it; only a Q that samples as exactly zero
+    falls back to 1e-30.
     """
     lo, hi = profile.interval
     lo = max(lo, a - 5.0)
     hi = min(hi, a + 5.0)
     xs = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 64)
-    return float(max(max(abs(profile.q(x)) for x in xs), 1e-30))
+    scale = float(max(abs(profile.q(x)) for x in xs))
+    return scale if scale != 0.0 else 1e-30
 
 
 def classify_endpoint(profile_or_params, a: float, side: str | None = None) -> EndpointAnalysis:
@@ -494,9 +498,12 @@ def gradient_flow_length_crosscheck(chart: CalabiChart, f1: float, f2: float) ->
     """Dual-metric length of the potential-gradient curve between two levels.
 
     Integrates  x'(f) = grad f / |grad f|^2  inside the 4-dimensional chart,
-    accumulating the conformal-dual speed; independent of the 1-dimensional
-    profile reduction, which it is checked against.  The length is symmetric
-    in (f1, f2); a zero-length interval returns 0.
+    accumulating the conformal-dual speed with the package's DOP853 port
+    (:func:`.dop853.solve`, rtol 1e-10, atol 1e-12); independent of the
+    1-dimensional profile reduction, which it is checked against.  The
+    length is symmetric in (f1, f2); a zero-length interval returns 0.  A
+    flow that leaves the chart, or an integration that fails, raises
+    :class:`DomainExit`.
     """
     if f1 == f2:
         return 0.0
@@ -520,10 +527,10 @@ def gradient_flow_length_crosscheck(chart: CalabiChart, f1: float, f2: float) ->
         speed_sq = math.exp(rate * f) * float(vel @ G @ vel)
         return np.append(vel, math.sqrt(speed_sq))
 
-    sol = integrate.solve_ivp(rhs, (lo, hi), np.append(start, 0.0), method="DOP853", rtol=1e-10, atol=1e-12)
-    if not sol.success:
-        raise DomainExit(f"flow integration failed: {sol.message}")
-    return float(sol.y[4, -1])
+    y, _, success, message = dop853.solve(rhs, lo, hi, np.append(start, 0.0), rtol=1e-10, atol=1e-12)
+    if not success:
+        raise DomainExit(f"flow integration failed: {message}")
+    return float(y[4])
 
 
 def _point_at_level(chart: CalabiChart, f_level: float) -> np.ndarray:

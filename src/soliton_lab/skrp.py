@@ -49,7 +49,7 @@ import numpy as np
 from . import autodiff as ad
 from . import brent
 from . import chart as ct
-from . import quadpack
+from . import dop853, quadpack
 from .errors import (
     CalibrationFailure,
     ConvergenceFailure,
@@ -65,17 +65,18 @@ from .soliton import SOLITON_RESIDUAL_TOL
 def _lazy_module(name: str):
     """``sys.modules[name]``, registered to run on its first attribute read.
 
-    ``scipy.integrate`` takes 0.4-0.7 s to import, and most commands never
-    use it: quadrature is the package's own :mod:`.quadpack` and root
-    finding its own :mod:`.brent`, so scipy serves only the DOP853
-    ``solve_ivp`` oracles.  The lazy module is bound directly:
-    ``from scipy import integrate`` would read its ``__spec__`` through the
-    import system and so run it at once.  It is in ``sys.modules`` from
-    import on, unlike a function-local import, so code that patches
-    ``integrate.solve_ivp`` there (perfbench's tracer) finds it, and calls
-    still look the function up on the module each time.  The submodule is
-    looked up in its package's directory, because ``find_spec`` of a dotted
-    name imports the package, and scipy's own ``__init__`` costs ~20 ms.
+    No command uses scipy: quadrature is the package's own :mod:`.quadpack`,
+    root finding its own :mod:`.brent` and the ODE oracles its own
+    :mod:`.dop853`, and ``scipy.integrate`` would cost 0.4-0.9 s to import.
+    The one reader of the lazy ``scipy.integrate`` registered below is
+    perfbench's tracer, which looks the module up in ``sys.modules`` to wrap
+    ``quad`` and ``solve_ivp``; both the registration and this function go
+    once the benchmark stops doing that (ROADMAP item 1).  The lazy module
+    is bound directly: ``from scipy import integrate`` would read its
+    ``__spec__`` through the import system and so run it at once.  The
+    submodule is looked up in its package's directory, because
+    ``find_spec`` of a dotted name imports the package, and scipy's own
+    ``__init__`` costs ~20 ms.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -303,7 +304,10 @@ def phi_ode_integrate(
 ) -> tuple[float, float]:
     """Numerical oracle: integrate the profile ODE from (f0, phi0, phi0') to f.
 
-    Independent of the closed form; adaptive high-order Runge-Kutta.
+    Independent of the closed form: the package's DOP853 port
+    (:func:`.dop853.solve`, 8th-order adaptive Runge-Kutta) at rtol 1e-11
+    and atol 1e-13, bit-identical to scipy's ``solve_ivp`` with those
+    settings.  A failed integration raises :class:`IntegrationFailure`.
     """
     if f == f0:
         return phi0, dphi0
@@ -315,12 +319,10 @@ def phi_ode_integrate(
         d2 = (-x * (params.m - x * alpha) * dphi + params.m * phi - sgn * params.kappa / 2.0) / (x * x)
         return [dphi, d2]
 
-    sol = integrate.solve_ivp(
-        rhs, (f0, f), [phi0, dphi0], method="DOP853", rtol=1e-11, atol=1e-13, dense_output=False
-    )
-    if not sol.success:
-        raise IntegrationFailure(f"profile ODE integration failed: {sol.message}")
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
+    y, _, success, message = dop853.solve(rhs, f0, f, [phi0, dphi0], rtol=1e-11, atol=1e-13)
+    if not success:
+        raise IntegrationFailure(f"profile ODE integration failed: {message}")
+    return float(y[0]), float(y[1])
 
 
 def soliton_coeff_profile(params: SkrpParams, alpha: float, f: float) -> float:

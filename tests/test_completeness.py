@@ -1,13 +1,17 @@
 """Improper integrals, endpoint classification, and completeness verdicts."""
 
+import contextlib
+import dataclasses
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from soliton_lab import cli, fixtures, skrp
 from soliton_lab import completeness as comp
-from soliton_lab import fixtures, skrp
 from soliton_lab.errors import (
     DomainError,
     DomainExit,
@@ -231,6 +235,30 @@ def test_verdict_mixed_cap_and_infinite_end():
     assert verdict.lower.cls is EC.SMOOTH_CAP
     assert verdict.upper.cls is EC.INFINITE_END
     assert verdict.overall is OV.COMPLETE
+
+
+def _completeness_classes(tmp_path, params, tag):
+    """Exit code and the endpoint-class and verdict checks of ``completeness --config``."""
+    doc = dataclasses.asdict(params)
+    doc["I"] = [end if math.isfinite(end) else str(end) for end in params.I]
+    config, out = tmp_path / f"{tag}.json", tmp_path / f"{tag}-report.json"
+    config.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["completeness", "--config", str(config), "--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    return code, {c["name"]: (c["status"], c["measured"]) for c in checks if not c["name"].endswith("-exponent")}
+
+
+@pytest.mark.parametrize("scale", [1e-160, 2.0**-520], ids=["1e-160", "2^-520"])
+@pytest.mark.parametrize("name", list(fixtures._SKRP))
+def test_verdict_is_invariant_under_scaling_q(tmp_path, name, scale):
+    # Scaling A, B and kappa scales Q and leaves its zeros put, so the
+    # endpoint classes and the verdict must not change.  The zero tolerance
+    # must scale with Q: an absolute floor reads a simple zero of a tiny Q
+    # as a higher-order one (exit 3, ToleranceAmbiguity).
+    params = fixtures.skrp_fixture(name)
+    tiny = dataclasses.replace(params, A=params.A * scale, B=params.B * scale, kappa=params.kappa * scale)
+    assert _completeness_classes(tmp_path, tiny, "tiny") == _completeness_classes(tmp_path, params, "unscaled")
 
 
 # -- u-substitution identity -------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""scipy loads on first use, never at import, and only for the DOP853 oracle.
+"""No command loads scipy; the package only registers a lazy ``scipy.integrate``.
 
-The analytic verify/dualize commands need no quadrature, root finding or
-ODE solve, and the Kahler verify and completeness integrate with the
-package's own QUADPACK port and find roots with its own Brent port, so
-their cold start-up must not pay for scipy's numerics.  Only ``skrp``'s
-DOP853 oracle loads ``scipy.integrate``.
+Quadrature is the package's own QUADPACK port, root finding its own Brent
+port and the ODE oracles its own DOP853 port, so no command's cold start-up
+pays for scipy.  ``skrp`` still registers ``scipy.integrate`` lazily in
+``sys.modules``, because perfbench's tracer looks it up there to wrap
+``quad`` and ``solve_ivp``; nothing in the package reads from it.
 """
 
 import ast
@@ -50,16 +50,16 @@ def test_analytic_commands_do_not_run_scipy_numerics():
             assert loaded() == [], f"loaded by dualize: {loaded()}"
             code = cli.main(["skrp", "--fixture", "koiso-m2-A1B0", "--samples", "20"])
         assert code == cli.EXIT_PASS, code
-        assert loaded() == list(HEAVY), loaded()
+        assert loaded() == [], f"loaded by skrp: {loaded()}"
         """
     )
 
 
 def test_quadrature_commands_do_not_load_scipy(tmp_path):
-    # Only the DOP853 oracles still need scipy, and the lazy registration
-    # must not import the scipy package either.  koiso-m2-tail's Q has no
-    # zero to bracket; koiso-m2-compact's and koiso-m2-capped's have one,
-    # which the package's own Brent port refines.
+    # The lazy registration must not import the scipy package either.
+    # koiso-m2-tail's Q has no zero to bracket; koiso-m2-compact's and
+    # koiso-m2-capped's have one, which the package's own Brent port
+    # refines; skrp integrates with the package's own DOP853 port.
     _run_fresh(
         f"""
         import contextlib, io, sys
@@ -81,7 +81,30 @@ def test_quadrature_commands_do_not_load_scipy(tmp_path):
                 assert loaded() == [], f"loaded by completeness {{fixture}}: {{loaded()}}"
             code = cli.main(["skrp", "--fixture", "koiso-m2-A1B0", "--samples", "20"])
         assert code == cli.EXIT_PASS, code
-        assert loaded() == ["scipy", *HEAVY], loaded()
+        assert loaded() == [], f"loaded by skrp: {{loaded()}}"
+        """
+    )
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # Every fixture of every command, in one interpreter: verify and dualize
+    # on each pair, skrp on each profile, completeness on each Q profile.
+    _run_fresh(
+        f"""
+        import contextlib, io, sys
+        import soliton_lab.cli as cli
+        from soliton_lab import fixtures
+
+        runs = [[cmd, "--fixture", name, "--samples", "10"] for name in fixtures._PAIRS for cmd in ("verify", "dualize")]
+        runs += [["skrp", "--fixture", name] for name in fixtures._SKRP]
+        runs += [["completeness", "--fixture", name] for name in (*fixtures._SYNTHETIC_Q, *fixtures._SKRP)]
+        assert "scipy" not in sys.modules, "loaded by import"
+        for argv in runs:
+            out = {str(tmp_path)!r} + "/" + "-".join(argv[:3]) + ".json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*argv, "--out", out])
+            assert code != cli.EXIT_USAGE, argv
+            assert "scipy" not in sys.modules, f"loaded by {{argv}}"
         """
     )
 
@@ -108,7 +131,7 @@ def test_perfbench_tracer_wraps_lazy_scipy():
         assert code == cli.EXIT_PASS, code
         metrics = layers.layer_metrics(rec, 0)
         assert metrics["skrp.ell_build.calls"] > 0, metrics["skrp.ell_build.calls"]
-        assert metrics["scipy.solve_ivp.calls"] > 0, metrics["scipy.solve_ivp.calls"]
+        assert metrics["skrp.phi_ode_integrate.calls"] > 0, metrics["skrp.phi_ode_integrate.calls"]
         """,
         PERFBENCH,
     )
@@ -172,23 +195,26 @@ def test_package_has_no_module_level_scipy_imports():
     assert _package_offenders(_module_level_scipy_imports) == {}
 
 
+def _named_modules(node: ast.AST) -> list[str]:
+    """The dotted names an import, a string constant or a ``name.attr`` node names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [f"{node.value.id}.{node.attr}"]
+    return []
+
+
+def _names(node: ast.AST, module: str) -> bool:
+    return any(name == module or name.startswith(f"{module}.") for name in _named_modules(node))
+
+
 def _scipy_optimize_references(source: str) -> list[int]:
     """Lines that import ``scipy.optimize`` or name it in code or a module-name string."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = [node.value]
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            names = [f"{node.value.id}.{node.attr}"]
-        else:
-            continue
-        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in names):
-            found.append(node.lineno)
-    return sorted(found)
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if _names(node, "scipy.optimize"))
 
 
 def test_scipy_optimize_guard_sees_imports_strings_and_attributes():
@@ -208,3 +234,59 @@ def test_scipy_optimize_guard_sees_imports_strings_and_attributes():
 def test_package_never_names_scipy_optimize():
     # Root finding is brent.brentq; scipy.optimize is a test oracle only.
     assert _package_offenders(_scipy_optimize_references) == {}
+
+
+def _lazy_integrate_uses(source: str) -> list[int]:
+    """Lines that use the lazy ``integrate`` binding or name ``scipy.integrate``.
+
+    A use is an attribute read off ``integrate`` (or of ``integrate`` off a
+    module) or an import of the name ``integrate``.  The one line that may
+    name ``scipy.integrate`` is its registration,
+    ``integrate = _lazy_module("scipy.integrate")``.
+    """
+    tree = ast.parse(source)
+    registration = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["integrate"]
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "_lazy_module"
+        ):
+            registration.update(id(arg) for arg in node.value.args)
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in registration:
+            continue
+        reads = isinstance(node, ast.Attribute) and (
+            node.attr == "integrate" or getattr(node.value, "id", None) == "integrate"
+        )
+        imports = isinstance(node, ast.ImportFrom) and any(alias.name == "integrate" for alias in node.names)
+        if reads or imports or _names(node, "scipy.integrate"):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_lazy_integrate_guard_sees_reads_imports_and_names():
+    source = textwrap.dedent(
+        """\
+        \"\"\"Mentions scipy.integrate.solve_ivp in prose only.\"\"\"
+        integrate = _lazy_module("scipy.integrate")
+        optimize = _lazy_module("scipy.integrate")
+        sol = integrate.solve_ivp(f, (0, 1), y0)
+        from .skrp import CalabiChart, integrate
+        value = skrp.integrate.quad(f, 0, 1)
+        import scipy.integrate
+        from scipy import integrate
+        integrate_err = integrate_steps = 0.0
+        def later():
+            from scipy.integrate import solve_ivp
+        """
+    )
+    assert _lazy_integrate_uses(source) == [3, 4, 5, 6, 7, 8, 11]
+
+
+def test_package_never_uses_lazy_integrate():
+    # ODE solves are dop853.solve; one read of the lazy module would bring
+    # scipy.integrate's ~0.85 s import back into a command.
+    assert _package_offenders(_lazy_integrate_uses) == {}
