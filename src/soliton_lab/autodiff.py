@@ -32,7 +32,6 @@ __all__ = [
     "lift_univariate",
     "jet_exp",
     "jet_log",
-    "jet_sqrt",
 ]
 
 # Index suffixes that give a value of leading shape S one or two trailing
@@ -208,8 +207,3 @@ def jet_exp(x: Jet) -> Jet:
 def jet_log(x: Jet) -> Jet:
     inv = 1.0 / x.val
     return lift_univariate(x, _entrywise(math.log, x.val), inv, -inv * inv)
-
-
-def jet_sqrt(x: Jet) -> Jet:
-    v = _entrywise(math.sqrt, x.val)
-    return lift_univariate(x, v, 0.5 / v, -0.25 / (v * v * v))

@@ -4,9 +4,9 @@ Everything lives on a single chart: a :class:`MetricChart` supplies the
 metric components together with first and second coordinate derivatives
 (exact, via the jet engine), and a :class:`ScalarField` supplies a function
 value with gradient and Hessian-of-coordinates.  On top of these the module
-computes Christoffel symbols, Ricci curvature, scalar curvature, metric
-Hessians/gradients/Laplacians, and runs the dual-path consistency checks for
-the conformal-change identities
+computes Christoffel symbols, Ricci curvature and metric Hessians, bundles a
+point's soliton-equation data into one :class:`PointGeometry`, and runs the
+dual-path consistency checks for the conformal-change identities
 
     hess(f; g/tau^2) = hess(f; g) + tau^{-1} [2 dtau (.) df - g(grad tau, grad f) g]
 
@@ -42,11 +42,7 @@ __all__ = [
     "MetricChart",
     "christoffel",
     "ricci",
-    "scalar_curvature",
     "hessian",
-    "gradient",
-    "grad_norm_sq",
-    "laplacian",
     "PointGeometry",
     "point_geometry",
     "tensor_gnorm",
@@ -108,10 +104,6 @@ class ScalarField:
     @staticmethod
     def constant(value: float, dim: int, name: str = "const") -> "ScalarField":
         return ScalarField(lambda jets: float(value), dim, name)
-
-    @staticmethod
-    def coordinate(index: int, dim: int) -> "ScalarField":
-        return ScalarField(lambda jets: jets[index], dim, f"x{index}")
 
 
 class FieldOfField(ScalarField):
@@ -261,11 +253,6 @@ def ricci(g: MetricChart, p) -> np.ndarray:
     return _ricci_from(_christoffel_from(G_inv, dG), _christoffel_derivative_from(G_inv, dG, d2G))
 
 
-def scalar_curvature(g: MetricChart, p) -> float:
-    G, _, _ = g.components(p)
-    return _trace_g(metric_inverse(G), ricci(g, p))
-
-
 # The pointwise formulas behind the public functions above and below, on
 # already-evaluated metric data; PointGeometry reads the same ones, so the
 # per-point bundle and the reference functions agree bit for bit.
@@ -319,33 +306,15 @@ def hessian(g: MetricChart, f: ScalarField, p) -> np.ndarray:
     return _hessian_from(christoffel(g, p), grad, hess_coords)
 
 
-def gradient(g: MetricChart, f: ScalarField, p) -> np.ndarray:
-    """Contravariant gradient (grad f)^i = g^{ij} d_j f."""
-    G, _, _ = g.components(p)
-    _, grad, _ = f.evaluate(p)
-    return metric_inverse(G) @ grad
-
-
-def grad_norm_sq(g: MetricChart, f: ScalarField, p) -> float:
-    G, _, _ = g.components(p)
-    _, grad, _ = f.evaluate(p)
-    return _norm_sq_g(metric_inverse(G), grad)
-
-
-def laplacian(g: MetricChart, f: ScalarField, p) -> float:
-    """lap f = trace_g(hess f), so lap(|x|^2 / 2) = n on flat space."""
-    G, _, _ = g.components(p)
-    return _trace_g(metric_inverse(G), hessian(g, f, p))
-
-
 @dataclass(frozen=True)
 class PointGeometry:
     """The metric and field data of one point, from a single evaluation.
 
     Holds the metric G, its inverse, the Ricci tensor, the field value f,
     its coordinate gradient df and metric Hessian, and lap f and |grad f|^2
-    derived from those.  Build one with :func:`point_geometry`; every value
-    equals the one the matching public function computes at the same point.
+    derived from those.  Build one with :func:`point_geometry`; G, ric and
+    hess_f equal, bit for bit, what :meth:`MetricChart.matrix`, :func:`ricci`
+    and :func:`hessian` compute at the same point.
     """
 
     G: np.ndarray = field(repr=False)
@@ -356,10 +325,6 @@ class PointGeometry:
     hess_f: np.ndarray = field(repr=False)
     lap_f: float
     grad_sq: float
-
-    @property
-    def scalar_curvature(self) -> float:
-        return _trace_g(self.G_inv, self.ric)
 
 
 def point_geometry(g: MetricChart, f: ScalarField, p) -> PointGeometry:

@@ -115,11 +115,6 @@ class ExponentFit:
     residual: float
     log_coefficient: float = 0.0
 
-    @property
-    def confidence(self) -> tuple[float, float]:
-        half = 1.96 * self.stderr
-        return (self.exponent - half, self.exponent + half)
-
 
 @dataclass(frozen=True)
 class EndpointAnalysis:

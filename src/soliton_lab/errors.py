@@ -21,10 +21,6 @@ class NotASoliton(SolitonLabError):
     """Almost-soliton residual exceeds tolerance where a soliton is required."""
 
 
-class ZeroCrossing(SolitonLabError):
-    """A function required to be nonvanishing changes sign or vanishes."""
-
-
 class EmptySample(SolitonLabError):
     """A sample of points was required but none were supplied."""
 

@@ -63,7 +63,8 @@ from .soliton import SOLITON_RESIDUAL_TOL
 
 
 def _lazy_module(name: str):
-    """``sys.modules[name]``, registered to run on its first attribute read.
+    """``sys.modules[name]``, registered to run on its first attribute read;
+    ``None``, with nothing registered, when its package cannot be found.
 
     No command uses scipy: quadrature is the package's own :mod:`.quadpack`,
     root finding its own :mod:`.brent` and the ODE oracles its own
@@ -81,6 +82,8 @@ def _lazy_module(name: str):
     if name in sys.modules:
         return sys.modules[name]
     package = importlib.util.find_spec(name.partition(".")[0])
+    if package is None:
+        return None
     spec = importlib.machinery.PathFinder.find_spec(name, package.submodule_search_locations)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
@@ -106,12 +109,10 @@ __all__ = [
     "as_q_profile",
     "ell_map",
     "assemble_calabi_metric",
-    "hermitian_hessian_residual",
     "killing_residual",
     "kahler_closedness_residual",
     "hermitian_metric_residual",
     "dual_metric_direct",
-    "standard_complex_structure",
 ]
 
 # Relative margin keeping evaluation intervals away from the profile pole.
@@ -167,6 +168,8 @@ class SkrpParams:
         if self.phi_sign not in (-1, 1):
             raise ValueError("phi_sign must be -1 or +1")
         lo, hi = self.I
+        if math.isnan(lo) or math.isnan(hi):
+            raise ValueError("an end of I must be a number or ±inf")
         if not lo < hi:
             raise ValueError(f"interval I = {self.I} must be nonempty")
         # The closed form has a genuine pole at f = c only when the series
@@ -581,10 +584,6 @@ _J4 = np.array(
 )
 
 
-def standard_complex_structure() -> np.ndarray:
-    return _J4.copy()
-
-
 @dataclass(frozen=True)
 class CalabiChart:
     """Assembled 4-dimensional chart of a profile-family metric.
@@ -741,13 +740,6 @@ def kahler_closedness_residual(metric: ct.MetricChart, J: np.ndarray, p) -> floa
 def hermitian_metric_residual(metric: ct.MetricChart, J: np.ndarray, p) -> float:
     G = metric.matrix(p)
     return float(np.max(np.abs(J.T @ G @ J - G)))
-
-
-def hermitian_hessian_residual(chart: CalabiChart, p) -> float:
-    """Max-norm of hess f (J., J.) - hess f; zero when the Hessian is Hermitian."""
-    H = ct.hessian(chart.metric, chart.f_field, p)
-    J = chart.complex_structure
-    return float(np.max(np.abs(J.T @ H @ J - H)))
 
 
 def killing_residual(chart: CalabiChart, p) -> float:

@@ -13,11 +13,10 @@ form through lap f - |grad f|^2) and both are cross-checked against the
 coefficient extracted directly from the dualized pair.
 
 Also provided: Hamilton's first integral lap f - |grad f|^2 + 2 c f (constant
-exactly for genuine solitons), the steady obstruction -R - |grad f|^2, the
-comparison involution (g, f) -> (f^{-2} g, f^{-1}), a pointwise least-squares
-fit of the two-coefficient Ricci-Hessian equation ric + alpha hess f = c g,
-and the residuals of the profile ODEs that force the duality's conformal
-factor and soliton function to be the canonical ones.
+exactly for genuine solitons), a pointwise least-squares fit of the
+two-coefficient Ricci-Hessian equation ric + alpha hess f = c g, and the
+residuals of the profile ODEs that force the duality's conformal factor and
+soliton function to be the canonical ones.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import (
     DomainError,
     EmptySample,
     NotASoliton,
-    ZeroCrossing,
 )
 from .sampling import sample_box
 
@@ -52,12 +50,9 @@ __all__ = [
     "dual_factor_profile",
     "dual_coefficient",
     "hamilton_invariant",
-    "steady_obstruction",
-    "old_dualize",
     "ricci_hessian_fit",
     "alpha_identifiable",
     "uniqueness_residuals",
-    "nonhermitian_coefficient",
     "canonical_profile",
 ]
 
@@ -277,36 +272,6 @@ def hamilton_invariant(pair: SolitonPair, c: float, p) -> float:
     return geo.lap_f - geo.grad_sq + 2.0 * c * geo.f
 
 
-def steady_obstruction(pair: SolitonPair, p) -> float:
-    """-R - |grad f|^2; identically zero for a complete steady soliton whose
-    dual is again a soliton."""
-    geo = pair.geometry(p)
-    return -geo.scalar_curvature - geo.grad_sq
-
-
-def old_dualize(pair: SolitonPair) -> SolitonPair:
-    """Comparison involution (g, f) -> (f^{-2} g, f^{-1}).
-
-    Requires f to be nonvanishing on the domain; sign constancy is checked
-    over 64 sample points, the centre and the corners.  No almost-soliton structure is asserted for the
-    result beyond what ricci_hessian_fit reports.
-    """
-    box = pair.metric.domain
-    corners = np.array(np.meshgrid(*zip(box.lo, box.hi))).reshape(pair.dim, -1).T
-    probe = np.vstack([pair.sample(64), [0.5 * (box.lo + box.hi)], corners])
-    values = np.array([pair.f(p) for p in probe])
-    if np.min(np.abs(values)) < 1e-9 or np.min(values) * np.max(values) < 0:
-        raise ZeroCrossing("soliton function vanishes (or changes sign) on the domain")
-    factor = ct.compose_with_field(
-        ct.SmoothFunction1D(lambda v: v**-2, lambda v: -2.0 * v**-3, lambda v: 6.0 * v**-4), pair.f, name="f^-2"
-    )
-    metric_new = pair.metric.conformal_scale(factor, name=f"{pair.metric.name}-olddual")
-    f_new = ct.compose_with_field(
-        ct.SmoothFunction1D(lambda v: 1.0 / v, lambda v: -(v**-2), lambda v: 2.0 * v**-3), pair.f, name="1/f"
-    )
-    return SolitonPair(metric_new, f_new, name=f"{pair.name}-olddual" if pair.name else "olddual")
-
-
 @dataclass(frozen=True)
 class RicciHessianFit:
     """Pointwise least-squares solve of ric + alpha hess f = c g."""
@@ -377,12 +342,3 @@ def uniqueness_residuals(profile: ProfilePair, n: int, f: float) -> tuple[float,
     r2 = (n - 2) * tau_ratio2 + k2 + 2.0 * tau_ratio1 * k1
     return r1, r2
 
-
-def nonhermitian_coefficient(tau: ct.SmoothFunction1D, n: int, f: float) -> float:
-    """(n-2) tau''/tau + 2 tau'/tau: the obstruction multiplying df (x) df when a
-    conformal image of a Hermitian-Hessian pair is required to stay Hermitian.
-    Vanishes for all f iff tau = const * exp(-2 f / (n-2))."""
-    tau_val = tau.value(f)
-    if tau_val == 0:
-        raise DomainError("tau vanishes; coefficient undefined")
-    return (n - 2) * tau.deriv2(f) / tau_val + 2.0 * tau.deriv(f) / tau_val

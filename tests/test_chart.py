@@ -107,11 +107,17 @@ def test_ricci_sphere3_einstein_constant():
     np.testing.assert_allclose(ct.ricci(SPHERE3, p), 2.0 * SPHERE3.matrix(p), rtol=1e-9, atol=1e-12)
 
 
+def _scalar_curvature(g, p):
+    """R = trace_g ric, read off the point geometry of a constant field."""
+    geo = ct.point_geometry(g, ct.ScalarField.constant(0.0, g.dim), p)
+    return float(np.einsum("ij,ij->", geo.G_inv, geo.ric))
+
+
 def test_scalar_curvature_values():
-    assert ct.scalar_curvature(FLAT3, [0.1, 0.2, 0.3]) == pytest.approx(0.0, abs=1e-13)
-    assert ct.scalar_curvature(SPHERE2, [0.3, -0.2]) == pytest.approx(2.0, rel=1e-10)
+    assert _scalar_curvature(FLAT3, [0.1, 0.2, 0.3]) == pytest.approx(0.0, abs=1e-13)
+    assert _scalar_curvature(SPHERE2, [0.3, -0.2]) == pytest.approx(2.0, rel=1e-10)
     product = fixtures.metric_fixture("sphere2xline")
-    assert ct.scalar_curvature(product, [0.3, -0.2, 0.5]) == pytest.approx(2.0, rel=1e-10)
+    assert _scalar_curvature(product, [0.3, -0.2, 0.5]) == pytest.approx(2.0, rel=1e-10)
 
 
 def test_ricci_output_symmetric():
@@ -120,7 +126,7 @@ def test_ricci_output_symmetric():
         assert np.max(np.abs(mat - mat.T)) <= 1e-12 * max(1.0, np.max(np.abs(mat)))
 
 
-# -- hessian / gradient / laplacian ---------------------------------------------------
+# -- hessian, df, |grad f|^2 and lap f ------------------------------------------
 
 
 def test_hessian_flat_quadratic_identity():
@@ -143,20 +149,20 @@ def test_hessian_polar_radial_function():
 
 def test_gradient_and_norm():
     f = ct.ScalarField(lambda jets: jets[0], 3)
-    p = [0.2, 0.1, -0.3]
-    np.testing.assert_array_equal(ct.gradient(FLAT3, f, p), [1.0, 0.0, 0.0])
-    assert ct.grad_norm_sq(FLAT3, f, p) == pytest.approx(1.0)
+    geo = ct.point_geometry(FLAT3, f, [0.2, 0.1, -0.3])
+    np.testing.assert_array_equal(geo.df, [1.0, 0.0, 0.0])
+    assert geo.grad_sq == pytest.approx(1.0)
 
 
 def test_laplacian_flat_quadratic_is_dimension():
     f = quadratic_field(3)
-    assert ct.laplacian(FLAT3, f, [0.1, 0.4, -0.2]) == pytest.approx(3.0)
+    assert ct.point_geometry(FLAT3, f, [0.1, 0.4, -0.2]).lap_f == pytest.approx(3.0)
 
 
 def test_laplacian_two_forms_agree_on_curved_chart():
     f = ct.ScalarField(lambda jets: jets[0], 3)
     for p in sample_box(SPHERE3.domain, 6):
-        trace_form = ct.laplacian(SPHERE3, f, p)
+        trace_form = ct.point_geometry(SPHERE3, f, p).lap_f
         divergence_form = oracles.laplacian_divergence_form(SPHERE3, f, p)
         assert trace_form == pytest.approx(divergence_form, abs=1e-10)
 

@@ -324,6 +324,17 @@ def test_invalid_config_params_are_usage_errors(params, tmp_path, capsys):
     _one_line_usage_error(code, err)
 
 
+@pytest.mark.parametrize("interval", ["[NaN, 1]", "[0.5, NaN]"], ids=["lower", "upper"])
+def test_nan_interval_end_names_the_end(interval, tmp_path, capsys):
+    # json.load accepts NaN; the refusal names the bad end, not an empty I.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(f'{{"m": 2, "I": {interval}}}')
+    code, _, err = run(["skrp", "--config", str(cfg)], capsys)
+    _one_line_usage_error(code, err)
+    assert "an end of I must be a number or ±inf" in err
+    assert "nonempty" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,11 +4,13 @@ Quadrature is the package's own QUADPACK port, root finding its own Brent
 port and the ODE oracles its own DOP853 port, so no command's cold start-up
 pays for scipy.  ``skrp`` still registers ``scipy.integrate`` lazily in
 ``sys.modules``, because perfbench's tracer looks it up there to wrap
-``quad`` and ``solve_ivp``; nothing in the package reads from it.
+``quad`` and ``solve_ivp``; nothing in the package reads from it, and
+where scipy cannot be imported nothing is registered.
 """
 
 import ast
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -19,13 +21,15 @@ SRC = os.path.join(ROOT, "src")
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def _run_fresh(script: str, *path: str) -> None:
+def _run_fresh(script: str, *path: str) -> str:
+    """Run ``script`` in a fresh interpreter; return its stdout."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = os.pathsep.join((SRC, *path))
     done = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_analytic_commands_do_not_run_scipy_numerics():
@@ -107,6 +111,40 @@ def test_no_command_imports_scipy(tmp_path):
             assert "scipy" not in sys.modules, f"loaded by {{argv}}"
         """
     )
+
+
+# Prints whether the import registered scipy.integrate, then the exit code and
+# stdout of three commands, one per scipy-free path: jets and curvature, the
+# profile ODE oracle, and quadrature with root finding.
+_THREE_COMMANDS = """
+    import contextlib, io, json, sys
+    {block}
+    import soliton_lab.cli as cli
+
+    runs = ["scipy.integrate" in sys.modules]
+    for argv in (
+        ["verify", "--fixture", "gaussian-soliton"],
+        ["skrp", "--fixture", "koiso-m2-A1B0"],
+        ["completeness", "--fixture", "koiso-m2-compact"],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        runs.append((argv, code, out.getvalue()))
+    print(json.dumps(runs))
+"""
+
+
+def test_commands_run_where_scipy_cannot_be_imported():
+    # sys.modules["scipy"] = None makes every scipy import fail, as on an
+    # interpreter without scipy; the lazy registration must then register
+    # nothing instead of crashing the package import.
+    registered, *blocked = json.loads(_run_fresh(_THREE_COMMANDS.format(block='sys.modules["scipy"] = None')))
+    assert not registered
+    registered, *normal = json.loads(_run_fresh(_THREE_COMMANDS.format(block="")))
+    assert registered
+    assert [code for _, code, _ in blocked] == [0, 0, 0], blocked
+    assert blocked == normal
 
 
 def test_perfbench_tracer_wraps_lazy_scipy():

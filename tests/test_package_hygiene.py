@@ -1,0 +1,61 @@
+"""Every module's ``__all__`` names what it defines, and it imports nothing it never uses."""
+
+import ast
+import glob
+import importlib
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+MODULES = sorted(glob.glob(os.path.join(SRC, "soliton_lab", "*.py")))
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names an import binds that no expression reads and ``__all__`` does not list.
+
+    A line marked ``# noqa: F401`` is a deliberate re-export and is skipped.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            if "# noqa: F401" not in lines[node.lineno - 1]:
+                for alias in node.names:
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {
+        elt.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        for elt in node.value.elts
+    }
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read | exported)
+
+
+def test_unused_import_check_sees_plain_from_and_dotted_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "import numpy as np\n"
+        "from .errors import DomainError, ZeroCrossing\n"
+        "from .chart import Box  # noqa: F401\n"
+        "__all__ = ['np']\n"
+        "def f():\n"
+        "    raise DomainError(math.pi)\n"
+    )
+    assert _unused_imports(source) == ["ZeroCrossing (line 4)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_module_imports_only_what_it_uses(path):
+    with open(path, encoding="utf-8") as handle:
+        assert _unused_imports(handle.read()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_every_all_entry_exists(path):
+    name = os.path.splitext(os.path.basename(path))[0]
+    module = importlib.import_module("soliton_lab" if name == "__init__" else f"soliton_lab.{name}")
+    assert [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)] == []

@@ -15,7 +15,6 @@ from soliton_lab.errors import (
     DomainError,
     EmptySample,
     NotASoliton,
-    ZeroCrossing,
 )
 from soliton_lab.sampling import sample_box
 
@@ -60,16 +59,18 @@ PAIR_FIXTURES = (
 
 def _reference_quantities(pair, p):
     """Coefficient, residual, dual coefficients and Hamilton invariant at p,
-    composed from the public chart functions (each evaluates the metric anew)."""
+    composed from the public chart functions (each evaluates the metric anew):
+    lap f is the g^{-1}-trace of hess f and |grad f|^2 is df g^{-1} df."""
     n = pair.dim
     G = pair.metric.matrix(p)
     G_inv = ct.metric_inverse(G)
-    tensor = ct.ricci(pair.metric, p) + ct.hessian(pair.metric, pair.f, p)
+    hess_f = ct.hessian(pair.metric, pair.f, p)
+    tensor = ct.ricci(pair.metric, p) + hess_f
     c = float(np.einsum("ij,ij->", G_inv, tensor)) / n
     residual = ct.tensor_gnorm(G_inv, tensor - c * G)
-    f_val = pair.f(p)
-    lap_f = ct.laplacian(pair.metric, pair.f, p)
-    grad_sq = ct.grad_norm_sq(pair.metric, pair.f, p)
+    f_val, df, _ = pair.f.evaluate(p)
+    lap_f = float(np.einsum("ij,ij->", G_inv, hess_f))
+    grad_sq = float(df @ G_inv @ df)
     closed = math.exp(4.0 * f_val / (n - 2)) * (c + 2.0 / (n - 2) * (lap_f - grad_sq))
     tau = math.exp(2.0 * f_val / (n - 2))
     tau1 = 2.0 / (n - 2) * tau
@@ -92,8 +93,6 @@ def test_point_geometry_matches_public_functions_exactly(name):
             assert (report.coefficients[k], report.residuals[k]) == (c, residual)
             assert report.grad_norms_sq[k] == grad_sq
             assert sol.hamilton_invariant(pair, c, p) == hamilton
-            scalar = ct.scalar_curvature(pair.metric, p)
-            assert sol.steady_obstruction(pair, p) == -scalar - grad_sq
             if residual > sol.SOLITON_RESIDUAL_TOL:
                 with pytest.raises(NotASoliton):
                     sol.dual_coefficient(pair, p)
@@ -230,44 +229,6 @@ def test_hamilton_invariant_dual_not_constant():
     assert variation > 0.1
 
 
-def test_steady_obstruction_values():
-    p = np.array([0.4, -0.2, 0.3])
-    flat_const = sol.SolitonPair(fixtures.metric_fixture("euclidean3"), ct.ScalarField.constant(2.0, 3))
-    assert sol.steady_obstruction(flat_const, p) == pytest.approx(0.0, abs=1e-13)
-    assert sol.steady_obstruction(GAUSSIAN, p) == pytest.approx(-2.0 * GAUSSIAN.f(p), abs=1e-12)
-    assert sol.steady_obstruction(SPHERE_TRIVIAL, p) == pytest.approx(-6.0, rel=1e-10)
-
-
-# -- old_dualize -----------------------------------------------------------------------
-
-
-def _shifted_gaussian():
-    metric = fixtures.metric_fixture("euclidean3")
-    f = ct.ScalarField(lambda j: 1.0 + 0.5 * (j[0] * j[0] + j[1] * j[1] + j[2] * j[2]), 3)
-    return sol.SolitonPair(metric, f, "shifted")
-
-
-def test_old_dualize_constant_one_fixed_point():
-    pair = sol.SolitonPair(fixtures.metric_fixture("euclidean3"), ct.ScalarField.constant(1.0, 3))
-    image = sol.old_dualize(pair)
-    p = np.array([0.3, 0.2, -0.1])
-    np.testing.assert_allclose(image.metric.matrix(p), pair.metric.matrix(p), rtol=1e-15)
-    assert image.f(p) == pytest.approx(1.0)
-
-
-def test_old_dualize_involution():
-    pair = _shifted_gaussian()
-    double = sol.old_dualize(sol.old_dualize(pair))
-    for p in sample_box(pair.metric.domain, 8):
-        np.testing.assert_allclose(double.metric.matrix(p), pair.metric.matrix(p), rtol=1e-12)
-        assert double.f(p) == pytest.approx(pair.f(p), abs=1e-12)
-
-
-def test_old_dualize_rejects_vanishing_potential():
-    with pytest.raises(ZeroCrossing):
-        sol.old_dualize(GAUSSIAN)  # potential vanishes at the origin
-
-
 # -- ricci_hessian_fit ---------------------------------------------------------------
 
 
@@ -343,18 +304,3 @@ def test_uniqueness_requires_positive_tau():
     with pytest.raises(DomainError):
         sol.uniqueness_residuals(sol.ProfilePair(tau, k), 4, 0.0)
 
-
-def test_nonhermitian_coefficient_values():
-    n = 4
-    rate = -2.0 / (n - 2)
-    decaying = ct.SmoothFunction1D(
-        lambda f: math.exp(rate * f),
-        lambda f: rate * math.exp(rate * f),
-        lambda f: rate * rate * math.exp(rate * f),
-    )
-    for f in np.linspace(-2, 2, 9):
-        assert sol.nonhermitian_coefficient(decaying, n, f) == pytest.approx(0.0, abs=1e-13)
-    growing = ct.SmoothFunction1D(math.exp, math.exp, math.exp)
-    assert sol.nonhermitian_coefficient(growing, 4, 0.0) == pytest.approx(4.0)
-    constant = ct.SmoothFunction1D(lambda f: 1.0, lambda f: 0.0, lambda f: 0.0)
-    assert sol.nonhermitian_coefficient(constant, 5, 0.3) == 0.0
