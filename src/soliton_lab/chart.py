@@ -362,15 +362,12 @@ def conformal_hessian_check(g: MetricChart, tau: ScalarField, f: ScalarField, p)
     _check_conformal_factor(tau_val)
 
     g_hat = g.conformal_scale(compose_with_field(_INVERSE_SQUARE, tau), name="conformal")
-    direct = hessian(g_hat, f, p)
+    direct = point_geometry(g_hat, f, p).hess_f
 
-    G, _, _ = g.components(p)
-    G_inv = metric_inverse(G)
-    _, df, _ = f.evaluate(p)
-    hess_f = hessian(g, f, p)
-    sym = np.outer(dtau, df)
+    geo = point_geometry(g, f, p)
+    sym = np.outer(dtau, geo.df)
     cross = sym + sym.T  # 2 dtau (.) df
-    assembled = hess_f + (cross - float(dtau @ G_inv @ df) * G) / tau_val
+    assembled = geo.hess_f + (cross - float(dtau @ geo.G_inv @ geo.df) * geo.G) / tau_val
     return float(np.max(np.abs(direct - assembled)))
 
 
@@ -384,33 +381,26 @@ def conformal_ricci_check(g: MetricChart, tau: ScalarField, p) -> float:
     """
     p = as_point(p, g.dim)
     n = g.dim
-    tau_val, dtau, _ = tau.evaluate(p)
+    tau_val = tau(p)
     _check_conformal_factor(tau_val)
 
     g_hat = g.conformal_scale(compose_with_field(_INVERSE_SQUARE, tau), name="conformal")
-    direct = ricci(g_hat, p)
+    direct = point_geometry(g_hat, tau, p).ric
 
-    G, _, _ = g.components(p)
-    G_inv = metric_inverse(G)
-    ric = ricci(g, p)
-    hess_tau = hessian(g, tau, p)
-    lap_tau = _trace_g(G_inv, hess_tau)
-    grad_tau_sq = _norm_sq_g(G_inv, dtau)
-    bracket = lap_tau / tau_val - (n - 1) * grad_tau_sq / tau_val**2
-    assembled = ric + (n - 2) / tau_val * hess_tau + bracket * G
+    geo = point_geometry(g, tau, p)
+    bracket = geo.lap_f / tau_val - (n - 1) * geo.grad_sq / tau_val**2
+    assembled = geo.ric + (n - 2) / tau_val * geo.hess_f + bracket * geo.G
     residual = float(np.max(np.abs(direct - assembled)))
 
     if isinstance(tau, FieldOfField):
-        f = tau.base
-        f_val, df, _ = f.evaluate(p)
-        hess_f = hessian(g, f, p)
-        tau1 = tau.profile.deriv(f_val)
-        tau2 = tau.profile.deriv2(f_val)
+        base = point_geometry(g, tau.base, p)
+        tau1 = tau.profile.deriv(base.f)
+        tau2 = tau.profile.deriv2(base.f)
         expanded = (
-            ric
-            + (n - 2) * tau1 / tau_val * hess_f
-            + (n - 2) * tau2 / tau_val * np.outer(df, df)
-            + bracket * G
+            geo.ric
+            + (n - 2) * tau1 / tau_val * base.hess_f
+            + (n - 2) * tau2 / tau_val * np.outer(base.df, base.df)
+            + bracket * geo.G
         )
         residual = max(residual, float(np.max(np.abs(direct - expanded))))
     return residual

@@ -308,7 +308,7 @@ def cmd_skrp(config: RunConfig) -> Report:
 
     lo, hi = positive[0]
     if not math.isfinite(hi):
-        hi = params.c + 40.0
+        hi = params.c + 40.0 if lo < params.c + 40.0 else lo + 40.0
     if not math.isfinite(lo):
         lo = hi - 40.0
     width = hi - lo

@@ -18,9 +18,10 @@ analysis of that integrand:
     the profile grows exponentially, so that end has finite length and the
     dual is incomplete there.
 
-Every analytic classification is corroborated numerically: a log-log
-exponent fit near the endpoint and a truncation-ladder convergence test of
-the improper integral must agree with the derivative-based class.
+Every analytic classification of a finite endpoint is corroborated by a
+truncation-ladder convergence test of the improper integral, which must
+agree with the derivative-based class.  A log-log exponent fit near the
+endpoint is reported beside the class but never compared with it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "gradient_flow_length_crosscheck",
     "completeness_verdict",
     "tail_log_integrand",
-    "tail_log_asymptote",
 ]
 
 # Relative zero tolerance for endpoint values of Q (scaled by the Q range).
@@ -111,19 +111,15 @@ class ExponentFit:
     """Least-squares power-law fit of an integrand near an endpoint."""
 
     exponent: float
-    stderr: float
-    residual: float
-    log_coefficient: float = 0.0
+    log_coefficient: float
 
 
 @dataclass(frozen=True)
 class EndpointAnalysis:
     endpoint: float
-    side: str  # "inf" or "sup"
     cls: EndpointClass
     integral: IntegralResult | None = None
     exponent: ExponentFit | None = None
-    evidence: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -241,21 +237,15 @@ def exponent_fit(
 ) -> ExponentFit:
     """Fit integrand ~ C (f - a)^p on a 25-point geometric grid of offsets.
 
-    Returns the least-squares slope of log integrand against log (f - a)
-    with its standard error and the rms fit residual.
+    Returns the least-squares slope p and intercept log C of log integrand
+    against log (f - a).
     """
     offsets = np.geomspace(lo, hi, 25)
     logs = np.log(offsets)
     vals = np.log([integrand(a + d) for d in offsets])
     design = np.stack([logs, np.ones_like(logs)], axis=1)
-    coef, res, _, _ = np.linalg.lstsq(design, vals, rcond=None)
-    fitted = design @ coef
-    rms = float(np.sqrt(np.mean((vals - fitted) ** 2)))
-    dof = len(offsets) - 2
-    var = float(np.sum((vals - fitted) ** 2)) / dof
-    sxx = float(np.sum((logs - logs.mean()) ** 2))
-    stderr = math.sqrt(var / sxx)
-    return ExponentFit(float(coef[0]), stderr, rms, float(coef[1]))
+    coef, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
+    return ExponentFit(float(coef[0]), float(coef[1]))
 
 
 # -- endpoint classification -------------------------------------------------------
@@ -283,8 +273,10 @@ def classify_endpoint(profile_or_params, a: float, side: str | None = None) -> E
     """Classify a finite endpoint of a Q-positive interval.
 
     Decides from the analytic values Q(a), Q'(a) against a zero tolerance
-    scaled to the Q range, then corroborates with an exponent fit of the arc
-    integrand and a truncation-ladder integral toward the endpoint.  An
+    scaled to the Q range, then corroborates with a truncation-ladder
+    integral toward the endpoint; an exponent fit of the arc integrand there
+    is returned for the report.  ``side`` ("inf" or "sup") says which end of
+    the interval ``a`` is, and defaults to the nearer one.  An
     endpoint whose derivative magnitude sits within a factor 10 of the
     tolerance is ambiguous and surfaced as an error rather than guessed.
     """
@@ -312,7 +304,6 @@ def classify_endpoint(profile_or_params, a: float, side: str | None = None) -> E
         fit = exponent_fit(mirrored, a, lo=1e-8 * delta, hi=1e-3 * delta)
         integral = improper_integral(integrand, a - delta, a, singular_end="upper")
 
-    evidence = {"q": q_a, "dq": dq_a, "tol": tol}
     if abs(q_a) >= tol:
         cls = EndpointClass.INTERIOR
     else:
@@ -332,7 +323,7 @@ def classify_endpoint(profile_or_params, a: float, side: str | None = None) -> E
                 raise ToleranceAmbiguity(
                     f"higher-order zero at {a} but the truncated integrals converge"
                 )
-    return EndpointAnalysis(a, side, cls, integral, fit, evidence)
+    return EndpointAnalysis(a, cls, integral, fit)
 
 
 # -- infinite range ---------------------------------------------------------------
@@ -372,12 +363,6 @@ def tail_log_integrand(params, u: float) -> float:
     return -f / (m - 1) - 0.5 * log_q + 2.0 * math.log(x)
 
 
-def tail_log_asymptote(params, u: float) -> float:
-    """log of exp((-1/(m-1) - 1/2) / u) * u^{-((m-1)/2 + 2)}."""
-    m = params.m
-    return (-1.0 / (m - 1) - 0.5) / u - ((m - 1) / 2.0 + 2.0) * math.log(u)
-
-
 def infinite_range_test(params_or_profile) -> EndpointAnalysis:
     """Analyze an interval with sup f = +inf through the u = 1/f_c substitution.
 
@@ -385,10 +370,7 @@ def infinite_range_test(params_or_profile) -> EndpointAnalysis:
     one unit above both the shift c and a finite lower end of the interval.
 
     The tail integral converges (finite dual length, hence incompleteness at
-    that end) exactly when the truncation ladder of the u-integral settles;
-    when the exponential profile constant B is nonzero the measured
-    integrand is additionally compared against its closed-form asymptote,
-    whose log-ratio must approach a constant.
+    that end) exactly when the truncation ladder of the u-integral settles.
     """
     profile = as_q_profile(params_or_profile)
     params = profile.params
@@ -405,23 +387,13 @@ def infinite_range_test(params_or_profile) -> EndpointAnalysis:
         return math.exp(log_val) if log_val > -745.0 else 0.0
 
     diverges, rate, increments = _ladder(integrand, 0.0, u1)
-    evidence: dict = {"u1": u1}
-    if params.B != 0.0:
-        us = np.geomspace(0.5 * u1, max(2e-3, 0.01 * u1), 12)
-        log_ratios = [tail_log_integrand(params, u) - tail_log_asymptote(params, u) for u in us]
-        evidence["asymptote_log_ratio"] = log_ratios
-        evidence["asymptote_ratio_limit"] = math.exp(log_ratios[-1])
-
     if diverges:
-        return EndpointAnalysis(math.inf, "sup", EndpointClass.INFINITE_RANGE_DIVERGENT, IntegralResult(False, None, rate, tuple(increments)), None, evidence)
+        return EndpointAnalysis(
+            math.inf, EndpointClass.INFINITE_RANGE_DIVERGENT, IntegralResult(False, None, rate, tuple(increments))
+        )
     value = _quad(integrand, 0.0, u1, epsabs=1e-13, epsrel=1e-12, limit=400)
     return EndpointAnalysis(
-        math.inf,
-        "sup",
-        EndpointClass.INFINITE_RANGE_CONVERGENT,
-        IntegralResult(True, float(value), None, tuple(increments)),
-        None,
-        evidence,
+        math.inf, EndpointClass.INFINITE_RANGE_CONVERGENT, IntegralResult(True, float(value), None, tuple(increments))
     )
 
 
@@ -439,7 +411,7 @@ def _infinite_lower_test(profile: QProfile, f_end: float) -> EndpointAnalysis:
     diverges = all(b >= a * (1.0 - 1e-3) for a, b in zip(increments[-3:-1], increments[-2:])) and increments[-1] > 0
     cls = EndpointClass.INFINITE_RANGE_DIVERGENT if diverges else EndpointClass.INFINITE_RANGE_CONVERGENT
     result = IntegralResult(not diverges, None if diverges else values[-1], "exp" if diverges else None, tuple(increments))
-    return EndpointAnalysis(-math.inf, "inf", cls, result, None, {})
+    return EndpointAnalysis(-math.inf, cls, result)
 
 
 # -- whole-interval verdict ---------------------------------------------------------

@@ -249,8 +249,8 @@ def phi_closed(params: SkrpParams, f: float) -> tuple[float, float, float]:
     Raises :class:`PoleError` at f = c when the numerator is singular there,
     and :class:`DomainError` where a term overflows float64.
     """
-    # A Python float overflows with OverflowError where a numpy scalar would
-    # return inf with only a warning.
+    # A Python float overflows with OverflowError in exp and **, but a
+    # product such as B * t overflows to inf silently; both are refused.
     x = float(f - params.c)
     head = params.A + params.B
     if head != 0.0 and abs(x) < params.pole_margin:
@@ -261,19 +261,17 @@ def phi_closed(params: SkrpParams, f: float) -> tuple[float, float, float]:
     try:
         t, t1, t2 = _scaled_remainder_T(x, params.m) if params.B != 0.0 else (0.0, 0.0, 0.0)
         if head == 0.0:
-            return (
-                params.B * t + const,
-                params.B * t1,
-                params.B * t2,
-            )
-        u, u1, u2 = _laurent_U(x, params.m)
+            phi, dphi, d2phi = params.B * t + const, params.B * t1, params.B * t2
+        else:
+            u, u1, u2 = _laurent_U(x, params.m)
+            phi = head * u + params.B * t + const
+            dphi = head * u1 + params.B * t1
+            d2phi = head * u2 + params.B * t2
     except OverflowError:
-        raise DomainError(f"profile overflows float64 at f = {f} (f - c = {x})") from None
-    return (
-        head * u + params.B * t + const,
-        head * u1 + params.B * t1,
-        head * u2 + params.B * t2,
-    )
+        phi = dphi = d2phi = math.inf
+    if not (math.isfinite(phi) and math.isfinite(dphi) and math.isfinite(d2phi)):
+        raise DomainError(f"profile overflows float64 at f = {f} (f - c = {x})")
+    return phi, dphi, d2phi
 
 
 def phi_ode_residual(
@@ -353,15 +351,19 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     """Maximal open subintervals of I on which Q > 0.
 
     Sign changes of phi and of f_c are bracketed on a 2048-point grid and
-    refined with :func:`.brent.brentq`; an unbounded right end is scanned
-    out to where the exponential/constant behaviour of the profile is
-    settled.  The scan compares the signs of neighbouring values, not their
-    product, which underflows to -0.0 when both are below ~1e-162 in size:
-    scaling A, B and kappa scales Q and must leave its zeros put.
+    refined with :func:`.brent.brentq`; an unbounded end is scanned out to
+    where the exponential/constant behaviour of the profile is settled,
+    60 units past c, or past the finite end of I when that lies farther out
+    on the same side.  The scan compares the signs of neighbouring values,
+    not their product, which underflows to -0.0 when both are below ~1e-162
+    in size: scaling A, B and kappa scales Q and must leave its zeros put.
     """
     lo, hi = params.I
-    scan_lo = lo if math.isfinite(lo) else params.c - 60.0
-    scan_hi = hi if math.isfinite(hi) else params.c + 60.0
+    scan_lo, scan_hi = lo, hi
+    if not math.isfinite(lo):
+        scan_lo = params.c - 60.0 if hi > params.c - 60.0 else hi - 60.0
+    if not math.isfinite(hi):
+        scan_hi = params.c + 60.0 if lo < params.c + 60.0 else lo + 60.0
     margin = params.pole_margin
 
     # Split at c, where f_c changes sign: a pole when A + B != 0 (the pieces

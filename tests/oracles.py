@@ -1,11 +1,13 @@
 """Independent second routes that only the tests use.
 
 Central finite differences check every field's jet derivatives, the
-divergence-form Laplacian checks the Christoffel-symbol one, and the
+divergence-form Laplacian checks the Christoffel-symbol one, the
 u = 1/(f - c) substitution checks the tail transformation of the
-completeness integrals.  None of them is on a command's path.
+completeness integrals, and the closed-form tail asymptote checks the
+u-substituted tail integrand.  None of them is on a command's path.
 """
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -79,3 +81,10 @@ def u_substituted_integral(integrand: Callable[[float], float], f1: float, f2: f
         raise DomainError("substitution needs c < f1 < f2")
     u_lo, u_hi = 1.0 / (f2 - c), 1.0 / (f1 - c)
     return float(comp._quad(lambda u: integrand(c + 1.0 / u) / (u * u), u_lo, u_hi, epsabs=1e-13, epsrel=1e-12, limit=400))
+
+
+def tail_log_asymptote(params, u: float) -> float:
+    """log of exp((-1/(m-1) - 1/2) / u) * u^{-((m-1)/2 + 2)}, the leading
+    behaviour of the u-substituted tail integrand when B != 0."""
+    m = params.m
+    return (-1.0 / (m - 1) - 0.5) / u - ((m - 1) / 2.0 + 2.0) * math.log(u)

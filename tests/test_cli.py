@@ -230,16 +230,26 @@ def test_skrp_unbounded_tail_fixture(capsys):
 
 
 @pytest.mark.parametrize(
-    "interval", [[1e-12, 2e-12], [20.0, 30.0]], ids=["at-the-pole", "deep-tail"]
+    "params",
+    [
+        {"m": 2, "A": 1, "I": [1e-12, 2e-12]},
+        {"m": 2, "A": 1, "I": [20.0, 30.0]},
+        # The window is cut 40 past I's finite end, (100.8, 139.2), all of it
+        # beyond f - c = 12.
+        {"m": 2, "kappa": 4, "A": -1, "B": 1, "I": [100, "inf"], "s": 2, "a": 2, "p": 2, "phi_sign": 1},
+    ],
+    ids=["at-the-pole", "deep-tail", "lower-end-past-c+40"],
 )
-def test_skrp_window_without_resolvable_band_is_numeric_error(interval, tmp_path, capsys):
+def test_skrp_window_without_resolvable_band_is_numeric_error(params, tmp_path, capsys):
     # Checking the identities there would report float64 roundoff as a failure.
     cfg = tmp_path / "params.json"
-    cfg.write_text(json.dumps({"m": 2, "A": 1, "I": interval}))
+    cfg.write_text(json.dumps(params))
     code, out, err = run(["skrp", "--config", str(cfg)], capsys)
     assert code == cli.EXIT_NUMERIC
     assert out == ""
-    assert json.loads(err)["error"]["type"] == "DomainError"
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError"
+    assert "float64 resolves the profile identities" in error["message"]
 
 
 def test_skrp_below_the_pole_checks_the_whole_window(tmp_path, capsys, monkeypatch):
@@ -422,17 +432,23 @@ def test_non_finite_config_params_are_usage_errors(name, value, tmp_path, capsys
     [
         {"m": 2, "A": 1, "B": 1, "I": [0.5, 800], "kappa": 4, "phi_sign": 1},
         {"m": 2, "A": 1, "B": 0, "I": [1e-300, 1e-299], "kappa": 4, "phi_sign": 1},
+        {"m": 2, "B": 1e308, "I": [0.5, 3]},
     ],
-    ids=["exp-overflow", "power-overflow"],
+    ids=["exp-overflow", "power-overflow", "product-overflow"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_profile_overflow_is_numeric_error(params, command, tmp_path, capsys):
-    # exp(f - c) past f - c ~ 709, and (f - c)^-2 at f - c = 1e-300, exceed float64.
+    # exp(f - c) past f - c ~ 709, (f - c)^-2 at f - c = 1e-300, and B * T
+    # with B = 1e308 (a product, which overflows to inf silently) exceed float64.
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps(params))
-    code, _, err = run([command, "--config", str(cfg)], capsys)
+    code, out, err = run([command, "--config", str(cfg)], capsys)
     assert code == cli.EXIT_NUMERIC
-    assert json.loads(err)["error"]["type"] == "DomainError"
+    assert out == ""
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError"
+    assert "profile overflows float64" in error["message"]
 
 
 @pytest.mark.parametrize(
@@ -699,3 +715,26 @@ def test_report_files_are_created_as_open_creates_them(tmp_path):
     assert done.returncode == cli.EXIT_PASS, done.stderr
     for path in (report, tmp_path / "r.json.profile.csv"):
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+@pytest.mark.parametrize(
+    "params,lower,upper",
+    [
+        ({"m": 2, "kappa": 4, "A": -1, "B": 1, "I": [100, "inf"], "s": 2, "a": 2, "p": 2, "phi_sign": 1},
+         "Interior", "InfiniteRangeConvergent"),
+        ({"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -70], "phi_sign": -1},
+         "InfiniteRangeDivergent", "Interior"),
+    ],
+    ids=["lower-end-past-c+60", "upper-end-past-c-60"],
+)
+def test_completeness_on_unbounded_interval_with_far_finite_end(params, lower, upper, tmp_path, capsys):
+    # Q > 0 on all of I, whose finite end lies beyond the default scan window
+    # c +- 60; the scan measures from that end, so the interval is found.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    code, out, _ = run(["completeness", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    measured = {c["name"]: c["measured"] for c in json.loads(out)["checks"]}
+    assert measured["endpoint-inf-class"] == lower
+    assert measured["endpoint-sup-class"] == upper
+    assert measured["verdict"] == "inconclusive-at-end"

@@ -15,6 +15,7 @@ from soliton_lab import soliton as sol
 from soliton_lab.errors import (
     CalibrationFailure,
     ConvergenceFailure,
+    DomainError,
     DomainSplit,
     IntegrationFailure,
     PoleError,
@@ -67,6 +68,21 @@ def test_phi_without_remainder_term_far_out():
     assert phi == pytest.approx((1.0 + f + f * f / 2.0) / f**2 + 1.0, rel=1e-14)
     assert dphi == pytest.approx(-2.0 / f**3 - 1.0 / f**2, rel=1e-14)
     assert math.isfinite(d2phi)
+
+
+@pytest.mark.parametrize(
+    "params,f",
+    [
+        (skrp.SkrpParams(m=2, B=1e308, I=(0.5, 3.0)), 1.0),
+        (skrp.SkrpParams(m=2, A=-1e308, B=1e308, I=(0.5, 6.0)), 5.0),
+    ],
+    ids=["B-times-T", "head-cancels"],
+)
+def test_phi_refuses_a_product_that_overflows(params, f):
+    # B * T overflows to inf without an OverflowError; phi_closed refuses it
+    # on either return path, including the A + B = 0 one.
+    with pytest.raises(DomainError, match="profile overflows float64"):
+        skrp.phi_closed(params, f)
 
 
 def test_phi_pole_error():
@@ -238,6 +254,22 @@ def test_q_domain_regular_zero_at_c_is_one_edge(interval):
     intervals = skrp.q_domain(params)
     assert intervals[0][0] == 0.0
     assert min(hi - lo for lo, hi in intervals) > 1e-12
+
+
+@pytest.mark.parametrize(
+    "params,expected",
+    [
+        (skrp.SkrpParams(m=2, kappa=4.0, A=-1.0, B=1.0, I=(100.0, math.inf), s=2, a=2.0, p=2.0, phi_sign=1),
+         [(100.0, math.inf)]),
+        (skrp.SkrpParams(m=2, kappa=1.0, A=0.0, B=1.0, I=(-math.inf, -70.0), phi_sign=-1),
+         [(-math.inf, -70.0)]),
+    ],
+    ids=["lower-end-past-c+60", "upper-end-past-c-60"],
+)
+def test_q_domain_scans_past_a_far_finite_end(params, expected):
+    # Q > 0 on all of I; the default scan window c +- 60 misses it, so the
+    # unbounded end is scanned 60 units past the finite one instead.
+    assert skrp.q_domain(params) == expected
 
 
 # -- fiber-norm map ----------------------------------------------------------------------
