@@ -299,6 +299,8 @@ def cmd_skrp(config: RunConfig) -> Report:
         hi = hi if math.isfinite(hi) else params.c + 10.0
         probe = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 32)
         phis = [skrp.phi_closed(params, f)[0] for f in probe if abs(f - params.c) > params.pole_margin]
+        if not phis:
+            raise DomainError(f"every probe of ({lo}, {hi}) lies within the pole margin of c = {params.c}")
         if max(phis) <= 0:
             report.add("phi-positivity", "fail", max(phis))
         else:
@@ -314,7 +316,7 @@ def cmd_skrp(config: RunConfig) -> Report:
     width = hi - lo
     window = (lo + 0.02 * width, hi - 0.02 * width)
     anchor = 0.5 * (window[0] + window[1])
-    ell = skrp.ell_map(params, anchor, bounds=window)
+    ell = skrp.EllMap(params, anchor, window)
 
     grid = np.linspace(window[0], window[1], config.samples)
     # Identity checks run where float64 can resolve them: within 0.05 of the
@@ -354,8 +356,7 @@ def cmd_skrp(config: RunConfig) -> Report:
     rows = []
     for f in grid:
         phi, dphi, _ = skrp.phi_closed(params, f)
-        q = skrp.q_profile(params, f)
-        rows.append((float(f), phi, dphi, q, ell.ell(f), comp.arc_integrand(params, f)))
+        rows.append((float(f), phi, dphi, params.q(f), ell.ell(f), comp.arc_integrand(params, f)))
     report.tables[".profile.csv"] = (PROFILE_HEADER, rows)
     return report
 
@@ -363,7 +364,7 @@ def cmd_skrp(config: RunConfig) -> Report:
 def cmd_completeness(config: RunConfig) -> Report:
     report = Report(config)
     t0 = time.perf_counter()
-    profile = skrp.as_q_profile(_resolve_params(config, fixtures.q_profile_fixture))
+    profile = _resolve_params(config, fixtures.q_profile_fixture)
 
     verdict = comp.completeness_verdict(profile)
     report.timings["verdict"] = time.perf_counter() - t0

@@ -43,7 +43,7 @@ from .errors import (
     OscillationDetected,
     ToleranceAmbiguity,
 )
-from .skrp import CalabiChart, QProfile, SkrpParams, as_q_profile, phi_closed, q_domain, q_profile
+from .skrp import CalabiChart, QProfile, SkrpParams, phi_closed, q_domain
 
 __all__ = [
     "EndpointClass",
@@ -64,7 +64,7 @@ __all__ = [
 
 # Relative zero tolerance for endpoint values of Q (scaled by the Q range).
 ENDPOINT_ZERO_RTOL = 1e-9
-# Truncation ladder epsilon exponents for divergence detection.
+# Truncation ladder exponents k of the decade edges span * 10^-k at a finite end.
 LADDER_EXPONENTS = range(2, 11)
 
 
@@ -132,34 +132,31 @@ class CompletenessVerdict:
 # -- integrand -------------------------------------------------------------------
 
 
-def arc_integrand(profile_or_params, f: float) -> float:
+def arc_integrand(profile: QProfile | SkrpParams, f: float) -> float:
     """Dual arc-length density exp(-2 f / (n-2)) / sqrt(Q(f)), n = 2m."""
-    profile = as_q_profile(profile_or_params)
     q = profile.q(f)
     if q <= 0:
         raise NonpositiveQ(f"Q({f}) = {q} must be positive for the arc integrand")
-    return math.exp(-f / (profile.m - 1)) / math.sqrt(q)
+    try:
+        return math.exp(-f / (profile.m - 1)) / math.sqrt(q)
+    except OverflowError:
+        raise DomainError(f"arc integrand exp(-f / (m - 1)) overflows float64 at f = {f}") from None
 
 
 # -- improper integrals ------------------------------------------------------------
 
 
-def _ladder(integrand: Callable[[float], float], a: float, span: float) -> tuple[bool, str | None, list[float]]:
-    """Truncation ladder: decide divergence toward the endpoint ``a``.
-
-    The increments I(a + eps_{k+1}) - I(a + eps_k) of the truncated integrals
-    are computed directly as the decade-segment integrals over
-    [a + eps_{k+1}, a + eps_k], each of which is a smooth positive quadrature.
-    Divergence is declared when the increments are non-decreasing (constant
-    for a log singularity, growing for powers below -1); a decreasing tail
-    means the improper integral converges.
+def _ladder(integrand: Callable[[float], float], edges: list[float]) -> tuple[bool, str | None, list[float]]:
+    """Truncation ladder: decide divergence toward the end the decreasing
+    ``edges`` approach, from the segment integrals over [edges[k+1], edges[k]],
+    each a smooth positive quadrature.  Divergence is declared when these
+    increments are non-decreasing (constant for a log singularity, growing
+    for powers below -1 or an exponential); a decreasing tail means the
+    improper integral converges.
     """
-    exps = list(LADDER_EXPONENTS)
-    eps = [span * 10.0 ** (-k) for k in exps]
     increments = []
-    for hi_e, lo_e in zip(eps[:-1], eps[1:]):
-        seg = _quad(integrand, a + lo_e, a + hi_e, epsabs=1e-300, epsrel=1e-10, limit=200)
-        increments.append(seg)
+    for hi_e, lo_e in zip(edges[:-1], edges[1:]):
+        increments.append(_quad(integrand, lo_e, hi_e, epsabs=1e-300, epsrel=1e-10, limit=200))
     scale = max(abs(v) for v in increments) + 1e-300
     if any(seg < -1e-12 * scale for seg in increments):
         raise OscillationDetected("a truncation segment is negative; integrand is not positive")
@@ -202,7 +199,7 @@ def improper_integral(
     def at_offset(off: float) -> float:
         return integrand(sing + direction * off)
 
-    diverges, rate, increments = _ladder(at_offset, 0.0, span)
+    diverges, rate, increments = _ladder(at_offset, [span * 10.0 ** (-k) for k in LADDER_EXPONENTS])
     if diverges:
         return IntegralResult(False, None, rate, tuple(increments))
 
@@ -242,7 +239,10 @@ def exponent_fit(
     """
     offsets = np.geomspace(lo, hi, 25)
     logs = np.log(offsets)
-    vals = np.log([integrand(a + d) for d in offsets])
+    vals = np.array([integrand(a + d) for d in offsets])
+    if not np.all((vals > 0.0) & np.isfinite(vals)):
+        raise DomainError(f"integrand is 0 or not finite within {hi:.3g} of the endpoint (float64 under- or overflow)")
+    vals = np.log(vals)
     design = np.stack([logs, np.ones_like(logs)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
     return ExponentFit(float(coef[0]), float(coef[1]))
@@ -251,7 +251,7 @@ def exponent_fit(
 # -- endpoint classification -------------------------------------------------------
 
 
-def _q_scale(profile: QProfile, a: float) -> float:
+def _q_scale(profile: QProfile | SkrpParams, a: float) -> float:
     """Representative |Q| magnitude near an endpoint.
 
     The scale is sampled over the part of the interval within a few units of
@@ -269,7 +269,7 @@ def _q_scale(profile: QProfile, a: float) -> float:
     return scale if scale != 0.0 else 1e-30
 
 
-def classify_endpoint(profile_or_params, a: float, side: str | None = None) -> EndpointAnalysis:
+def classify_endpoint(profile: QProfile | SkrpParams, a: float, side: str | None = None) -> EndpointAnalysis:
     """Classify a finite endpoint of a Q-positive interval.
 
     Decides from the analytic values Q(a), Q'(a) against a zero tolerance
@@ -280,7 +280,6 @@ def classify_endpoint(profile_or_params, a: float, side: str | None = None) -> E
     endpoint whose derivative magnitude sits within a factor 10 of the
     tolerance is ambiguous and surfaced as an error rather than guessed.
     """
-    profile = as_q_profile(profile_or_params)
     if not math.isfinite(a):
         raise DomainError("classify_endpoint needs a finite endpoint; use infinite_range_test")
     lo, hi = profile.interval
@@ -343,7 +342,7 @@ def tail_log_integrand(params, u: float) -> float:
     x = 1.0 / u
     f = params.c + x
     if x < 600.0:
-        q = q_profile(params, f)
+        q = params.q(f)
         if q <= 0:
             raise NonpositiveQ(f"Q({f}) = {q} on the tail")
         log_q = math.log(q)
@@ -363,7 +362,7 @@ def tail_log_integrand(params, u: float) -> float:
     return -f / (m - 1) - 0.5 * log_q + 2.0 * math.log(x)
 
 
-def infinite_range_test(params_or_profile) -> EndpointAnalysis:
+def infinite_range_test(params: SkrpParams) -> EndpointAnalysis:
     """Analyze an interval with sup f = +inf through the u = 1/f_c substitution.
 
     The u-integral runs over (0, u1] with u1 = 1 / (f_start - c) and f_start
@@ -372,13 +371,11 @@ def infinite_range_test(params_or_profile) -> EndpointAnalysis:
     The tail integral converges (finite dual length, hence incompleteness at
     that end) exactly when the truncation ladder of the u-integral settles.
     """
-    profile = as_q_profile(params_or_profile)
-    params = profile.params
-    if params is None:
+    if not isinstance(params, SkrpParams):
         raise DomainError("infinite_range_test needs closed-form profile parameters")
-    lo, hi = profile.interval
+    lo, hi = params.I
     if math.isfinite(hi):
-        raise DomainError(f"interval {profile.interval} does not reach +inf")
+        raise DomainError(f"interval {params.I} does not reach +inf")
     f_start = max(lo + 1.0, params.c + 1.0) if math.isfinite(lo) else params.c + 1.0
     u1 = 1.0 / (f_start - params.c)
 
@@ -386,7 +383,7 @@ def infinite_range_test(params_or_profile) -> EndpointAnalysis:
         log_val = tail_log_integrand(params, u)
         return math.exp(log_val) if log_val > -745.0 else 0.0
 
-    diverges, rate, increments = _ladder(integrand, 0.0, u1)
+    diverges, rate, increments = _ladder(integrand, [u1 * 10.0 ** (-k) for k in LADDER_EXPONENTS])
     if diverges:
         return EndpointAnalysis(
             math.inf, EndpointClass.INFINITE_RANGE_DIVERGENT, IntegralResult(False, None, rate, tuple(increments))
@@ -397,27 +394,22 @@ def infinite_range_test(params_or_profile) -> EndpointAnalysis:
     )
 
 
-def _infinite_lower_test(profile: QProfile, f_end: float) -> EndpointAnalysis:
-    """Generic ladder test toward f -> -inf (the conformal factor grows)."""
-
-    def integrand(f: float) -> float:
-        return arc_integrand(profile, f)
-
-    values = []
-    for k in range(0, 7):
-        lo = f_end - 2.0**k
-        values.append(_quad(integrand, lo, f_end, epsabs=1e-12, epsrel=1e-11, limit=400))
-    increments = list(np.diff(values))
-    diverges = all(b >= a * (1.0 - 1e-3) for a, b in zip(increments[-3:-1], increments[-2:])) and increments[-1] > 0
+def _infinite_lower_test(profile: QProfile | SkrpParams, f_end: float) -> EndpointAnalysis:
+    """Ladder test toward f -> -inf (the conformal factor grows) on the
+    doubling edges f_end - 2^k; a convergent value is the integral over
+    [f_end - 64, f_end]."""
+    edges = [f_end] + [f_end - 2.0**k for k in range(7)]
+    diverges, _, increments = _ladder(lambda f: arc_integrand(profile, f), edges)
     cls = EndpointClass.INFINITE_RANGE_DIVERGENT if diverges else EndpointClass.INFINITE_RANGE_CONVERGENT
-    result = IntegralResult(not diverges, None if diverges else values[-1], "exp" if diverges else None, tuple(increments))
+    value = None if diverges else sum(increments)
+    result = IntegralResult(not diverges, value, "exp" if diverges else None, tuple(increments))
     return EndpointAnalysis(-math.inf, cls, result)
 
 
 # -- whole-interval verdict ---------------------------------------------------------
 
 
-def completeness_verdict(params_or_profile) -> CompletenessVerdict:
+def completeness_verdict(profile: QProfile | SkrpParams) -> CompletenessVerdict:
     """Combine the endpoint analyses of a profile's Q-positive interval, the
     first one when the closed form has several.
 
@@ -427,12 +419,11 @@ def completeness_verdict(params_or_profile) -> CompletenessVerdict:
     with Q > 0 is a chart boundary the case analysis does not cover, so the
     verdict is inconclusive rather than guessed.
     """
-    profile = as_q_profile(params_or_profile)
-    if profile.params is not None:
-        intervals = q_domain(profile.params)
+    if isinstance(profile, SkrpParams):
+        intervals = q_domain(profile)
         if not intervals:
             raise NonpositiveQ("profile has no Q-positive interval")
-        profile = replace(profile, interval=intervals[0])
+        profile = replace(profile, I=intervals[0])
     lo, hi = profile.interval
 
     if math.isfinite(lo):

@@ -166,11 +166,11 @@ _SYNTHETIC_Q = {
 }
 
 
-def q_profile_fixture(name: str):
+def q_profile_fixture(name: str) -> skrp.QProfile | skrp.SkrpParams:
     if name in _SYNTHETIC_Q:
         return _SYNTHETIC_Q[name]()
     if name in _SKRP:
-        return skrp.as_q_profile(_SKRP[name])
+        return _SKRP[name]
     known = sorted(_SYNTHETIC_Q) + sorted(_SKRP)
     raise UnknownFixture(f"unknown completeness fixture {name!r}; known: {known}")
 

@@ -103,11 +103,7 @@ __all__ = [
     "phi_ode_residual",
     "phi_ode_integrate",
     "soliton_coeff_profile",
-    "q_profile",
-    "q_derivative",
     "q_domain",
-    "as_q_profile",
-    "ell_map",
     "assemble_calabi_metric",
     "killing_residual",
     "kahler_closedness_residual",
@@ -119,6 +115,9 @@ __all__ = [
 POLE_MARGIN = 1e-6
 # Newton steps an ell-map inversion may take before it counts as unconverged.
 NEWTON_STEPS = 60
+# Right-hand-side calls one profile-ODE integration may make (the fixtures
+# need at most a few hundred); a stiff profile would otherwise run for minutes.
+ODE_RHS_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,22 @@ class SkrpParams:
     def pole_margin(self) -> float:
         lo, hi = self.I
         width = hi - lo if math.isfinite(hi) and math.isfinite(lo) else 1.0 + abs(self.c)
-        return POLE_MARGIN * width
+        # No wider than the gap between c and an I that stops short of it, so
+        # a profile narrowed to a Q-positive interval evaluates at its ends.
+        gap = max(lo - self.c, self.c - hi)
+        return POLE_MARGIN * width if gap <= 0.0 else min(POLE_MARGIN * width, gap)
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        return self.I
+
+    def q(self, f: float) -> float:
+        """Q(f) = 2 f_c phi(f), the squared gradient norm of the potential."""
+        return 2.0 * (f - self.c) * phi_closed(self, f)[0]
+
+    def dq(self, f: float) -> float:
+        phi, dphi, _ = phi_closed(self, f)
+        return 2.0 * phi + 2.0 * (f - self.c) * dphi
 
 
 def _series_S(x: float, j: int) -> float:
@@ -308,12 +322,18 @@ def phi_ode_integrate(
     Independent of the closed form: the package's DOP853 port
     (:func:`.dop853.solve`, 8th-order adaptive Runge-Kutta) at rtol 1e-11
     and atol 1e-13, bit-identical to scipy's ``solve_ivp`` with those
-    settings.  A failed integration raises :class:`IntegrationFailure`.
+    settings.  A failed integration, or one that needs more than
+    ``ODE_RHS_BUDGET`` right-hand-side calls, raises :class:`IntegrationFailure`.
     """
     if f == f0:
         return phi0, dphi0
+    calls = 0
 
     def rhs(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > ODE_RHS_BUDGET:
+            raise IntegrationFailure(f"profile ODE from f = {f0} to {f} exceeds {ODE_RHS_BUDGET} right-hand-side calls")
         x = t - params.c
         phi, dphi = y
         sgn = math.copysign(1.0, phi) if phi != 0.0 else 1.0
@@ -335,16 +355,6 @@ def soliton_coeff_profile(params: SkrpParams, alpha: float, f: float) -> float:
     phi, dphi, d2phi = phi_closed(params, f)
     x = f - params.c
     return alpha * phi + (alpha * x - (params.m + 1)) * dphi - x * d2phi
-
-
-def q_profile(params: SkrpParams, f: float) -> float:
-    """Q(f) = 2 f_c phi(f), the squared gradient norm of the potential."""
-    return 2.0 * (f - params.c) * phi_closed(params, f)[0]
-
-
-def q_derivative(params: SkrpParams, f: float) -> float:
-    phi, dphi, _ = phi_closed(params, f)
-    return 2.0 * phi + 2.0 * (f - params.c) * dphi
 
 
 def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
@@ -381,9 +391,7 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
         if left < right:
             pieces.append((left, right))
 
-    def q(f):
-        return q_profile(params, f)
-
+    q = params.q
     intervals: list[tuple[float, float]] = []
     for left, right in pieces:
         xs = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), 2048)
@@ -414,7 +422,8 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
 
 @dataclass(frozen=True)
 class QProfile:
-    """Minimal profile interface: Q with one derivative on an interval."""
+    """Q with one derivative on an interval; :class:`SkrpParams` is the
+    closed-form profile with the same interface."""
 
     q: Callable[[float], float]
     dq: Callable[[float], float]
@@ -422,22 +431,6 @@ class QProfile:
     m: int
     a: float = 1.0
     c: float = 0.0
-    params: SkrpParams | None = None
-
-
-def as_q_profile(params_or_profile) -> QProfile:
-    if isinstance(params_or_profile, QProfile):
-        return params_or_profile
-    params = params_or_profile
-    return QProfile(
-        q=lambda f: q_profile(params, f),
-        dq=lambda f: q_derivative(params, f),
-        interval=params.I,
-        m=params.m,
-        a=params.a,
-        c=params.c,
-        params=params,
-    )
 
 
 class EllMap:
@@ -456,13 +449,13 @@ class EllMap:
     construction apart from that one-time table.
     """
 
-    def __init__(self, profile: QProfile, f0: float, bounds: tuple[float, float] | None = None):
+    def __init__(self, profile: QProfile | SkrpParams, f0: float, bounds: tuple[float, float]):
         self.profile = profile
-        lo, hi = bounds if bounds is not None else profile.interval
+        lo, hi = bounds
         if not (lo < f0 < hi):
             raise DomainError(f"anchor f0 = {f0} must lie inside ({lo}, {hi})")
         if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError("ell map needs finite working bounds; pass bounds=")
+            raise DomainError("ell map needs finite working bounds")
         self.f0 = float(f0)
         self._grid = np.linspace(lo, hi, 257)
         qvals = np.array([profile.q(f) for f in self._grid])
@@ -566,11 +559,6 @@ class EllMap:
 
     def d2fdt2(self, f: float) -> float:
         return self.profile.q(f) * self.profile.dq(f) / self.profile.a**2
-
-
-def ell_map(params_or_profile, f0: float, bounds: tuple[float, float] | None = None) -> EllMap:
-    """Build the fiber-norm map anchored at ell(f0) = 1."""
-    return EllMap(as_q_profile(params_or_profile), f0, bounds=bounds)
 
 
 # -- explicit chart assembly (m = 2) -------------------------------------------
@@ -805,7 +793,7 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     fc_sign = math.copysign(1.0, anchor - params.c)
 
     pad = 0.02 * (f_window[1] - f_window[0])
-    ell = ell_map(params, anchor, bounds=(f_window[0] - pad, f_window[1] + pad))
+    ell = EllMap(params, anchor, (f_window[0] - pad, f_window[1] + pad))
     core = _PotentialCore(params, ell)
     domain = _chart_window(params, ell, f_window)
     metric = ct.MetricChart.from_jets(

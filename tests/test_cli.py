@@ -94,7 +94,7 @@ def test_skrp_report_and_profile_csv(tmp_path, capsys):
 
     params = fixtures.skrp_fixture("koiso-m2-A1B0-flatbase")
     assert float(first["phi"]) == pytest.approx(skrp.phi_closed(params, f0)[0], rel=1e-15)
-    assert float(first["Q"]) == pytest.approx(skrp.q_profile(params, f0), rel=1e-15)
+    assert float(first["Q"]) == pytest.approx(params.q(f0), rel=1e-15)
 
 
 def test_skrp_positivity_rejection(tmp_path, capsys):
@@ -493,6 +493,51 @@ def test_closed_vs_integrated_holds_on_wide_bands(params, tmp_path, capsys):
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["profile-ode-residual"]["measured"] < 1e-12
     assert checks["closed-vs-integrated"]["measured"] < 1e-9
+
+
+@pytest.mark.parametrize(
+    "command, params, message",
+    [
+        ("skrp", {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": [-900, -800], "phi_sign": -1}, "arc integrand"),
+        ("completeness", {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": [-900, -800], "phi_sign": -1}, "arc integrand"),
+        ("skrp", {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -800], "phi_sign": -1}, "arc integrand"),
+        ("completeness", {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -800], "phi_sign": -1}, "arc integrand"),
+        ("completeness", {"m": 2, "kappa": 4, "A": 1, "I": [800, 900], "phi_sign": 1}, "0 or not finite"),
+        ("completeness", {"m": 2, "A": 1, "c": 1e7, "I": [1e7, "inf"]}, "0 or not finite"),
+        ("skrp", {"m": 2, "c": 1e7}, "pole margin"),
+        ("skrp", {"m": 4, "kappa": 1e10, "c": 10, "B": 1e10, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
+         "right-hand-side calls"),
+        ("skrp", {"m": 4, "kappa": 1e300, "c": 10, "B": 1e300, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
+         "right-hand-side calls"),
+    ],
+    ids=["skrp-exp-overflow", "completeness-exp-overflow", "skrp-exp-overflow-to-inf",
+         "completeness-exp-overflow-to-inf", "integrand-underflow", "integrand-underflow-c-1e7",
+         "every-probe-in-pole-margin", "stiff-ode-1e10", "stiff-ode-1e300"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_float64_limits_are_numeric_errors(command, params, message, tmp_path, capsys):
+    # Each crashed with a traceback (exit 1) or ran for minutes: exp(-f / (m - 1))
+    # past f ~ -709, an integrand that underflows to 0 in the exponent fit, a
+    # whole-line I whose probes all lie within the pole margin 1e-6 (1 + |c|)
+    # of c = 1e7, and a stiff profile ODE.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert out == ""
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert message in error["message"]
+
+
+def test_skrp_table_may_hold_an_underflowed_integrand(tmp_path, capsys):
+    # Far above c = 1e7 the arc integrand is exp(-f) ~ 0: a table value, not an error.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "A": 1, "c": 1e7, "I": [1e7, "inf"]}))
+    code, _, err = run(["skrp", "--config", str(cfg), "--out", str(tmp_path / "r.json")], capsys)
+    assert code == cli.EXIT_PASS, err
+    rows = (tmp_path / "r.json.profile.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[-1] for row in rows} == {"0"}
 
 
 PROFILE_FIXTURES = [

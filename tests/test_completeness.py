@@ -55,6 +55,13 @@ def test_arc_integrand_rejects_nonpositive_q():
         comp.arc_integrand(profile, 0.0)
 
 
+def test_arc_integrand_overflow_is_a_domain_error():
+    # exp(-f / (m - 1)) overflows float64 below f ~ -709 (m = 2).
+    params = skrp.SkrpParams(m=2, kappa=1.0, B=1.0, I=(-900.0, -800.0))
+    with pytest.raises(DomainError, match="overflows float64 at f = -850"):
+        comp.arc_integrand(params, -850.0)
+
+
 # -- improper_integral -------------------------------------------------------------------
 
 
@@ -104,6 +111,13 @@ def test_oscillation_guard():
 def test_exponent_fit_recovers_powers(p, tol):
     fit = comp.exponent_fit(lambda f: f**p, 0.0)
     assert fit.exponent == pytest.approx(p, abs=tol)
+
+
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+def test_exponent_fit_refuses_values_it_cannot_take_the_log_of(value):
+    # An integrand that underflows to 0 near the endpoint made the fit NaN.
+    with pytest.raises(DomainError, match="is 0 or not finite"):
+        comp.exponent_fit(lambda f: value if f < 1e-5 else f**-0.5, 0.0)
 
 
 # -- classify_endpoint ------------------------------------------------------------------------
@@ -320,3 +334,32 @@ def test_lower_infinite_end_convergent():
     )
     verdict = comp.completeness_verdict(profile)
     assert verdict.lower.cls is EC.INFINITE_RANGE_CONVERGENT
+    # The integrand is e^f; the ladder ends at hi - 1 and reaches 64 below it.
+    assert verdict.lower.integral.value == pytest.approx(math.exp(-1.0) - math.exp(-65.0), rel=1e-10)
+
+
+def test_lower_infinite_end_integrates_disjoint_segments(monkeypatch):
+    # The -inf end's ladder integrates each doubling segment once: the
+    # quadratures tile [f_end - 64, f_end] without overlap.
+    params = skrp.SkrpParams(m=2, kappa=1.0, B=1.0, I=(-math.inf, -2.6))
+    spans = []
+    quad_ = comp._quad
+
+    def recording(fn, a, b, **kw):
+        spans.append((a, b))
+        return quad_(fn, a, b, **kw)
+
+    monkeypatch.setattr(comp, "_quad", recording)
+    analysis = comp._infinite_lower_test(params, -3.6)
+    assert analysis.cls is EC.INFINITE_RANGE_DIVERGENT
+    spans.sort()
+    assert spans[0][0] == -3.6 - 64.0 and spans[-1][1] == -3.6
+    assert all(b == a_next for (_, b), (a_next, _) in zip(spans[:-1], spans[1:]))
+
+
+def test_verdict_on_params_narrowed_next_to_the_pole():
+    # I = (0, inf) with A + B != 0: the first Q-positive interval starts at the
+    # pole margin above c and ends at a simple zero of phi.
+    params = skrp.SkrpParams(m=2, kappa=3.0, A=1.0, I=(0.0, math.inf))
+    verdict = comp.completeness_verdict(params)
+    assert (verdict.lower.cls, verdict.upper.cls) == (EC.INTERIOR, EC.SMOOTH_CAP)

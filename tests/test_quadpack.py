@@ -76,7 +76,7 @@ def _recorded_calls(monkeypatch, run):
 @pytest.mark.parametrize(
     "name, run",
     [
-        ("ell-map", lambda: skrp.ell_map(fixtures.skrp_fixture("koiso-m2-A1B0"), 1.5, bounds=(0.8, 2.2)).log_ell(1.234)),
+        ("ell-map", lambda: skrp.EllMap(fixtures.skrp_fixture("koiso-m2-A1B0"), 1.5, (0.8, 2.2)).log_ell(1.234)),
         ("caps", lambda: comp.completeness_verdict(fixtures.skrp_fixture("koiso-m2-compact"))),
         ("tail", lambda: comp.completeness_verdict(fixtures.skrp_fixture("koiso-m2-tail"))),
     ],

@@ -144,7 +144,7 @@ def test_profile_ode_residual_vanishes_on_positive_intervals(params):
 def test_profile_ode_residual_default_branch_negative_interval():
     params = fixtures.skrp_fixture("negative-branch")
     for f in np.linspace(-8.5, -2.7, 50):
-        assert skrp.q_profile(params, f) > 0
+        assert params.q(f) > 0
         assert abs(skrp.phi_ode_residual(params, 1.0, f)) < 1e-12
 
 
@@ -196,6 +196,15 @@ def test_integrator_fails_at_pole():
         skrp.phi_ode_integrate(FLATBASE, 1.0, 0.5, phi0, dphi0, -0.5)
 
 
+def test_integrator_refuses_past_its_call_budget(monkeypatch):
+    # A stiff profile would take millions of right-hand-side calls; the budget
+    # turns that into an IntegrationFailure (exit 3) instead of a hang.
+    monkeypatch.setattr(skrp, "ODE_RHS_BUDGET", 50)
+    phi0, dphi0, _ = skrp.phi_closed(FLATBASE, 0.5)
+    with pytest.raises(IntegrationFailure, match="exceeds 50 right-hand-side calls"):
+        skrp.phi_ode_integrate(FLATBASE, 1.0, 0.5, phi0, dphi0, 4.0)
+
+
 # -- soliton coefficient profile ------------------------------------------------------------
 
 
@@ -222,20 +231,47 @@ def test_coefficient_breaks_off_unit_alpha():
 
 
 def test_q_value_from_phi():
-    assert skrp.q_profile(FLATBASE, 1.0) == pytest.approx(5.0, abs=1e-13)
+    assert FLATBASE.q(1.0) == pytest.approx(5.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("name", list(fixtures._SKRP))
+def test_params_are_the_q_profile(name):
+    # SkrpParams carries the QProfile interface: Q = 2 f_c phi, Q' its
+    # derivative, and interval = I.
+    params = fixtures.skrp_fixture(name)
+    assert params.interval == params.I
+    lo, hi = skrp.q_domain(params)[0]
+    f = 0.5 * (lo + min(hi, lo + 2.0))
+    phi, dphi, _ = skrp.phi_closed(params, f)
+    assert params.q(f) == 2.0 * (f - params.c) * phi
+    assert params.dq(f) == 2.0 * phi + 2.0 * (f - params.c) * dphi
+    h = 1e-5
+    assert params.dq(f) == pytest.approx((params.q(f + h) - params.q(f - h)) / (2 * h), rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [3.0, 4.0])
+def test_params_narrowed_to_a_q_interval_evaluate_at_its_ends(kappa):
+    # On an unbounded I the pole margin is 1e-6 (1 + |c|); narrowing I to the
+    # first Q-positive interval, which starts that far above the pole, must
+    # not widen the margin past the interval's own end.
+    params = skrp.SkrpParams(m=2, kappa=kappa, A=1.0, I=(0.0, math.inf))
+    lo, hi = skrp.q_domain(params)[0]
+    narrowed = replace(params, I=(lo, hi))
+    assert narrowed.pole_margin <= lo - params.c
+    assert narrowed.q(lo) == params.q(lo)
 
 
 def test_q_negative_for_mismatched_signs():
     # f_c < 0 with positive phi is excluded from the positivity domain.
     params = skrp.SkrpParams(m=2, kappa=0.0, c=0.0, A=1.0, B=0.0, I=(-4.0, -0.1))
-    assert skrp.q_profile(params, -1.0) < 0
+    assert params.q(-1.0) < 0
     assert skrp.q_domain(params) == []
 
 
 def test_q_domain_positive_constant_solution():
     params = skrp.SkrpParams(m=2, kappa=-2.0, c=0.0, A=0.0, B=0.0, I=(0.1, 3.0))
     # phi = -kappa/4 = 1/2 > 0, so Q > 0 exactly on f > c.
-    assert skrp.q_profile(params, 1.0) == pytest.approx(1.0)
+    assert params.q(1.0) == pytest.approx(1.0)
     assert skrp.q_domain(params) == [(0.1, 3.0)]
 
 
@@ -243,7 +279,7 @@ def test_q_domain_compact_interval_edges():
     params = fixtures.skrp_fixture("koiso-m2-compact")
     ((lo, hi),) = skrp.q_domain(params)
     assert lo == 0.0
-    assert skrp.q_profile(params, hi + 1e-8) < 0 < skrp.q_profile(params, hi - 1e-8)
+    assert params.q(hi + 1e-8) < 0 < params.q(hi - 1e-8)
 
 
 @pytest.mark.parametrize("interval", [(-3.0, 3.0), (-math.inf, math.inf)], ids=["finite", "whole-line"])
@@ -277,10 +313,10 @@ def test_q_domain_scans_past_a_far_finite_end(params, expected):
 
 def test_ell_map_constant_q_closed_form():
     profile = skrp.QProfile(q=lambda f: 3.0, dq=lambda f: 0.0, interval=(-2.0, 2.0), m=2, a=1.0)
-    ell = skrp.ell_map(profile, 0.0)
+    ell = skrp.EllMap(profile, 0.0, profile.interval)
     for f in (-1.5, -0.3, 0.9, 1.7):
         assert ell.ell(f) == pytest.approx(math.exp(f / 3.0), rel=1e-12)
-    doubled = skrp.ell_map(replace(profile, a=2.0), 0.0)
+    doubled = skrp.EllMap(replace(profile, a=2.0), 0.0, profile.interval)
     assert doubled.log_ell(1.2) == pytest.approx(2.0 * ell.log_ell(1.2), rel=1e-12)
 
 
@@ -296,7 +332,7 @@ _ELL_CACHE = {}
 
 def _shared_ell():
     if "ell" not in _ELL_CACHE:
-        _ELL_CACHE["ell"] = skrp.ell_map(FLATBASE, 1.5, bounds=(0.8, 2.2))
+        _ELL_CACHE["ell"] = skrp.EllMap(FLATBASE, 1.5, (0.8, 2.2))
     return _ELL_CACHE["ell"]
 
 
@@ -308,7 +344,7 @@ def test_ell_map_monotone():
 
 
 def test_ell_map_inversion_raises_without_convergence(monkeypatch):
-    ell = skrp.ell_map(FLATBASE, 1.5, bounds=(0.8, 2.2))
+    ell = skrp.EllMap(FLATBASE, 1.5, (0.8, 2.2))
     exact = ell.log_ell
     flip = iter(np.tile([1e-6, -1e-6], 100))  # a jittering residual Newton cannot settle
     monkeypatch.setattr(ell, "log_ell", lambda f: exact(f) + next(flip))
@@ -319,7 +355,7 @@ def test_ell_map_inversion_raises_without_convergence(monkeypatch):
 def test_ell_map_rejects_sign_change():
     params = fixtures.skrp_fixture("koiso-m2-compact")
     with pytest.raises(DomainSplit):
-        skrp.ell_map(params, 2.0, bounds=(1.0, 4.0))  # Q zero at ~2.656 inside
+        skrp.EllMap(params, 2.0, (1.0, 4.0))  # Q zero at ~2.656 inside
 
 
 # -- chart assembly -------------------------------------------------------------------------
@@ -382,7 +418,7 @@ def test_vertical_block_on_central_fiber(koiso_chart):
     w = 0.5 * (koiso_chart.domain.lo[2] + koiso_chart.domain.hi[2])
     p = np.array([0.0, 0.0, w, 0.0])
     f_val = koiso_chart.f_field(p)
-    expected = skrp.q_profile(params, f_val) / (params.p**2 * w * w)
+    expected = params.q(f_val) / (params.p**2 * w * w)
     G = koiso_chart.metric.matrix(p)
     assert G[2, 2] == pytest.approx(expected, rel=1e-12)
     assert G[3, 3] == pytest.approx(expected, rel=1e-12)
@@ -394,7 +430,7 @@ def test_potential_gradient_norm_matches_profile(koiso_chart):
     for p in sample_box(koiso_chart.domain, 6, seed=23):
         f_val = koiso_chart.f_field(p)
         grad_sq = ct.point_geometry(koiso_chart.metric, koiso_chart.f_field, p).grad_sq
-        assert grad_sq == pytest.approx(skrp.q_profile(koiso_chart.params, f_val), rel=1e-10)
+        assert grad_sq == pytest.approx(koiso_chart.params.q(f_val), rel=1e-10)
 
 
 def test_potential_never_critical_in_chart(koiso_chart):
@@ -488,7 +524,7 @@ def test_potential_field_matches_finite_differences(koiso_chart):
 def test_ell_map_decreasing_direction():
     # Negative a reverses monotonicity; inversion must still round-trip.
     profile = skrp.QProfile(q=lambda f: 3.0, dq=lambda f: 0.0, interval=(-2.0, 2.0), m=2, a=-1.0)
-    ell = skrp.ell_map(profile, 0.0)
+    ell = skrp.EllMap(profile, 0.0, profile.interval)
     assert ell.ell(1.5) == pytest.approx(math.exp(-0.5), rel=1e-12)
     for f in (-1.5, -0.2, 0.4, 1.9):
         assert ell.f_of_ell(ell.ell(f)) == pytest.approx(f, abs=1e-10)
@@ -582,7 +618,7 @@ def test_ell_inversion_on_zero_width_brackets_never_yields_nan():
     lo, _ = skrp.q_domain(params)[0]
     hi = params.c + 40.0
     window = (lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
-    ell = skrp.ell_map(params, 0.5 * sum(window), bounds=window)
+    ell = skrp.EllMap(params, 0.5 * sum(window), window)
     nodes = ell._t_nodes
     flat = np.flatnonzero(np.diff(nodes) == 0.0)
     assert len(flat) > 0

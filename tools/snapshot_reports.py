@@ -50,8 +50,9 @@ SEEDS = (None, "7")
 # Inline parameter configs: the profile fixtures spelled out, koiso-m2-compact
 # on the default whole-line I (where Q has a regular zero at c), a config that
 # leaves every optional key to its default, one that lacks ``m``, three wide
-# check bands on which the closed-vs-integrated oracle must still hold, and
-# four profiles whose fiber-norm map overflows float64.
+# check bands on which the closed-vs-integrated oracle must still hold,
+# four profiles whose fiber-norm map overflows float64, and five profiles at
+# float64's limits that crashed with a traceback until the checks below.
 CONFIGS = {
     "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
                       "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
@@ -77,6 +78,16 @@ CONFIGS = {
     "log-ell-overflow-kappa-1e-320": {"m": 2, "kappa": 1e-320, "a": -1, "phi_sign": 1, "I": ["-inf", 0.2]},
     "ell-overflow-huge-a": {"m": 2, "kappa": 3, "c": 1, "B": 0, "a": 1e300, "p": 4, "phi_sign": -1,
                             "I": [-50, -2]},
+    # The arc integrand's exp(-f / (m - 1)) overflows below f ~ -709: exit 3.
+    "arc-overflow": {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": [-900, -800], "phi_sign": -1},
+    "arc-overflow-to-minus-inf": {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -800], "phi_sign": -1},
+    # The arc integrand underflows to 0 where completeness fits its power law
+    # (exit 3); skrp's table may hold the 0 on the second (exit 0).
+    "integrand-underflow": {"m": 2, "kappa": 4, "A": 1, "I": [800, 900], "phi_sign": 1},
+    "integrand-underflow-c-1e7": {"m": 2, "A": 1, "c": 1e7, "I": [1e7, "inf"]},
+    # Every probe of skrp's no-Q-positive-interval branch lies within the pole
+    # margin 1e-6 (1 + |c|) of c: exit 3, as completeness already ended.
+    "probes-in-pole-margin": {"m": 2, "c": 1e7},
 }
 
 
