@@ -69,8 +69,9 @@ LADDER_EXPONENTS = range(2, 11)
 
 
 def _quad(fn, a, b, **kw) -> float:
-    """Adaptive quadrature with roundoff chatter silenced; near-singular
-    pieces are expected here and handled by the callers' substitutions."""
+    """Adaptive quadrature of one truncation-ladder segment, roundoff
+    chatter silenced: a segment next to a singular end is steep but stops
+    short of it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", quadpack.IntegrationWarning)
         val, _ = quadpack.quad(fn, a, b, **kw)
@@ -94,12 +95,11 @@ class OverallVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Outcome of an improper-integral evaluation."""
+    """Convergence decision of an improper integral, from the segment
+    integrals of its truncation ladder; no value of the integral is kept."""
 
     converged: bool
-    value: float | None = None
-    rate: str | None = None
-    increments: tuple[float, ...] = field(default=(), repr=False)
+    increments: tuple[float, ...] = field(repr=False)
 
     @property
     def diverges(self) -> bool:
@@ -111,7 +111,6 @@ class ExponentFit:
     """Least-squares power-law fit of an integrand near an endpoint."""
 
     exponent: float
-    log_coefficient: float
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,10 @@ def arc_integrand(profile: QProfile | SkrpParams, f: float) -> float:
         raise DomainError(f"arc integrand exp(-f / (m - 1)) overflows float64 at f = {f}") from None
 
 
-# -- improper integrals ------------------------------------------------------------
+# -- convergence of improper integrals ---------------------------------------------
 
 
-def _ladder(integrand: Callable[[float], float], edges: list[float]) -> tuple[bool, str | None, list[float]]:
+def _ladder(integrand: Callable[[float], float], edges: list[float]) -> tuple[bool, list[float]]:
     """Truncation ladder: decide divergence toward the end the decreasing
     ``edges`` approach, from the segment integrals over [edges[k+1], edges[k]],
     each a smooth positive quadrature.  Divergence is declared when these
@@ -163,15 +162,7 @@ def _ladder(integrand: Callable[[float], float], edges: list[float]) -> tuple[bo
     tail = increments[-4:]
     nondecreasing = all(b >= a_ * (1.0 - 1e-3) for a_, b in zip(tail[:-1], tail[1:]))
     significant = tail[-1] > 1e-13 * scale
-    if nondecreasing and significant:
-        ratios = [b / a_ for a_, b in zip(tail[:-1], tail[1:]) if a_ > 0]
-        ratio = float(np.median(ratios)) if ratios else 1.0
-        if ratio < 1.25:
-            rate = "log"
-        else:
-            rate = f"power p~{-1.0 - math.log10(ratio):.2f}"
-        return True, rate, increments
-    return False, None, increments
+    return nondecreasing and significant, increments
 
 
 def improper_integral(
@@ -180,13 +171,10 @@ def improper_integral(
     b: float,
     singular_end: str = "lower",
 ) -> IntegralResult:
-    """Evaluate an integral with a possible endpoint singularity at ``a``
-    (or at ``b`` with ``singular_end='upper'``).
-
-    Divergence is decided first by the truncation ladder; convergent
-    integrals are evaluated with an endpoint power substitution chosen from
-    a quick exponent fit (t^2 = f - a for inverse-square-root behaviour),
-    which removes the singularity before adaptive quadrature.
+    """Decide whether the integral over (a, b] converges at ``a`` (or over
+    [a, b) at ``b`` with ``singular_end='upper'``) from the truncation
+    ladder on the decade offsets (b - a) 10^-k, k = 2..10, from that end.
+    Gives the decision and the ladder's segment integrals, not a value.
     """
     if not a < b:
         raise DomainError(f"integration bounds must satisfy a < b, got ({a}, {b})")
@@ -195,35 +183,10 @@ def improper_integral(
     span = b - a
     sing = a if singular_end == "lower" else b
     direction = 1.0 if singular_end == "lower" else -1.0
-
-    def at_offset(off: float) -> float:
-        return integrand(sing + direction * off)
-
-    diverges, rate, increments = _ladder(at_offset, [span * 10.0 ** (-k) for k in LADDER_EXPONENTS])
-    if diverges:
-        return IntegralResult(False, None, rate, tuple(increments))
-
-    fit = exponent_fit(at_offset, 0.0, lo=1e-8 * span, hi=1e-3 * span)
-    p_hat = min(fit.exponent, 0.0)
-    if p_hat <= -1.0:
-        p_hat = -0.999  # ladder said convergent; keep the substitution finite
-    k = max(2, math.ceil(1.01 / (1.0 + p_hat)))
-
-    def substituted(u: float) -> float:
-        # quadpack evaluates endpoints; the u -> 0 limit is 0 by choice of k,
-        # and offsets that round onto the singular endpoint count as 0 too.
-        point = sing + direction * u**k
-        if point == sing:
-            return 0.0
-        return k * u ** (k - 1) * integrand(point)
-
-    value = _quad(substituted, 0.0, span ** (1.0 / k), epsabs=1e-12, epsrel=1e-11, limit=400)
-    if sing != 0.0:
-        # Offsets below the float spacing at the endpoint round onto it and
-        # were counted as 0 above; add their mass back from the power model.
-        sliver = abs(np.nextafter(sing, sing + direction) - sing)
-        value += math.exp(fit.log_coefficient) * sliver ** (1.0 + p_hat) / (1.0 + p_hat)
-    return IntegralResult(True, float(value), None, tuple(increments))
+    diverges, increments = _ladder(
+        lambda off: integrand(sing + direction * off), [span * 10.0 ** (-k) for k in LADDER_EXPONENTS]
+    )
+    return IntegralResult(not diverges, tuple(increments))
 
 
 def exponent_fit(
@@ -234,8 +197,7 @@ def exponent_fit(
 ) -> ExponentFit:
     """Fit integrand ~ C (f - a)^p on a 25-point geometric grid of offsets.
 
-    Returns the least-squares slope p and intercept log C of log integrand
-    against log (f - a).
+    Returns the least-squares slope p of log integrand against log (f - a).
     """
     offsets = np.geomspace(lo, hi, 25)
     logs = np.log(offsets)
@@ -245,7 +207,7 @@ def exponent_fit(
     vals = np.log(vals)
     design = np.stack([logs, np.ones_like(logs)], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
-    return ExponentFit(float(coef[0]), float(coef[1]))
+    return ExponentFit(float(coef[0]))
 
 
 # -- endpoint classification -------------------------------------------------------
@@ -274,10 +236,10 @@ def classify_endpoint(profile: QProfile | SkrpParams, a: float, side: str | None
 
     Decides from the analytic values Q(a), Q'(a) against a zero tolerance
     scaled to the Q range, then corroborates with a truncation-ladder
-    integral toward the endpoint; an exponent fit of the arc integrand there
-    is returned for the report.  ``side`` ("inf" or "sup") says which end of
-    the interval ``a`` is, and defaults to the nearer one.  An
-    endpoint whose derivative magnitude sits within a factor 10 of the
+    convergence test toward the endpoint; an exponent fit of the arc
+    integrand there is returned for the report.  ``side`` ("inf" or "sup")
+    says which end of the interval ``a`` is, and defaults to the nearer one.
+    An endpoint whose derivative magnitude sits within a factor 10 of the
     tolerance is ambiguous and surfaced as an error rather than guessed.
     """
     if not math.isfinite(a):
@@ -383,27 +345,19 @@ def infinite_range_test(params: SkrpParams) -> EndpointAnalysis:
         log_val = tail_log_integrand(params, u)
         return math.exp(log_val) if log_val > -745.0 else 0.0
 
-    diverges, rate, increments = _ladder(integrand, [u1 * 10.0 ** (-k) for k in LADDER_EXPONENTS])
-    if diverges:
-        return EndpointAnalysis(
-            math.inf, EndpointClass.INFINITE_RANGE_DIVERGENT, IntegralResult(False, None, rate, tuple(increments))
-        )
-    value = _quad(integrand, 0.0, u1, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return EndpointAnalysis(
-        math.inf, EndpointClass.INFINITE_RANGE_CONVERGENT, IntegralResult(True, float(value), None, tuple(increments))
-    )
+    diverges, increments = _ladder(integrand, [u1 * 10.0 ** (-k) for k in LADDER_EXPONENTS])
+    cls = EndpointClass.INFINITE_RANGE_DIVERGENT if diverges else EndpointClass.INFINITE_RANGE_CONVERGENT
+    return EndpointAnalysis(math.inf, cls, IntegralResult(not diverges, tuple(increments)))
 
 
 def _infinite_lower_test(profile: QProfile | SkrpParams, f_end: float) -> EndpointAnalysis:
-    """Ladder test toward f -> -inf (the conformal factor grows) on the
-    doubling edges f_end - 2^k; a convergent value is the integral over
-    [f_end - 64, f_end]."""
+    """Ladder convergence decision toward f -> -inf (the conformal factor
+    grows) on the doubling edges f_end - 2^k, k = 0..6: the segments tile
+    [f_end - 64, f_end], and no value of the integral is kept."""
     edges = [f_end] + [f_end - 2.0**k for k in range(7)]
-    diverges, _, increments = _ladder(lambda f: arc_integrand(profile, f), edges)
+    diverges, increments = _ladder(lambda f: arc_integrand(profile, f), edges)
     cls = EndpointClass.INFINITE_RANGE_DIVERGENT if diverges else EndpointClass.INFINITE_RANGE_CONVERGENT
-    value = None if diverges else sum(increments)
-    result = IntegralResult(not diverges, value, "exp" if diverges else None, tuple(increments))
-    return EndpointAnalysis(-math.inf, cls, result)
+    return EndpointAnalysis(-math.inf, cls, IntegralResult(not diverges, tuple(increments)))
 
 
 # -- whole-interval verdict ---------------------------------------------------------

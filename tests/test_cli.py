@@ -222,6 +222,29 @@ def test_numeric_error_exit_code(tmp_path, capsys):
     assert diagnostic["error"]["type"] == "NonpositiveQ"
 
 
+def test_completeness_on_shifted_capped_profile(tmp_path, capsys):
+    # koiso-m2-capped with c and I shifted by -7.5: the located root of phi
+    # that ends the Q-positive interval lies ulps past the zero of Q, where
+    # Q < 0.  The verdict must stop short of it (not exit 3 with NonpositiveQ)
+    # and match the unshifted fixture's.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(
+        json.dumps(
+            {"m": 2, "kappa": 1, "c": -7.5, "A": 1, "B": -0.01, "I": [-7.45, 1.4],
+             "s": 2, "a": 0.5, "p": 0.5, "phi_sign": 1}
+        )
+    )
+    code, out, err = run(["completeness", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    assert err == ""
+    measured = {c["name"]: c["measured"] for c in json.loads(out)["checks"]}
+    assert (measured["endpoint-inf-class"], measured["endpoint-sup-class"], measured["verdict"]) == (
+        "Interior",
+        "SmoothCap",
+        "inconclusive-at-end",
+    )
+
+
 def test_skrp_unbounded_tail_fixture(capsys):
     code, out, _ = run(["skrp", "--fixture", "koiso-m2-tail", "--samples", "40"], capsys)
     assert code == cli.EXIT_PASS

@@ -51,8 +51,9 @@ SEEDS = (None, "7")
 # on the default whole-line I (where Q has a regular zero at c), a config that
 # leaves every optional key to its default, one that lacks ``m``, three wide
 # check bands on which the closed-vs-integrated oracle must still hold,
-# four profiles whose fiber-norm map overflows float64, and five profiles at
-# float64's limits that crashed with a traceback until the checks below.
+# four profiles whose fiber-norm map overflows float64, five profiles at
+# float64's limits that crashed with a traceback until the checks below, and
+# a shifted capped profile whose end lies ulps past a zero of Q.
 CONFIGS = {
     "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
                       "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
@@ -88,6 +89,10 @@ CONFIGS = {
     # Every probe of skrp's no-Q-positive-interval branch lies within the pole
     # margin 1e-6 (1 + |c|) of c: exit 3, as completeness already ended.
     "probes-in-pole-margin": {"m": 2, "c": 1e7},
+    # koiso-m2-capped with c and I shifted by -7.5: the root of phi lands
+    # ulps past the zero of Q, so completeness must stop short of that end.
+    "koiso-m2-capped-shift-7.5": {"m": 2, "kappa": 1, "c": -7.5, "A": 1, "B": -0.01, "I": [-7.45, 1.4],
+                                  "s": 2, "a": 0.5, "p": 0.5, "phi_sign": 1},
 }
 
 
