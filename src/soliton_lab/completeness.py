@@ -155,7 +155,7 @@ def _ladder(integrand: Callable[[float], float], edges: list[float]) -> tuple[bo
     """
     increments = []
     for hi_e, lo_e in zip(edges[:-1], edges[1:]):
-        increments.append(_quad(integrand, lo_e, hi_e, epsabs=1e-300, epsrel=1e-10, limit=200))
+        increments.append(_quad(integrand, lo_e, hi_e, epsabs=1e-300, epsrel=1e-10))
     scale = max(abs(v) for v in increments) + 1e-300
     if any(seg < -1e-12 * scale for seg in increments):
         raise OscillationDetected("a truncation segment is negative; integrand is not positive")

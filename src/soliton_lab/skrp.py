@@ -466,11 +466,11 @@ class EllMap:
         # Cumulative log-ell values at the grid nodes, anchored at f0.
         segs = np.empty(len(self._grid) - 1)
         for i in range(len(segs)):
-            segs[i], _ = quadpack.quad(integrand, self._grid[i], self._grid[i + 1], epsabs=1e-14, epsrel=1e-13, limit=200)
+            segs[i], _ = quadpack.quad(integrand, self._grid[i], self._grid[i + 1], epsabs=1e-14, epsrel=1e-13)
         # Anchor exactly so log ell(f0) = 0.
         i0 = int(np.searchsorted(self._grid, self.f0)) - 1
         i0 = min(max(i0, 0), len(self._grid) - 2)
-        extra, _ = quadpack.quad(integrand, self._grid[i0], self.f0, epsabs=1e-14, epsrel=1e-13, limit=200)
+        extra, _ = quadpack.quad(integrand, self._grid[i0], self.f0, epsabs=1e-14, epsrel=1e-13)
         # An overflowing table (tiny Q, huge a) is refused below, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             cumulative = np.concatenate([[0.0], np.cumsum(segs)])
@@ -489,7 +489,7 @@ class EllMap:
             raise DomainError(f"f = {f} outside ell-map bounds {self.bounds}")
         i = int(np.searchsorted(self._grid, f)) - 1
         i = min(max(i, 0), len(self._grid) - 2)
-        extra, _ = quadpack.quad(self._integrand, self._grid[i], f, epsabs=1e-14, epsrel=1e-13, limit=200)
+        extra, _ = quadpack.quad(self._integrand, self._grid[i], f, epsabs=1e-14, epsrel=1e-13)
         return float(self._t_nodes[i] + extra)
 
     def ell(self, f: float) -> float:

@@ -80,7 +80,7 @@ def u_substituted_integral(integrand: Callable[[float], float], f1: float, f2: f
     if not c < f1 < f2:
         raise DomainError("substitution needs c < f1 < f2")
     u_lo, u_hi = 1.0 / (f2 - c), 1.0 / (f1 - c)
-    return float(comp._quad(lambda u: integrand(c + 1.0 / u) / (u * u), u_lo, u_hi, epsabs=1e-13, epsrel=1e-12, limit=400))
+    return float(comp._quad(lambda u: integrand(c + 1.0 / u) / (u * u), u_lo, u_hi, epsabs=1e-13, epsrel=1e-12))
 
 
 def tail_log_asymptote(params, u: float) -> float:
