@@ -292,8 +292,8 @@ def cmd_skrp(config: RunConfig) -> Report:
     report = Report(config)
     params = _resolve_params(config, fixtures.skrp_fixture)
     t0 = time.perf_counter()
-    positive = skrp.q_domain(params)
-    if not positive:
+    working = skrp.working_interval(params)
+    if working is None:
         lo, hi = params.I
         lo = lo if math.isfinite(lo) else params.c - 10.0
         hi = hi if math.isfinite(hi) else params.c + 10.0
@@ -308,7 +308,7 @@ def cmd_skrp(config: RunConfig) -> Report:
         report.tables[".profile.csv"] = (PROFILE_HEADER, [])
         return report
 
-    lo, hi = positive[0]
+    (lo, hi), band = working
     if not math.isfinite(hi):
         hi = params.c + 40.0 if lo < params.c + 40.0 else lo + 40.0
     if not math.isfinite(lo):
@@ -319,13 +319,8 @@ def cmd_skrp(config: RunConfig) -> Report:
     ell = skrp.EllMap(params, anchor, window)
 
     grid = np.linspace(window[0], window[1], config.samples)
-    # Identity checks run where float64 can resolve them: within 0.05 of the
-    # pole on either side, and deep in the exponential tail above it, the
-    # terms grow past 1e12 and the exact cancellation drowns in roundoff.
-    if window[0] >= params.c:
-        band = (max(window[0], params.c + 0.05), min(window[1], params.c + 12.0))
-    else:
-        band = (window[0], min(window[1], params.c - 0.05))
+    # Identity checks run on the window's part of skrp.working_interval's band.
+    band = (max(window[0], band[0]), min(window[1], band[1]))
     if not band[0] < band[1]:
         raise DomainError(
             f"profile window ({window[0]}, {window[1]}) has no point where float64 resolves "

@@ -43,7 +43,7 @@ from .errors import (
     OscillationDetected,
     ToleranceAmbiguity,
 )
-from .skrp import CalabiChart, QProfile, SkrpParams, phi_closed, q_domain
+from .skrp import CalabiChart, QProfile, SkrpParams, phi_closed, working_interval
 
 __all__ = [
     "EndpointClass",
@@ -364,8 +364,8 @@ def _infinite_lower_test(profile: QProfile | SkrpParams, f_end: float) -> Endpoi
 
 
 def completeness_verdict(profile: QProfile | SkrpParams) -> CompletenessVerdict:
-    """Combine the endpoint analyses of a profile's Q-positive interval, the
-    first one when the closed form has several.
+    """Combine the endpoint analyses of a profile's Q-positive interval, a
+    closed form's first one (:func:`.skrp.working_interval`).
 
     Complete when every end has infinite length (higher-order zero or a
     divergent tail) or is a smooth cap over which the metric extends; the
@@ -374,10 +374,10 @@ def completeness_verdict(profile: QProfile | SkrpParams) -> CompletenessVerdict:
     verdict is inconclusive rather than guessed.
     """
     if isinstance(profile, SkrpParams):
-        intervals = q_domain(profile)
-        if not intervals:
+        working = working_interval(profile)
+        if working is None:
             raise NonpositiveQ("profile has no Q-positive interval")
-        profile = replace(profile, I=intervals[0])
+        profile = replace(profile, I=working[0])
     lo, hi = profile.interval
 
     if math.isfinite(lo):

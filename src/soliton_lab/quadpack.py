@@ -6,8 +6,8 @@ meets the tolerance; it does no extrapolation, so it is meant for smooth
 integrands over a finite interval, which is what every caller passes (the
 fiber-norm map and the completeness truncation ladder both stop short of
 any singular end).  This module transcribes the double-precision routines
-``dqage`` (with ``key = 2``), ``dqk21`` and ``dqpsrt`` statement by
-statement: the same summation order, the machine constants of
+``dqage`` (with ``key = 2``), ``dqk21`` and ``dqpsrt`` (at ``nrmax = 1``)
+statement by statement: the same summation order, the machine constants of
 ``sys.float_info`` for ``EPMACH``/``UFLOW``, and Python floats throughout.
 The interval lists keep the Fortran's 1-based indices (element 0 is
 unused); the Kronrod rule's tables are 0-based.
@@ -142,29 +142,19 @@ def _qk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
-    """dqpsrt: keep ``iord`` descending in ``elist`` after a bisection and
-    return the next interval to bisect as (maxerr, errmax, nrmax)."""
-    if last <= 2:
-        iord[1] = 1
-        iord[2] = 2
-        maxerr = iord[nrmax]
-        return maxerr, elist[maxerr], nrmax
-    # Subdivision may have raised the error estimate: move maxerr up first.
+def _qpsrt(limit, last, maxerr, elist, iord):
+    """dqpsrt where ``nrmax`` stays 1, as under QAG (its move-up loop serves
+    QAGS's extrapolation): keep ``iord`` descending in ``elist`` after a
+    bisection and return (maxerr, errmax), the next interval to bisect.  Its
+    ``last <= 2`` branch is what the insertion below does at maxerr = 1."""
     errmax = elist[maxerr]
-    for _ in range(nrmax - 1):
-        isucc = iord[nrmax - 1]
-        if errmax <= elist[isucc]:
-            break
-        iord[nrmax] = isucc
-        nrmax -= 1
     # Only as many entries as subdivisions remain need to stay ordered.
     jupbn = last
     if last > limit // 2 + 2:
         jupbn = limit + 3 - last
     errmin = elist[last]
     jbnd = jupbn - 1
-    for i in range(nrmax + 1, jbnd + 1):
+    for i in range(2, jbnd + 1):
         # Insert errmax top-down, then errmin bottom-up.
         isucc = iord[i]
         if errmax >= elist[isucc]:
@@ -184,8 +174,8 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
     else:
         iord[jbnd] = maxerr
         iord[jupbn] = last
-    maxerr = iord[nrmax]
-    return maxerr, elist[maxerr], nrmax
+    maxerr = iord[1]
+    return maxerr, elist[maxerr]
 
 
 def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float, limit: int) -> tuple[float, float, int, int]:
@@ -197,10 +187,7 @@ def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
     """
     epmach, uflow = _EPMACH, _UFLOW
     ier = 0
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
+    alist, blist, rlist, elist = ([0.0] * (limit + 1) for _ in range(4))
     iord = [0] * (limit + 1)
     alist[1] = a
     blist[1] = b
@@ -225,7 +212,6 @@ def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
     maxerr = 1
     area = result
     errsum = abserr
-    nrmax = 1
     iroff1 = iroff2 = 0
 
     for last in range(2, limit + 1):
@@ -250,7 +236,8 @@ def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
         rlist[last] = area2
         errbnd = max(epsabs, epsrel * abs(area))
 
-        if errsum > errbnd:
+        # The Fortran's "errsum <= errbnd, go to 8", so a NaN sum sets the flags.
+        if not errsum <= errbnd:
             if iroff1 >= 6 or iroff2 >= 20:
                 ier = 2
             if last == limit:
@@ -273,7 +260,7 @@ def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
             blist[last] = b2
             elist[maxerr] = error1
             elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax = _qpsrt(limit, last, maxerr, elist, iord)
         if ier != 0 or errsum <= errbnd:
             break
 

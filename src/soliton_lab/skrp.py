@@ -56,6 +56,7 @@ from .errors import (
     DomainError,
     DomainSplit,
     IntegrationFailure,
+    NonpositiveQ,
     PoleError,
 )
 from .sampling import Box, sample_box
@@ -66,18 +67,14 @@ def _lazy_module(name: str):
     """``sys.modules[name]``, registered to run on its first attribute read;
     ``None``, with nothing registered, when its package cannot be found.
 
-    No command uses scipy: quadrature is the package's own :mod:`.quadpack`,
-    root finding its own :mod:`.brent` and the ODE oracles its own
-    :mod:`.dop853`, and ``scipy.integrate`` would cost 0.4-0.9 s to import.
-    The one reader of the lazy ``scipy.integrate`` registered below is
-    perfbench's tracer, which looks the module up in ``sys.modules`` to wrap
-    ``quad`` and ``solve_ivp``; both the registration and this function go
-    once the benchmark stops doing that (ROADMAP item 1).  The lazy module
-    is bound directly: ``from scipy import integrate`` would read its
-    ``__spec__`` through the import system and so run it at once.  The
-    submodule is looked up in its package's directory, because
-    ``find_spec`` of a dotted name imports the package, and scipy's own
-    ``__init__`` costs ~20 ms.
+    No command uses scipy, which only the ``test`` extra installs.  The one
+    reader of the lazy ``scipy.integrate`` registered below is perfbench's
+    tracer, which looks it up in ``sys.modules`` to wrap ``quad`` and
+    ``solve_ivp``; both go once the benchmark stops doing that (ROADMAP
+    item 1).  The module is bound directly, since ``from scipy import
+    integrate`` would read its ``__spec__`` and so run it at once, and looked
+    up in its package's directory, since ``find_spec`` of a dotted name
+    imports the package (~20 ms).
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -104,6 +101,7 @@ __all__ = [
     "phi_ode_integrate",
     "soliton_coeff_profile",
     "q_domain",
+    "working_interval",
     "assemble_calabi_metric",
     "killing_residual",
     "kahler_closedness_residual",
@@ -415,6 +413,24 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
                     a_out = -math.inf
                 intervals.append((a_out, b_out))
     return intervals
+
+
+def working_interval(params: SkrpParams) -> tuple[tuple[float, float], tuple[float, float]] | None:
+    """The first Q-positive interval, which ``skrp``, ``completeness`` and the
+    chart assembly work on, and its float64 band; None if Q > 0 nowhere on I.
+
+    The band keeps |f - c| > 0.05, and f - c < 12 above the pole: nearer the
+    pole, or deeper in the exponential tail, the profile's terms pass 1e12
+    and the exact cancellations of its identities drown in roundoff.  It
+    may be empty, and below the pole its lower end may be -inf.
+    """
+    positive = q_domain(params)
+    if not positive:
+        return None
+    lo, hi = positive[0]
+    if lo >= params.c:
+        return (lo, hi), (max(lo, params.c + 0.05), min(hi, params.c + 12.0))
+    return (lo, hi), (lo, min(hi, params.c - 0.05))
 
 
 # -- generic Q-profile (shared with the completeness module) -------------------
@@ -763,8 +779,8 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     The base is CP^1 with the Fubini-Study metric normalized so ric(h) =
     kappa h (checked numerically), the fiber metric is (1 + |z|^2)^s, and the
     vertical projection uses the Chern-connection kernel.  The potential
-    window is the middle 70% of the finite interval I and must lie inside a
-    Q-positive interval.  The chart is built once from ``params`` as given
+    window is the middle 70% of the float64 band of :func:`working_interval`,
+    which must be finite.  The chart is built once from ``params`` as given
     and then verified to be closed (which needs a s = p^2 lambda_h),
     Hermitian, and a gradient soliton with alpha = 1; any failed check raises
     :class:`CalibrationFailure`.
@@ -781,14 +797,14 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     if base_resid > BASE_NORMALIZATION_TOL:
         raise CalibrationFailure(f"base normalization failed: |ric(h) - kappa h| = {base_resid:.3e}")
 
-    positive = q_domain(params)
-    lo, hi = params.I
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"chart assembly needs a finite interval I, not {params.I}")
+    working = working_interval(params)
+    if working is None:
+        raise NonpositiveQ(f"profile has no Q-positive interval in I = {params.I}")
+    _, (lo, hi) = working
+    if not (math.isfinite(lo) and lo < hi):
+        raise DomainError(f"chart assembly needs a finite, nonempty float64 band, not ({lo}, {hi})")
     width = hi - lo
     f_window = (lo + 0.15 * width, hi - 0.15 * width)
-    if not any(a_ <= f_window[0] and f_window[1] <= b_ for a_, b_ in positive):
-        raise DomainSplit(f"f-window {f_window} is not inside a Q-positive interval {positive}")
     anchor = 0.5 * (f_window[0] + f_window[1])
     fc_sign = math.copysign(1.0, anchor - params.c)
 

@@ -4,16 +4,20 @@ Central finite differences check every field's jet derivatives, the
 divergence-form Laplacian checks the Christoffel-symbol one, the
 u = 1/(f - c) substitution checks the tail transformation of the
 completeness integrals, and the closed-form tail asymptote checks the
-u-substituted tail integrand.  None of them is on a command's path.
+u-substituted tail integrand, and a restatement of QUADPACK's dqage checks
+the package's QAG off the path it shares with scipy's QAGS.  None of them
+is on a command's path.
 """
 
 import math
+import sys
 from collections.abc import Callable
 
 import numpy as np
 
 from soliton_lab import chart as ct
 from soliton_lab import completeness as comp
+from soliton_lab import quadpack
 from soliton_lab.errors import DomainError
 
 _EPS = np.finfo(float).eps
@@ -88,3 +92,104 @@ def tail_log_asymptote(params, u: float) -> float:
     behaviour of the u-substituted tail integrand when B != 0."""
     m = params.m
     return (-1.0 / (m - 1) - 0.5) / u - ((m - 1) / 2.0 + 2.0) * math.log(u)
+
+
+def dqage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float, limit: int):
+    """QUADPACK's dqage with key = 2, restated from the Fortran (Piessens et
+    al., 1983) with its statement labels: (result, abserr, neval, ier).
+
+    Written apart from ``quadpack.qage``, it keeps what the port leaves out:
+    the ``neval`` counter of the Fortran, its ``go to`` structure and
+    dqpsrt's ``nrmax`` bookkeeping.  The 21-point rule is the port's
+    ``_qk21``, which the shared-path tests pin to scipy's bits.
+    """
+    epmach, uflow = sys.float_info.epsilon, sys.float_info.min
+    ier, neval = 0, 0
+    alist, blist, rlist, elist = ([0.0] * (limit + 2) for _ in range(4))
+    iord = [0] * (limit + 2)
+    if epsabs <= 0.0 and epsrel < max(0.5e2 * epmach, 0.5e-28):
+        return 0.0, 0.0, 0, 6
+    alist[1], blist[1] = a, b
+    result, abserr, defabs, resabs = quadpack._qk21(f, a, b)
+    last = 1
+    rlist[1], elist[1], iord[1] = result, abserr, 1
+    errbnd = max(epsabs, epsrel * abs(result))
+    if abserr <= 0.5e2 * epmach * defabs and abserr > errbnd:
+        ier = 2
+    if limit == 1:
+        ier = 1
+    if not (ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0):
+        errmax, maxerr, area, errsum = abserr, 1, result, abserr
+        nrmax, iroff1, iroff2 = 1, 0, 0
+        last = 2
+        while True:  # do 30 last = 2, limit
+            a1, b1 = alist[maxerr], 0.5 * (alist[maxerr] + blist[maxerr])
+            a2, b2 = b1, blist[maxerr]
+            area1, error1, resabs, defab1 = quadpack._qk21(f, a1, b1)
+            area2, error2, resabs, defab2 = quadpack._qk21(f, a2, b2)
+            neval += 1
+            area12 = area1 + area2
+            erro12 = error1 + error2
+            errsum = errsum + erro12 - errmax
+            area = area + area12 - rlist[maxerr]
+            if defab1 != error1 and defab2 != error2:
+                if abs(rlist[maxerr] - area12) <= 0.1e-4 * abs(area12) and erro12 >= 0.99 * errmax:
+                    iroff1 += 1
+                if last > 10 and erro12 > errmax:
+                    iroff2 += 1
+            rlist[maxerr] = area1  # label 5
+            rlist[last] = area2
+            errbnd = max(epsabs, epsrel * abs(area))
+            if not errsum <= errbnd:
+                if iroff1 >= 6 or iroff2 >= 20:
+                    ier = 2
+                if last == limit:
+                    ier = 1
+                if max(abs(a1), abs(b2)) <= (0.1e1 + 0.1e3 * epmach) * (abs(a2) + 0.1e4 * uflow):
+                    ier = 3
+            if error2 > error1:  # label 8, then 10
+                alist[maxerr], alist[last], blist[last] = a2, a1, b1
+                rlist[maxerr], rlist[last] = area2, area1
+                elist[maxerr], elist[last] = error2, error1
+            else:
+                alist[last], blist[maxerr], blist[last] = a2, b1, b2
+                elist[maxerr], elist[last] = error1, error2
+            maxerr, errmax, nrmax = _dqpsrt(limit, last, maxerr, elist, iord, nrmax)  # label 20
+            if ier != 0 or errsum <= errbnd:
+                break
+            last += 1
+        result = 0.0  # label 40
+        for k in range(1, last + 1):
+            result = result + rlist[k]
+        abserr = errsum
+    return result, abserr, 21 * (2 * neval + 1), ier  # label 60
+
+
+def _dqpsrt(limit, last, maxerr, elist, iord, nrmax):
+    """dqpsrt, nrmax and all: (maxerr, ermax, nrmax) after inserting the two
+    halves of the last bisection into the descending ``iord``."""
+    if last <= 2:
+        iord[1], iord[2] = 1, 2
+    else:
+        errmax = elist[maxerr]  # label 10
+        while nrmax > 1 and not errmax <= elist[iord[nrmax - 1]]:
+            iord[nrmax] = iord[nrmax - 1]
+            nrmax -= 1
+        jupbn = limit + 3 - last if last > limit // 2 + 2 else last  # label 30
+        errmin = elist[last]
+        jbnd = jupbn - 1
+        i = nrmax + 1
+        while i <= jbnd and not errmax >= elist[iord[i]]:  # do 40
+            iord[i - 1] = iord[i]
+            i += 1
+        if i > jbnd:  # label 50
+            iord[jbnd], iord[jupbn] = maxerr, last
+        else:  # label 60: insert errmin bottom-up
+            iord[i - 1] = maxerr
+            k = jbnd
+            while k >= i and not errmin < elist[iord[k]]:  # do 70
+                iord[k + 1] = iord[k]
+                k -= 1
+            iord[k + 1] = last  # label 80, or iord(i) = last after do 70
+    maxerr = iord[nrmax]  # label 90
+    return maxerr, elist[maxerr], nrmax

@@ -1,4 +1,5 @@
-"""Every module's ``__all__`` names what it defines, and it imports nothing it never uses."""
+"""Every module's ``__all__`` names what it defines, and it imports nothing it
+never uses; one module picks the working interval; scipy is a test dependency."""
 
 import ast
 import glob
@@ -7,7 +8,8 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 MODULES = sorted(glob.glob(os.path.join(SRC, "soliton_lab", "*.py")))
 
 
@@ -59,3 +61,32 @@ def test_every_all_entry_exists(path):
     name = os.path.splitext(os.path.basename(path))[0]
     module = importlib.import_module("soliton_lab" if name == "__init__" else f"soliton_lab.{name}")
     assert [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)] == []
+
+
+def _names(source: str) -> set[str]:
+    """Every name, attribute and imported name the source mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["cli.py", "completeness.py"])
+def test_working_interval_comes_from_skrp(module):
+    # skrp.working_interval picks the Q-positive interval and its float64
+    # band; a command that ran q_domain itself would grow a second rule.
+    with open(os.path.join(SRC, "soliton_lab", module), encoding="utf-8") as handle:
+        assert "q_domain" not in _names(handle.read())
+
+
+def test_scipy_is_only_a_test_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    lists = {"dependencies": project["dependencies"], **project["optional-dependencies"]}
+    assert [name for name, specs in lists.items() if any(s.startswith("scipy") for s in specs)] == ["test"]

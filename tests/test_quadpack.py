@@ -6,8 +6,9 @@ same way but adds Wynn's epsilon extrapolation from the third bisection on.
 So on the shared path, a call scipy finishes within two bisections
 (``neval <= 105``) without a warning, the port must return scipy's value,
 error estimate, evaluation count and ``ier`` bit for bit; off it, the two
-values must agree within the sum of their error estimates.  scipy serves
-here only as a test oracle.
+values must agree within the sum of their error estimates, and the port
+must return the bits of ``oracles.dqage``, a restatement of the Fortran
+dqage that only the tests use.  scipy serves here only as a test oracle.
 """
 
 import math
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 
 from soliton_lab import cli, fixtures, quadpack
 from soliton_lab import completeness as comp
+
+import oracles
 
 integrate = pytest.importorskip("scipy.integrate")
 
@@ -69,14 +72,21 @@ def _on_shared_path(scipy_out):
     return scipy_out[2] <= SHARED_NEVAL and scipy_out[3] == 0
 
 
+def _oracle(f, a, b, epsabs, epsrel, limit):
+    value, abserr, neval, ier = oracles.dqage(f, min(a, b), max(a, b), epsabs, epsrel, limit)
+    return (-value if b < a else value), abserr, neval, ier
+
+
 def _assert_consistent(f, a, b, epsabs, epsrel, limit):
-    """Bitwise equal on the shared path, else equal within both error
-    estimates; returns the port's (value, abserr, neval, ier)."""
+    """Bitwise equal to scipy on the shared path; off it, bitwise equal to the
+    dqage oracle and equal to scipy within both error estimates.  Returns
+    the port's (value, abserr, neval, ier)."""
     ours = _port(f, a, b, epsabs, epsrel, limit)
     theirs = _scipy(f, a, b, epsabs, epsrel, limit)
     if _on_shared_path(theirs):
         assert _bits(*ours) == _bits(*theirs)
     else:
+        assert _bits(*ours) == _bits(*_oracle(f, a, b, epsabs, epsrel, limit))
         assert abs(ours[0] - theirs[0]) <= ours[1] + theirs[1]
     return ours
 
@@ -246,3 +256,50 @@ def test_unmet_tolerance_warns_and_met_tolerance_does_not():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         quadpack.quad(math.exp, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)
+
+
+# -- QAG off the shared path ----------------------------------------------------------
+
+COMPLETENESS_FIXTURES = ("synthetic-simple-caps", "synthetic-double-zero") + PROFILE_FIXTURES
+
+
+def test_ladder_calls_off_the_shared_path_match_the_dqage_oracle(monkeypatch):
+    """Where scipy's QAGS goes past two bisections it no longer checks the
+    port; there the port must return the bits of ``oracles.dqage``."""
+
+    def run():
+        for name in COMPLETENESS_FIXTURES:
+            comp.completeness_verdict(fixtures.q_profile_fixture(name))
+
+    calls = _recorded_calls(monkeypatch, run)
+    off_path = [call for call in calls if not _on_shared_path(_scipy(*call))]
+    assert off_path
+    for call in off_path:
+        assert _bits(*_port(*call)) == _bits(*_oracle(*call))
+
+
+@pytest.mark.parametrize(
+    "f, a, b, shape, ier",
+    [
+        # The first estimate's error is 52.8 eps times the integral of |f|:
+        # dqage flags roundoff there only at 50 eps (dqagse at 100), so it bisects.
+        (lambda x: math.exp(9.65 * x), 0.0, 1.0, (1e-300, 1e-15, quadpack.LIMIT), 2),
+        # The one bisection that limit 2 allows meets the tolerance: no flag.
+        (lambda x: math.exp(-3.0 * x * x), -1.0, 1.0, (1e-300, 1e-10, 2), 0),
+        # The relative bound follows the running area, not the first estimate.
+        (lambda x: math.cos(40.0 * x) + 2.0, -1.0, 1.0, (1e-300, 1e-13, quadpack.LIMIT), 0),
+    ],
+    ids=["first-estimate-roundoff", "limit-met-on-last-bisection", "running-bound"],
+)
+def test_off_path_calls_match_the_dqage_oracle(f, a, b, shape, ier):
+    # Each call is off scipy's path, so the check is against the oracle.
+    assert _assert_consistent(f, a, b, *shape)[3] == ier
+
+
+@pytest.mark.parametrize("f", [lambda x: math.nan, lambda x: math.nan if x > 0.3 else x], ids=["nan", "nan-above-0.3"])
+def test_nan_integrand_ends_as_dqage_does(f):
+    # A NaN error sum fails the Fortran's "errsum <= errbnd" test, so the
+    # error flags are set and the call ends with a warning, not silently.
+    port = quadpack.qage(f, 0.0, 1.0, 1e-14, 1e-13, quadpack.LIMIT)
+    assert _bits(*port) == _bits(*oracles.dqage(f, 0.0, 1.0, 1e-14, 1e-13, quadpack.LIMIT))
+    assert port[3] > 0

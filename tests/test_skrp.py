@@ -18,6 +18,7 @@ from soliton_lab.errors import (
     DomainError,
     DomainSplit,
     IntegrationFailure,
+    NonpositiveQ,
     PoleError,
 )
 from soliton_lab.sampling import sample_box
@@ -308,6 +309,28 @@ def test_q_domain_scans_past_a_far_finite_end(params, expected):
     assert skrp.q_domain(params) == expected
 
 
+@pytest.mark.parametrize(
+    "params,expected",
+    [
+        (fixtures.skrp_fixture("koiso-m2-A1B0"), ((0.5, 2.5), (0.5, 2.5))),
+        (fixtures.skrp_fixture("koiso-m2-tail"), ((0.0, math.inf), (0.05, 12.0))),
+        (fixtures.skrp_fixture("negative-branch"), ((-9.0, -2.6), (-9.0, -2.6))),
+        (skrp.SkrpParams(m=2, kappa=2.0, I=(-math.inf, -0.01)),  # phi = -1/2, Q = -f
+         ((-math.inf, -0.01), (-math.inf, -0.05))),
+        (replace(fixtures.skrp_fixture("koiso-m2-tail"), I=(0.02, 0.04)), ((0.02, 0.04), (0.05, 0.04))),
+    ],
+    ids=["inside-band", "tail-past-c+12", "below-pole", "below-pole-unbounded", "empty-band"],
+)
+def test_working_interval_is_the_first_q_interval_and_its_band(params, expected):
+    # The band keeps |f - c| > 0.05, and f - c < 12 above the pole; it may be
+    # empty, and below the pole it keeps an unbounded end.
+    assert skrp.working_interval(params) == expected
+
+
+def test_working_interval_of_a_profile_positive_nowhere_is_none():
+    assert skrp.working_interval(skrp.SkrpParams(m=2, kappa=0.0, A=1.0, I=(-4.0, -0.1))) is None
+
+
 # -- fiber-norm map ----------------------------------------------------------------------
 
 
@@ -392,6 +415,46 @@ def test_assembly_refuses_constants_off_the_closedness_relation():
     # refused, never rebuilt with another a.
     params = replace(fixtures.skrp_fixture("koiso-m2-A1B0"), a=-2.0)
     with pytest.raises(CalibrationFailure, match=r"lambda_h\) = -1 "):
+        skrp.assemble_calabi_metric(params)
+
+
+def test_assembly_window_of_a1b0_is_unchanged(koiso_chart):
+    # The working interval of koiso-m2-A1B0 is exactly its I = (0.5, 2.5), so
+    # the middle-70% window and the padded fiber-norm bounds keep their bits.
+    assert koiso_chart.f_window == (0.8, 2.2)
+    assert koiso_chart.ell.bounds == (0.772, 2.228)
+
+
+@pytest.mark.parametrize("name", ["koiso-m2-compact", "koiso-m2-tail", "koiso-m2-capped"])
+def test_assembly_builds_every_positive_profile_fixture(name):
+    params = fixtures.skrp_fixture(name)
+    chart = skrp.assemble_calabi_metric(params, name=name)
+    (lo, hi), (band_lo, band_hi) = skrp.working_interval(params)
+    assert max(lo, band_lo) < chart.f_window[0] < chart.f_window[1] < min(hi, band_hi)
+    pair = sol.SolitonPair(chart.metric, chart.f_field, name)
+    points = sample_box(chart.domain, 100, seed=0)
+    for checked in (pair, sol.dualize(pair)):
+        assert sol.residual_report(checked, points).max_residual < sol.SOLITON_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("name", ["negative-branch", "koiso-m2-A1B0-flatbase"])
+def test_assembly_refuses_fixtures_off_the_calibration(name):
+    # negative-branch misses a s = p^2 lambda_h, and flatbase has kappa = 0.
+    with pytest.raises(CalibrationFailure):
+        skrp.assemble_calabi_metric(fixtures.skrp_fixture(name))
+
+
+@pytest.mark.parametrize(
+    "params, error",
+    [
+        (replace(fixtures.skrp_fixture("koiso-m2-A1B0"), I=(-4.0, -0.1)), NonpositiveQ),
+        (skrp.SkrpParams(m=2, kappa=2.0, I=(-math.inf, -0.5)), DomainError),
+        (replace(fixtures.skrp_fixture("koiso-m2-tail"), I=(0.02, 0.04)), DomainError),
+    ],
+    ids=["no-q-interval", "unbounded-band", "empty-band"],
+)
+def test_assembly_refuses_a_profile_without_a_finite_band(params, error):
+    with pytest.raises(error):
         skrp.assemble_calabi_metric(params)
 
 
