@@ -324,7 +324,8 @@ def cmd_skrp(config: RunConfig) -> Report:
     if not band[0] < band[1]:
         raise DomainError(
             f"profile window ({window[0]}, {window[1]}) has no point where float64 resolves "
-            f"the profile identities (|f - c| > 0.05, and f - c < 12 above the pole c = {params.c})"
+            f"the profile identities (|f - c| > {skrp.BAND_POLE_GAP:g}, and f - c < {skrp.BAND_TAIL_REACH:g} "
+            f"above the pole c = {params.c})"
         )
     check_grid = np.linspace(band[0], band[1], config.samples)
     ode_res = max(abs(skrp.phi_ode_residual(params, 1.0, f)) for f in check_grid)

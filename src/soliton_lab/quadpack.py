@@ -199,8 +199,6 @@ def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
     errbnd = max(epsabs, epsrel * abs(result))
     last = 1
     rlist[1] = result
-    elist[1] = abserr
-    iord[1] = 1
     if abserr <= 50.0 * epmach * defabs and abserr > errbnd:
         ier = 2
     if limit == 1:

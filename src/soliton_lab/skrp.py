@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import brent
 from . import chart as ct
 from . import dop853, quadpack
 from .errors import (
@@ -116,6 +115,10 @@ NEWTON_STEPS = 60
 # Right-hand-side calls one profile-ODE integration may make (the fixtures
 # need at most a few hundred); a stiff profile would otherwise run for minutes.
 ODE_RHS_BUDGET = 100_000
+# The float64 band of working_interval: |f - c| > BAND_POLE_GAP, and
+# f - c < BAND_TAIL_REACH above the pole.
+BAND_POLE_GAP = 0.05
+BAND_TAIL_REACH = 12.0
 
 
 @dataclass(frozen=True)
@@ -355,16 +358,42 @@ def soliton_coeff_profile(params: SkrpParams, alpha: float, f: float) -> float:
     return alpha * phi + (alpha * x - (params.m + 1)) * dphi - x * d2phi
 
 
+def _sign_change(q: Callable[[float], float], a: float, b: float) -> float:
+    """The last float with Q >= 0 at a sign change of Q between a and b.
+
+    Bisects on the sign of Q until the bracket's ends are adjacent floats
+    and returns the end with Q > 0, or a point where Q is exactly 0.  Each
+    half is halved first, so the midpoint cannot overflow, and a bracket
+    across 0.0 ends after at most ~1,100 halvings through the subnormals.
+    """
+    pos, neg = (a, b) if q(a) > 0 else (b, a)
+    while True:
+        mid = 0.5 * pos + 0.5 * neg
+        if mid == pos or mid == neg:
+            return pos
+        value = q(mid)
+        if math.isnan(value):
+            raise DomainError(f"Q is NaN at f = {mid!r}")
+        if value == 0.0:
+            return mid
+        if value > 0:
+            pos = mid
+        else:
+            neg = mid
+
+
 def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     """Maximal open subintervals of I on which Q > 0.
 
     Sign changes of phi and of f_c are bracketed on a 2048-point grid and
-    refined with :func:`.brent.brentq`; an unbounded end is scanned out to
-    where the exponential/constant behaviour of the profile is settled,
-    60 units past c, or past the finite end of I when that lies farther out
-    on the same side.  The scan compares the signs of neighbouring values,
-    not their product, which underflows to -0.0 when both are below ~1e-162
-    in size: scaling A, B and kappa scales Q and must leave its zeros put.
+    bisected to adjacent floats (:func:`_sign_change`), so an end where Q
+    changes sign is the last float with Q >= 0; an unbounded end is scanned
+    out to where the exponential/constant behaviour of the profile is
+    settled, 60 units past c, or past the finite end of I when that lies
+    farther out on the same side.  The scan compares the signs of
+    neighbouring values, not their product, which underflows to -0.0 when
+    both are below ~1e-162 in size: scaling A, B and kappa scales Q and
+    must leave its zeros put.
     """
     lo, hi = params.I
     scan_lo, scan_hi = lo, hi
@@ -392,7 +421,7 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     q = params.q
     intervals: list[tuple[float, float]] = []
     for left, right in pieces:
-        xs = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), 2048)
+        xs = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), 2048).tolist()
         vals = np.array([q(x) for x in xs])
         signs = np.sign(vals)
         roots = []
@@ -400,7 +429,7 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
             if vals[i] == 0.0:
                 roots.append(xs[i])
             elif signs[i] * signs[i + 1] < 0:
-                roots.append(brent.brentq(q, xs[i], xs[i + 1]))
+                roots.append(_sign_change(q, xs[i], xs[i + 1]))
         edges = sorted({left, right, *roots})
         for a_, b_ in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (a_ + b_)
@@ -429,8 +458,8 @@ def working_interval(params: SkrpParams) -> tuple[tuple[float, float], tuple[flo
         return None
     lo, hi = positive[0]
     if lo >= params.c:
-        return (lo, hi), (max(lo, params.c + 0.05), min(hi, params.c + 12.0))
-    return (lo, hi), (lo, min(hi, params.c - 0.05))
+        return (lo, hi), (max(lo, params.c + BAND_POLE_GAP), min(hi, params.c + BAND_TAIL_REACH))
+    return (lo, hi), (lo, min(hi, params.c - BAND_POLE_GAP))
 
 
 # -- generic Q-profile (shared with the completeness module) -------------------

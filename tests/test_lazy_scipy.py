@@ -1,10 +1,10 @@
 """No command loads scipy; the package only registers a lazy ``scipy.integrate``.
 
-Quadrature is the package's own QUADPACK port, root finding its own Brent
-port and the ODE oracles its own DOP853 port, so no command's cold start-up
-pays for scipy.  ``skrp`` still registers ``scipy.integrate`` lazily in
-``sys.modules``, because perfbench's tracer looks it up there to wrap
-``quad`` and ``solve_ivp``; nothing in the package reads from it, and
+Quadrature is the package's own QUADPACK port, root finding a bisection in
+``skrp.q_domain`` and the ODE oracles its own DOP853 port, so no command's
+cold start-up pays for scipy.  ``skrp`` still registers ``scipy.integrate``
+lazily in ``sys.modules``, because perfbench's tracer looks it up there to
+wrap ``quad`` and ``solve_ivp``; nothing in the package reads from it, and
 where scipy cannot be imported nothing is registered.
 """
 
@@ -62,8 +62,8 @@ def test_analytic_commands_do_not_run_scipy_numerics():
 def test_quadrature_commands_do_not_load_scipy(tmp_path):
     # The lazy registration must not import the scipy package either.
     # koiso-m2-tail's Q has no zero to bracket; koiso-m2-compact's and
-    # koiso-m2-capped's have one, which the package's own Brent port
-    # refines; skrp integrates with the package's own DOP853 port.
+    # koiso-m2-capped's have one, which q_domain bisects to adjacent
+    # floats; skrp integrates with the package's own DOP853 port.
     _run_fresh(
         f"""
         import contextlib, io, sys
@@ -270,7 +270,7 @@ def test_scipy_optimize_guard_sees_imports_strings_and_attributes():
 
 
 def test_package_never_names_scipy_optimize():
-    # Root finding is brent.brentq; scipy.optimize is a test oracle only.
+    # Roots of Q are bisected in skrp.q_domain; scipy.optimize is a test oracle only.
     assert _package_offenders(_scipy_optimize_references) == {}
 
 

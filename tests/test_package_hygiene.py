@@ -1,10 +1,12 @@
 """Every module's ``__all__`` names what it defines, and it imports nothing it
-never uses; one module picks the working interval; scipy is a test dependency."""
+never uses; one module picks the working interval; scipy is a test dependency;
+README's layout names every module."""
 
 import ast
 import glob
 import importlib
 import os
+import re
 
 import pytest
 
@@ -90,3 +92,19 @@ def test_scipy_is_only_a_test_dependency():
         project = tomllib.load(handle)["project"]
     lists = {"dependencies": project["dependencies"], **project["optional-dependencies"]}
     assert [name for name, specs in lists.items() if any(s.startswith("scipy") for s in specs)] == ["test"]
+
+
+def test_readme_layout_names_every_module():
+    # The layout block lists src/soliton_lab/'s modules one per line, each
+    # indented two spaces; a module added or deleted must show up there.
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    start = lines.index("src/soliton_lab/") + 1
+    block = []
+    for line in lines[start:]:
+        if not line.startswith(" "):
+            break
+        block.append(line)
+    listed = sorted(m.group(1) for line in block if (m := re.match(r"  (\w+\.py) ", line)))
+    modules = sorted(os.path.basename(path) for path in MODULES if not path.endswith("__init__.py"))
+    assert listed == modules

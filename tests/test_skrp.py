@@ -1,5 +1,6 @@
 """Closed-form profile family, fiber-norm map, and the 4-dim chart assembly."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from soliton_lab import autodiff as ad
 from soliton_lab import chart as ct
-from soliton_lab import fixtures, skrp
+from soliton_lab import cli, fixtures, skrp
 from soliton_lab import soliton as sol
 from soliton_lab.errors import (
     CalibrationFailure,
@@ -24,6 +25,7 @@ from soliton_lab.errors import (
 from soliton_lab.sampling import sample_box
 
 import oracles
+from test_snapshot_tool import _load_tool
 
 FLATBASE = fixtures.skrp_fixture("koiso-m2-A1B0-flatbase")  # m=2, kappa=0, A=1, B=0
 
@@ -307,6 +309,99 @@ def test_q_domain_scans_past_a_far_finite_end(params, expected):
     # Q > 0 on all of I; the default scan window c +- 60 misses it, so the
     # unbounded end is scanned 60 units past the finite one instead.
     assert skrp.q_domain(params) == expected
+
+
+# Scales of A, B and kappa that leave the zeros of Q put but make the
+# product of two neighbouring values of Q underflow near a zero.
+TINY_SCALES = (1e-160, 2.0**-520)
+
+
+def _scaled(params, scale):
+    return replace(params, A=params.A * scale, B=params.B * scale, kappa=params.kappa * scale)
+
+
+def _profile_params(tmp_path):
+    """Every profile fixture and snapshot config, as parsed by the CLI."""
+    found = dict(fixtures._SKRP)
+    for name, doc in _load_tool().CONFIGS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        try:
+            found[f"config-{name}"] = cli._parse_config_file(str(path))[1]
+        except ValueError:
+            continue  # a config the CLI refuses has no Q-positive interval to check
+    return found
+
+
+@pytest.mark.parametrize("scale", TINY_SCALES, ids=["1e-160", "2^-520"])
+@pytest.mark.parametrize("name", list(fixtures._SKRP))
+def test_q_domain_is_scale_invariant(name, scale):
+    # Scaling A, B and kappa scales Q and leaves its zeros put; the scan's
+    # sign test must not underflow to -0.0 and drop them.
+    params = fixtures.skrp_fixture(name)
+    expected = skrp.q_domain(params)
+    got = skrp.q_domain(_scaled(params, scale))
+    assert expected
+    assert len(got) == len(expected)
+    for edges, want in zip(got, expected):
+        assert edges == pytest.approx(want, rel=1e-12)
+
+
+def test_q_domain_ends_on_the_sign_change(tmp_path):
+    # An end where Q changes sign is the last float with Q >= 0: the next
+    # float outward has Q <= 0.  The ends of I, c and the pole margin's ends
+    # are cuts of the scan, not roots of Q.
+    checked, violations = 0, []
+    for name, params in _profile_params(tmp_path).items():
+        for scale in (1.0, *TINY_SCALES):
+            scaled = _scaled(params, scale)
+            c, margin = scaled.c, scaled.pole_margin
+            for lo, hi in skrp.q_domain(scaled):
+                for end, outward in ((lo, -math.inf), (hi, math.inf)):
+                    assert type(end) is float
+                    if end in (*scaled.I, c, c - margin, c + margin):
+                        continue
+                    checked += 1
+                    if not scaled.q(end) >= 0.0 >= scaled.q(math.nextafter(end, outward)):
+                        violations.append((name, scale, end))
+    assert checked >= 22
+    assert violations == []
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        lambda x: 1.0 if x >= 0.0 else -1.0,  # Q(0.0) > 0: 0.0 itself is the end
+        lambda x: 1.0 if x > 0.0 else -1.0,  # Q(0.0) < 0: the smallest subnormal is
+        lambda x: -1.0 if x > 0.0 else 1.0,
+    ],
+    ids=["up-at-zero", "up-past-zero", "down-past-zero"],
+)
+@pytest.mark.parametrize("a, b", [(-1.0, 0.7), (0.7, -1.0), (-3.0, 1.0)])
+def test_sign_change_straddling_zero_ends_on_adjacent_floats(q, a, b):
+    # Bisection toward 0.0 halves through ~1,075 subnormal exponents; it
+    # must stop there, on the last float with Q >= 0.
+    calls = []
+    end = skrp._sign_change(lambda x: calls.append(x) or q(x), a, b)
+    outward = math.inf if q(math.inf) < 0 else -math.inf
+    assert q(end) > 0 > q(math.nextafter(end, outward))
+    assert abs(end) <= 5e-324
+    assert len(calls) < 1200
+
+
+def test_sign_change_returns_an_exact_zero():
+    assert skrp._sign_change(lambda x: 1e-300 * x, 1.0, -3.0) == 0.0
+    assert skrp._sign_change(lambda x: 0.25 - x, -1.0, 1.0) == 0.25
+
+
+def test_sign_change_midpoint_does_not_overflow():
+    end = skrp._sign_change(lambda x: 1e300 - x, -1.7e308, 1.7e308)
+    assert end == 1e300
+
+
+def test_sign_change_nan_raises_domain_error():
+    with pytest.raises(DomainError, match="NaN"):
+        skrp._sign_change(lambda x: math.nan if 0.0 < x < 1.0 else 1.0 - x, -1.0, 2.5)
 
 
 @pytest.mark.parametrize(
