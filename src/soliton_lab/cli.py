@@ -294,9 +294,7 @@ def cmd_skrp(config: RunConfig) -> Report:
     t0 = time.perf_counter()
     working = skrp.working_interval(params)
     if working is None:
-        lo, hi = params.I
-        lo = lo if math.isfinite(lo) else params.c - 10.0
-        hi = hi if math.isfinite(hi) else params.c + 10.0
+        lo, hi = skrp.bounded_interval(params, 10.0)
         probe = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 32)
         phis = [skrp.phi_closed(params, f)[0] for f in probe if abs(f - params.c) > params.pole_margin]
         if not phis:

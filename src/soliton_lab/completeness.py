@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -69,13 +68,10 @@ LADDER_EXPONENTS = range(2, 11)
 
 
 def _quad(fn, a, b, **kw) -> float:
-    """Adaptive quadrature of one truncation-ladder segment, roundoff
-    chatter silenced: a segment next to a singular end is steep but stops
-    short of it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", quadpack.IntegrationWarning)
-        val, _ = quadpack.quad(fn, a, b, **kw)
-    return val
+    """Adaptive quadrature of one truncation-ladder segment, its ``ier``
+    ignored: a segment next to a singular end is steep and may miss its
+    tolerance, but the ladder decides from the segments' relative sizes."""
+    return quadpack.quad(fn, a, b, **kw)[0]
 
 
 class EndpointClass(enum.Enum):

@@ -127,7 +127,7 @@ def solve(
 ) -> tuple[np.ndarray, int, bool, str]:
     """Integrate y' = fun(t, y) from (t0, y0) to tf: (y(tf), nfev, success, message).
 
-    ``y0`` is a real 1-dimensional state; ``rtol`` must be at least 100 eps
+    ``y0`` is a real, nonempty 1-dimensional state; ``rtol`` must be at least 100 eps
     (scipy raises a smaller one to that, with a warning).  When the step
     size falls below 10 ulps of t, the integration stops unsuccessfully with
     scipy's message and returns the state of its last accepted step.  An
@@ -154,7 +154,7 @@ def solve(
     error_exponent = -1 / (ERROR_ESTIMATOR_ORDER + 1)
 
     # OdeSolver.step until finished, each step RungeKutta._step_impl.
-    while y.size != 0 and t != tf:
+    while t != tf:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -200,9 +200,6 @@ def _norm(x: np.ndarray) -> float:
 
 def _select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     """Hairer, Norsett & Wanner's empirical first step (sec. II.4)."""
-    if y0.size == 0:
-        return np.inf
-
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
         return 0.0

@@ -34,7 +34,7 @@ class PoleError(SolitonLabError):
 
 
 class IntegrationFailure(SolitonLabError):
-    """Numerical ODE integration failed (step-size underflow, stiff blowup)."""
+    """An ODE solve failed (step-size underflow, stiff blowup) or a quadrature missed its tolerance."""
 
 
 class ConvergenceFailure(SolitonLabError):

@@ -10,12 +10,13 @@ any singular end).  This module transcribes the double-precision routines
 statement by statement: the same summation order, the machine constants of
 ``sys.float_info`` for ``EPMACH``/``UFLOW``, and Python floats throughout.
 The interval lists keep the Fortran's 1-based indices (element 0 is
-unused); the Kronrod rule's tables are 0-based.
+unused); the Kronrod rule's tables are 0-based.  As in QUADPACK, a missed
+tolerance is the status ``ier`` returned to the caller, never a warning.
 
 ``scipy.integrate.quad`` runs QAGS (``dqagse``), which adds Wynn's epsilon
 extrapolation to the same bisection.  The two agree bit for bit (value,
 error estimate and evaluation count) on the shared path only: a call that
-QAGS finishes without a warning within two bisections (at most 105
+QAGS finishes with ``ier = 0`` within two bisections (at most 105
 integrand evaluations).  Beyond that QAGS may adopt an extrapolated
 estimate, and the results differ within their error estimates.
 
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from collections.abc import Callable
 
-__all__ = ["IntegrationWarning", "LIMIT", "quad", "qage"]
+__all__ = ["LIMIT", "quad", "qage"]
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -64,42 +64,25 @@ _WG = (
     0.295524224714752870173892994651338,
 )
 
-_MESSAGES = {
-    1: f"the maximum number of subdivisions ({LIMIT}) has been achieved",
-    2: "roundoff error prevents the requested tolerance from being achieved",
-    3: "extremely bad integrand behaviour occurs at some points of the interval",
-}
 
+def quad(f: Callable[[float], float], a: float, b: float, *, epsabs: float, epsrel: float) -> tuple[float, float, int]:
+    """Integral of ``f`` over the finite interval [a, b]: (value, abserr, ier).
 
-class IntegrationWarning(UserWarning):
-    """The quadrature ended with ``ier > 0``: the estimate may miss its tolerance."""
-
-
-def quad(f: Callable[[float], float], a: float, b: float, *, epsabs: float, epsrel: float) -> tuple[float, float]:
-    """Integral of ``f`` over the finite interval [a, b] and its error estimate.
-
-    Follows ``scipy.integrate.quad``: ``a == b`` gives (0, 0) without calling
-    ``f``, reversed limits give the negated integral over [b, a], each value
-    of ``f`` is converted with ``float()``, and a result that may miss the
-    requested accuracy (QUADPACK's ``ier`` 1-3) emits
-    :class:`IntegrationWarning`.  At most :data:`LIMIT` subintervals are
-    made.  Non-finite limits and a tolerance pair QUADPACK rejects raise
-    ``ValueError``.
+    ``ier`` is :func:`qage`'s code: 0, or 1-3 when the value may miss the
+    tolerance, which the caller judges.  ``a == b`` gives (0, 0, 0) without
+    calling ``f``; each value of ``f`` is converted with ``float()``; at most
+    :data:`LIMIT` subintervals are made.  Non-finite limits and a tolerance
+    pair QUADPACK rejects raise ``ValueError``.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration limits must be finite, got ({a}, {b})")
     if a == b:
-        return 0.0, 0.0
-    flip = b < a
-    if flip:
-        a, b = b, a
+        return 0.0, 0.0, 0
     result, abserr, _, ier = qage(f, a, b, epsabs, epsrel, LIMIT)
     if ier == 6:
         raise ValueError("with epsabs <= 0, epsrel must exceed both 5e-29 and 50 * machine epsilon")
-    if ier:
-        warnings.warn(_MESSAGES[ier], IntegrationWarning, stacklevel=2)
-    return (-result if flip else result), abserr
+    return result, abserr, ier
 
 
 def _qk21(f, a, b):

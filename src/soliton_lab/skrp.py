@@ -99,6 +99,7 @@ __all__ = [
     "phi_ode_residual",
     "phi_ode_integrate",
     "soliton_coeff_profile",
+    "bounded_interval",
     "q_domain",
     "working_interval",
     "assemble_calabi_metric",
@@ -112,6 +113,8 @@ __all__ = [
 POLE_MARGIN = 1e-6
 # Newton steps an ell-map inversion may take before it counts as unconverged.
 NEWTON_STEPS = 60
+# The largest k whose k! is a finite float64.
+_MAX_FACTORIAL = 170
 # Right-hand-side calls one profile-ODE integration may make (the fixtures
 # need at most a few hundred); a stiff profile would otherwise run for minutes.
 ODE_RHS_BUDGET = 100_000
@@ -200,25 +203,26 @@ class SkrpParams:
 
 
 def _series_S(x: float, j: int) -> float:
-    """Truncated exponential series S_j(x) = sum_{k<=j} x^k / k!."""
+    """S_j(x) = sum_{k<=j} x^k / k!, ended where a term underflows to 0.0."""
     acc = 1.0
     term = 1.0
     for k in range(1, j + 1):
         term *= x / k
+        if term == 0.0:
+            break
         acc += term
     return acc
 
 
 def _laurent_U(x: float, m: int) -> tuple[float, float, float]:
-    """U = x^{-m} S_m(x) with two derivatives (Laurent polynomial, exact)."""
+    """U = x^{-m} S_m(x) and two derivatives, exactly; past k = 170 a term is x^(k-m) / inf = 0."""
     u = u1 = u2 = 0.0
     kfact = 1.0
-    for k in range(m + 1):
+    for k in range(min(m, _MAX_FACTORIAL) + 1):
         if k > 0:
             kfact *= k
         e = k - m
-        mono = x**e / kfact
-        u += mono
+        u += x**e / kfact
         if e != 0:
             u1 += e * x ** (e - 1) / kfact
             u2 += e * (e - 1) * x ** (e - 2) / kfact
@@ -232,6 +236,8 @@ def _scaled_remainder_T(x: float, m: int) -> tuple[float, float, float]:
     power series is used there: T = sum_{j>=1} x^j / (m+j)!.
     """
     if abs(x) <= 1.0:
+        if m > _MAX_FACTORIAL:  # before m! costs O(m^2) to overflow float()
+            raise OverflowError(f"{m}! overflows float64")
         t = t1 = t2 = 0.0
         fact = float(math.factorial(m))
         pow_jm2 = 1.0  # x^(j-2), meaningful from j = 2 on
@@ -382,6 +388,16 @@ def _sign_change(q: Callable[[float], float], a: float, b: float) -> float:
             neg = mid
 
 
+def bounded_interval(params: SkrpParams, reach: float) -> tuple[float, float]:
+    """I with an unbounded end cut ``reach`` past c, or ``reach`` past the
+    finite end of I when that lies farther out on the same side."""
+    (lo, hi), c = params.I, params.c
+    return (
+        lo if math.isfinite(lo) else (c - reach if hi > c - reach else hi - reach),
+        hi if math.isfinite(hi) else (c + reach if lo < c + reach else lo + reach),
+    )
+
+
 def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     """Maximal open subintervals of I on which Q > 0.
 
@@ -389,18 +405,13 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     bisected to adjacent floats (:func:`_sign_change`), so an end where Q
     changes sign is the last float with Q >= 0; an unbounded end is scanned
     out to where the exponential/constant behaviour of the profile is
-    settled, 60 units past c, or past the finite end of I when that lies
-    farther out on the same side.  The scan compares the signs of
-    neighbouring values, not their product, which underflows to -0.0 when
-    both are below ~1e-162 in size: scaling A, B and kappa scales Q and
-    must leave its zeros put.
+    settled, :func:`bounded_interval` with a reach of 60.  The scan compares
+    the signs of neighbouring values, not their product, which underflows to
+    -0.0 when both are below ~1e-162 in size: scaling A, B and kappa scales
+    Q and must leave its zeros put.
     """
     lo, hi = params.I
-    scan_lo, scan_hi = lo, hi
-    if not math.isfinite(lo):
-        scan_lo = params.c - 60.0 if hi > params.c - 60.0 else hi - 60.0
-    if not math.isfinite(hi):
-        scan_hi = params.c + 60.0 if lo < params.c + 60.0 else lo + 60.0
+    scan_lo, scan_hi = bounded_interval(params, 60.0)
     margin = params.pole_margin
 
     # Split at c, where f_c changes sign: a pole when A + B != 0 (the pieces
@@ -507,15 +518,15 @@ class EllMap:
         if np.any(qvals <= 0):
             bad = self._grid[qvals <= 0][0]
             raise DomainSplit(f"Q vanishes or changes sign inside the working interval near f = {bad}")
-        integrand = lambda f: profile.a / profile.q(f)
+        self._integrand = lambda f: profile.a / profile.q(f)
         # Cumulative log-ell values at the grid nodes, anchored at f0.
         segs = np.empty(len(self._grid) - 1)
         for i in range(len(segs)):
-            segs[i], _ = quadpack.quad(integrand, self._grid[i], self._grid[i + 1], epsabs=1e-14, epsrel=1e-13)
+            segs[i] = self._quad(self._grid[i], self._grid[i + 1])
         # Anchor exactly so log ell(f0) = 0.
         i0 = int(np.searchsorted(self._grid, self.f0)) - 1
         i0 = min(max(i0, 0), len(self._grid) - 2)
-        extra, _ = quadpack.quad(integrand, self._grid[i0], self.f0, epsabs=1e-14, epsrel=1e-13)
+        extra = self._quad(self._grid[i0], self.f0)
         # An overflowing table (tiny Q, huge a) is refused below, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             cumulative = np.concatenate([[0.0], np.cumsum(segs)])
@@ -524,7 +535,6 @@ class EllMap:
             raise DomainError(f"log ell = integral of a / Q overflows float64 on ({lo}, {hi}) (a = {profile.a})")
         self._q_nodes = qvals
         self._node_slopes: tuple[list[float], list[float]] | None = None
-        self._integrand = integrand
         self.bounds = (float(lo), float(hi))
         self.increasing = bool(self._t_nodes[-1] > self._t_nodes[0])
 
@@ -534,8 +544,15 @@ class EllMap:
             raise DomainError(f"f = {f} outside ell-map bounds {self.bounds}")
         i = int(np.searchsorted(self._grid, f)) - 1
         i = min(max(i, 0), len(self._grid) - 2)
-        extra, _ = quadpack.quad(self._integrand, self._grid[i], f, epsabs=1e-14, epsrel=1e-13)
-        return float(self._t_nodes[i] + extra)
+        return float(self._t_nodes[i] + self._quad(self._grid[i], f))
+
+    def _quad(self, lo: float, hi: float) -> float:
+        """Integral of a / Q over [lo, hi]; :class:`IntegrationFailure` if ``ier > 0``."""
+        value, abserr, ier = quadpack.quad(self._integrand, lo, hi, epsabs=1e-14, epsrel=1e-13)
+        if ier:
+            raise IntegrationFailure(f"fiber-norm quadrature of a / Q over [{float(lo)!r}, {float(hi)!r}] may "
+                                     f"miss its tolerance (QUADPACK ier = {ier}, error estimate {abserr:.3e})")
+        return value
 
     def ell(self, f: float) -> float:
         t = self.log_ell(f)

@@ -806,3 +806,52 @@ def test_completeness_on_unbounded_interval_with_far_finite_end(params, lower, u
     assert measured["endpoint-inf-class"] == lower
     assert measured["endpoint-sup-class"] == upper
     assert measured["verdict"] == "inconclusive-at-end"
+
+
+def _cli_process(argv, timeout):
+    """Run the CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "soliton_lab.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_fiber_norm_quadrature_missing_its_tolerance_is_one_json_diagnostic(tmp_path):
+    # A fiber-norm quadrature here ends on QUADPACK's roundoff flag (ier = 2):
+    # exit 3, and stderr is the JSON diagnostic alone, with no warning lines.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "B": -1, "a": 2, "I": [-12.5, -12]}))
+    code, out, err = _cli_process(["skrp", "--config", str(cfg)], timeout=120)
+    assert code == cli.EXIT_NUMERIC
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "IntegrationFailure"
+    assert "ier = 2" in error["message"] and "np.float64" not in error["message"]
+
+
+@pytest.mark.parametrize("upper", ["inf", 1000], ids=["unbounded", "bounded"])
+def test_negative_phi_past_a_far_finite_end_fails_positivity(upper, tmp_path, capsys):
+    # phi < 0 on all of [21, inf) and Q > 0 nowhere: the probes must stay in I,
+    # reaching past its finite end 21 rather than to c + 10.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "kappa": 2.2, "A": 1, "I": [21, upper], "phi_sign": -1}))
+    code, out, _ = run(["skrp", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_FAIL
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [("phi-positivity", "fail")]
+    assert checks[0]["measured"] < 0
+
+
+@pytest.mark.parametrize("command, expected", [("skrp", cli.EXIT_NUMERIC), ("completeness", cli.EXIT_PASS)])
+def test_huge_m_profile_finishes_in_seconds(command, expected, tmp_path):
+    # The closed form's series stop where their terms vanish or k! overflows,
+    # so m = 100000 costs seconds, not minutes.  skrp's ell = exp(log ell)
+    # overflows float64 on this window, a numerical refusal.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 100000, "kappa": 1, "A": 1, "B": 1, "I": [2, 5], "phi_sign": 1}))
+    code, _, err = _cli_process([command, "--config", str(cfg), "--out", str(tmp_path / "r.json")], timeout=60)
+    assert code == expected, err
+    if code == cli.EXIT_NUMERIC:
+        assert json.loads(err)["error"]["type"] == "DomainError"

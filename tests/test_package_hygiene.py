@@ -1,6 +1,6 @@
 """Every module's ``__all__`` names what it defines, and it imports nothing it
-never uses; one module picks the working interval; scipy is a test dependency;
-README's layout names every module."""
+never uses; no module warns; one module picks the working interval; scipy is
+a test dependency; README's layout names every module."""
 
 import ast
 import glob
@@ -108,3 +108,14 @@ def test_readme_layout_names_every_module():
     listed = sorted(m.group(1) for line in block if (m := re.match(r"  (\w+\.py) ", line)))
     modules = sorted(os.path.basename(path) for path in MODULES if not path.endswith("__init__.py"))
     assert listed == modules
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_module_imports_warnings(path):
+    # Every numerical routine returns its status to its caller; a warning
+    # would print ahead of the exit-3 JSON diagnostic on stderr.
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    assert "warnings" not in imported

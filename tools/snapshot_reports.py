@@ -7,8 +7,9 @@ SRC (a checkout's ``src``) on ``PYTHONPATH``: ``verify``/``dualize`` on every
 pair fixture, ``skrp`` on every profile fixture and ``completeness`` on every
 completeness fixture, in json and csv format, at the default seed and at
 seed 7; then inline-parameter ``--config`` runs of ``skrp`` and
-``completeness``, and one usage error per kind.  ``skrp`` and
-``completeness`` write their report and side CSV with ``--out``.
+``completeness``, a ``{"fixture": NAME}`` config run by every command, and
+one usage error per kind.  ``skrp`` and ``completeness`` write their report
+and side CSV with ``--out``.
 
 For each invocation OUT/<id>/ holds ``exit``, ``stdout``, ``stderr`` and any
 report or side-CSV file; OUT/manifest.json maps every id to the SHA-256 of
@@ -52,8 +53,9 @@ SEEDS = (None, "7")
 # leaves every optional key to its default, one that lacks ``m``, three wide
 # check bands on which the closed-vs-integrated oracle must still hold,
 # four profiles whose fiber-norm map overflows float64, five profiles at
-# float64's limits that crashed with a traceback until the checks below, and
-# a shifted capped profile whose end lies ulps past a zero of Q.
+# float64's limits that crashed with a traceback until the checks below, a
+# shifted capped profile whose end lies ulps past a zero of Q, and the three
+# outcomes of a profile with no Q-positive interval or a failing quadrature.
 CONFIGS = {
     "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
                       "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
@@ -93,7 +95,17 @@ CONFIGS = {
     # ulps past the zero of Q, so completeness must stop short of that end.
     "koiso-m2-capped-shift-7.5": {"m": 2, "kappa": 1, "c": -7.5, "A": 1, "B": -0.01, "I": [-7.45, 1.4],
                                   "s": 2, "a": 0.5, "p": 0.5, "phi_sign": 1},
+    # phi < 0 on all of [21, inf): skrp's probes reach past the finite end
+    # 21, not to c + 10, and fail phi-positivity (exit 1).
+    "phi-negative-past-far-end": {"m": 2, "kappa": 2.2, "A": 1, "I": [21, "inf"], "phi_sign": -1},
+    # phi > 0 but f - c < 0 on I: Q > 0 nowhere, skrp's q-domain is
+    # inconclusive (exit 0).
+    "q-domain-empty": {"m": 2, "A": 1, "I": [-3, -1]},
+    # A fiber-norm quadrature ends on QUADPACK's roundoff flag: exit 3.
+    "ell-quadrature-roundoff": {"m": 2, "B": -1, "a": 2, "I": [-12.5, -12]},
 }
+# The {"fixture": NAME} form of a config, which every command reads.
+FIXTURE_CONFIG = {"fixture": "koiso-m2-A1B0"}
 
 
 def invocations():
@@ -107,6 +119,10 @@ def invocations():
     for name in CONFIGS:
         for cmd in ("skrp", "completeness"):
             yield f"{cmd}-config-{name}", [cmd, "--config", f"configs/{name}.json"], None
+    for cmd in ("verify", "dualize", "skrp", "completeness"):
+        yield f"{cmd}-config-fixture", [cmd, "--config", "configs/fixture.json"], None
+    # verify and dualize read only fixtures: inline parameters are a usage error.
+    yield "verify-config-inline", ["verify", "--config", "configs/defaults.json"], None
     for cmd in ("verify", "skrp", "completeness"):
         yield f"{cmd}-unknown-fixture", [cmd, "--fixture", "no-such-fixture"], None
 
@@ -145,7 +161,7 @@ def main() -> int:
         return 2
     shutil.rmtree(out, ignore_errors=True)
     os.makedirs(os.path.join(out, "configs"))
-    for name, doc in CONFIGS.items():
+    for name, doc in {**CONFIGS, "fixture": FIXTURE_CONFIG}.items():
         with open(os.path.join(out, "configs", f"{name}.json"), "w", encoding="utf-8") as handle:
             json.dump(doc, handle)
     manifest = {}
