@@ -294,7 +294,7 @@ def cmd_skrp(config: RunConfig) -> Report:
     t0 = time.perf_counter()
     working = skrp.working_interval(params)
     if working is None:
-        lo, hi = skrp.bounded_interval(params, 10.0)
+        lo, hi = skrp.bounded_interval(params.I, params.c, 10.0)
         probe = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 32)
         phis = [skrp.phi_closed(params, f)[0] for f in probe if abs(f - params.c) > params.pole_margin]
         if not phis:
@@ -306,11 +306,8 @@ def cmd_skrp(config: RunConfig) -> Report:
         report.tables[".profile.csv"] = (PROFILE_HEADER, [])
         return report
 
-    (lo, hi), band = working
-    if not math.isfinite(hi):
-        hi = params.c + 40.0 if lo < params.c + 40.0 else lo + 40.0
-    if not math.isfinite(lo):
-        lo = hi - 40.0
+    positive, band = working
+    lo, hi = skrp.bounded_interval(positive, params.c, 40.0)
     width = hi - lo
     window = (lo + 0.02 * width, hi - 0.02 * width)
     anchor = 0.5 * (window[0] + window[1])

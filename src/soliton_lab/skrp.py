@@ -18,7 +18,9 @@ intervals with kappa != 0 need +1.  The soliton coefficient
     c(f) = alpha phi + (alpha f_c - (m+1)) phi' - f_c phi''
 
 is constant in f on branch-consistent intervals (equal to A/m! + phi_sign *
-kappa/(2m) for alpha = 1).
+kappa/(2m) for alpha = 1).  :func:`phi_closed` sums A U + B E, U = f_c^{-m}
+S_m(f_c) and E = f_c^{-m} e^{f_c}, for |f_c| > 1 and (A + B) U + B (E - U),
+E - U as its power series, for |f_c| <= 1, so no term cancels another.
 
 From the profile the module builds Q(f) = 2 f_c phi(f) (the squared gradient
 norm of the potential), the fiber-norm map ell(f) solving
@@ -202,18 +204,6 @@ class SkrpParams:
         return 2.0 * phi + 2.0 * (f - self.c) * dphi
 
 
-def _series_S(x: float, j: int) -> float:
-    """S_j(x) = sum_{k<=j} x^k / k!, ended where a term underflows to 0.0."""
-    acc = 1.0
-    term = 1.0
-    for k in range(1, j + 1):
-        term *= x / k
-        if term == 0.0:
-            break
-        acc += term
-    return acc
-
-
 def _laurent_U(x: float, m: int) -> tuple[float, float, float]:
     """U = x^{-m} S_m(x) and two derivatives, exactly; past k = 170 a term is x^(k-m) / inf = 0."""
     u = u1 = u2 = 0.0
@@ -229,67 +219,66 @@ def _laurent_U(x: float, m: int) -> tuple[float, float, float]:
     return u, u1, u2
 
 
-def _scaled_remainder_T(x: float, m: int) -> tuple[float, float, float]:
-    """T = x^{-m} (e^x - S_m(x)) with two derivatives.
+def _scaled_exp_E(x: float, m: int) -> tuple[float, float, float]:
+    """E = x^{-m} e^x and two derivatives, E' = E (1 - m/x) and
+    E'' = E ((1 - m/x)^2 + m/x^2); for |x| > 1, where no factor cancels."""
+    e = x ** (-m) * math.exp(x)
+    r = 1.0 - m / x
+    return e, e * r, e * (r * r + m / (x * x))
 
-    Entire in x; the subtracted form loses all digits near x = 0, so a short
-    power series is used there: T = sum_{j>=1} x^j / (m+j)!.
+
+def _scaled_remainder_T(x: float, m: int) -> tuple[float, float, float]:
+    """T = x^{-m} (e^x - S_m(x)) with two derivatives, for |x| <= 1.
+
+    Entire in x, but the difference loses every digit near x = 0, so T is
+    the power series sum_{j>=1} x^j / (m+j)!.
     """
-    if abs(x) <= 1.0:
-        if m > _MAX_FACTORIAL:  # before m! costs O(m^2) to overflow float()
-            raise OverflowError(f"{m}! overflows float64")
-        t = t1 = t2 = 0.0
-        fact = float(math.factorial(m))
-        pow_jm2 = 1.0  # x^(j-2), meaningful from j = 2 on
-        pow_jm1 = 1.0  # x^(j-1)
-        for j in range(1, 30):
-            fact *= m + j
-            t += pow_jm1 * x / fact
-            t1 += j * pow_jm1 / fact
-            if j >= 2:
-                t2 += j * (j - 1) * pow_jm2 / fact
-            pow_jm2 = pow_jm1
-            pow_jm1 = pow_jm1 * x
-        return t, t1, t2
-    ex = math.exp(x)
-    r = [ex - _series_S(x, j) for j in (m, m - 1, m - 2)]
-    t = x ** (-m) * r[0]
-    t1 = x ** (-m) * r[1] - m * x ** (-m - 1) * r[0]
-    t2 = (
-        x ** (-m) * r[2]
-        - 2 * m * x ** (-m - 1) * r[1]
-        + m * (m + 1) * x ** (-m - 2) * r[0]
-    )
+    if m > _MAX_FACTORIAL:  # before m! costs O(m^2) to overflow float()
+        raise OverflowError(f"{m}! overflows float64")
+    t = t1 = t2 = 0.0
+    fact = float(math.factorial(m))
+    pow_jm2 = 1.0  # x^(j-2), meaningful from j = 2 on
+    pow_jm1 = 1.0  # x^(j-1)
+    for j in range(1, 30):
+        fact *= m + j
+        t += pow_jm1 * x / fact
+        t1 += j * pow_jm1 / fact
+        if j >= 2:
+            t2 += j * (j - 1) * pow_jm2 / fact
+        pow_jm2 = pow_jm1
+        pow_jm1 = pow_jm1 * x
     return t, t1, t2
 
 
 def phi_closed(params: SkrpParams, f: float) -> tuple[float, float, float]:
     """Profile value and derivatives (phi, phi', phi'') at f.
 
+    The sum of the module docstring's terms; a zero coefficient skips its
+    term, so B = 0 never evaluates exp and A + B = 0 never meets U's pole.
     Derivatives are the hand-differentiated closed forms, not differences.
     Raises :class:`PoleError` at f = c when the numerator is singular there,
     and :class:`DomainError` where a term overflows float64.
     """
     # A Python float overflows with OverflowError in exp and **, but a
-    # product such as B * t overflows to inf silently; both are refused.
+    # product such as B * e overflows to inf silently; both are refused.
     x = float(f - params.c)
-    head = params.A + params.B
-    if head != 0.0 and abs(x) < params.pole_margin:
+    if params.A + params.B != 0.0 and abs(x) < params.pole_margin:
         raise PoleError(f"profile has a pole at f = c = {params.c}; got f = {f}")
-    const = params.phi_sign * params.kappa / (2.0 * params.m)
-    # With B = 0 the remainder term drops out; evaluating it anyway would
-    # overflow exp(x) far out on an unbounded interval.
+    if abs(x) > 1.0:
+        terms = ((params.A, _laurent_U), (params.B, _scaled_exp_E))
+    else:
+        terms = ((params.A + params.B, _laurent_U), (params.B, _scaled_remainder_T))
+    phi = dphi = d2phi = 0.0
     try:
-        t, t1, t2 = _scaled_remainder_T(x, params.m) if params.B != 0.0 else (0.0, 0.0, 0.0)
-        if head == 0.0:
-            phi, dphi, d2phi = params.B * t + const, params.B * t1, params.B * t2
-        else:
-            u, u1, u2 = _laurent_U(x, params.m)
-            phi = head * u + params.B * t + const
-            dphi = head * u1 + params.B * t1
-            d2phi = head * u2 + params.B * t2
+        for coeff, term in terms:
+            if coeff != 0.0:
+                t, t1, t2 = term(x, params.m)
+                phi += coeff * t
+                dphi += coeff * t1
+                d2phi += coeff * t2
     except OverflowError:
-        phi = dphi = d2phi = math.inf
+        phi = math.inf
+    phi += params.phi_sign * params.kappa / (2.0 * params.m)
     if not (math.isfinite(phi) and math.isfinite(dphi) and math.isfinite(d2phi)):
         raise DomainError(f"profile overflows float64 at f = {f} (f - c = {x})")
     return phi, dphi, d2phi
@@ -388,10 +377,10 @@ def _sign_change(q: Callable[[float], float], a: float, b: float) -> float:
             neg = mid
 
 
-def bounded_interval(params: SkrpParams, reach: float) -> tuple[float, float]:
-    """I with an unbounded end cut ``reach`` past c, or ``reach`` past the
-    finite end of I when that lies farther out on the same side."""
-    (lo, hi), c = params.I, params.c
+def bounded_interval(interval: tuple[float, float], c: float, reach: float) -> tuple[float, float]:
+    """``interval`` with an unbounded end cut ``reach`` past c, or ``reach``
+    past its finite end when that lies farther out on the same side."""
+    lo, hi = interval
     return (
         lo if math.isfinite(lo) else (c - reach if hi > c - reach else hi - reach),
         hi if math.isfinite(hi) else (c + reach if lo < c + reach else lo + reach),
@@ -411,7 +400,7 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     Q and must leave its zeros put.
     """
     lo, hi = params.I
-    scan_lo, scan_hi = bounded_interval(params, 60.0)
+    scan_lo, scan_hi = bounded_interval(params.I, params.c, 60.0)
     margin = params.pole_margin
 
     # Split at c, where f_c changes sign: a pole when A + B != 0 (the pieces
@@ -502,7 +491,8 @@ class EllMap:
     linear interpolation.  Round trips f -> ell -> f are accurate to
     ~1e-12.  The node derivatives are computed on the first inversion, so a
     map that is never inverted does not pay for them.  Read-only after
-    construction apart from that one-time table.
+    construction apart from that one-time table.  Q <= 0 at a grid node or
+    at a quadrature node raises :class:`DomainSplit`.
     """
 
     def __init__(self, profile: QProfile | SkrpParams, f0: float, bounds: tuple[float, float]):
@@ -518,7 +508,6 @@ class EllMap:
         if np.any(qvals <= 0):
             bad = self._grid[qvals <= 0][0]
             raise DomainSplit(f"Q vanishes or changes sign inside the working interval near f = {bad}")
-        self._integrand = lambda f: profile.a / profile.q(f)
         # Cumulative log-ell values at the grid nodes, anchored at f0.
         segs = np.empty(len(self._grid) - 1)
         for i in range(len(segs)):
@@ -545,6 +534,12 @@ class EllMap:
         i = int(np.searchsorted(self._grid, f)) - 1
         i = min(max(i, 0), len(self._grid) - 2)
         return float(self._t_nodes[i] + self._quad(self._grid[i], f))
+
+    def _integrand(self, f: float) -> float:
+        q = self.profile.q(f)
+        if q <= 0.0:
+            raise DomainSplit(f"Q vanishes or changes sign inside the working interval at f = {f!r}")
+        return self.profile.a / q
 
     def _quad(self, lo: float, hi: float) -> float:
         """Integral of a / Q over [lo, hi]; :class:`IntegrationFailure` if ``ier > 0``."""

@@ -818,17 +818,67 @@ def _cli_process(argv, timeout):
     return done.returncode, done.stdout, done.stderr
 
 
-def test_fiber_norm_quadrature_missing_its_tolerance_is_one_json_diagnostic(tmp_path):
-    # A fiber-norm quadrature here ends on QUADPACK's roundoff flag (ier = 2):
-    # exit 3, and stderr is the JSON diagnostic alone, with no warning lines.
+def test_fiber_norm_overflow_below_the_pole_is_one_json_diagnostic(tmp_path):
+    # log ell = integral of a / Q passes exp's range inside the window: exit 3,
+    # and stderr is the JSON diagnostic alone, with no warning lines.
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps({"m": 2, "B": -1, "a": 2, "I": [-12.5, -12]}))
     code, out, err = _cli_process(["skrp", "--config", str(cfg)], timeout=120)
     assert code == cli.EXIT_NUMERIC
     assert out == ""
     error = json.loads(err)["error"]
-    assert error["type"] == "IntegrationFailure"
-    assert "ier = 2" in error["message"] and "np.float64" not in error["message"]
+    assert error["type"] == "DomainError"
+    assert error["message"].startswith("ell = exp(3085.") and "overflows float64" in error["message"]
+    assert "np.float64" not in error["message"]
+
+
+# Q = 2 B e^x / x < 0 for every x = f - c < 0 when A = kappa = 0; the profile
+# resolves that sign only if it never subtracts its own terms below the pole.
+_NO_Q_INTERVAL_BELOW_POLE = {"m": 2, "kappa": 0, "c": 1.2572, "A": 0, "B": 1.2121, "I": ["-inf", 1.2572]}
+
+
+def test_skrp_without_a_q_interval_below_the_pole_is_inconclusive(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(_NO_Q_INTERVAL_BELOW_POLE))
+    code, out, _ = run(["skrp", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["status"], c["measured"]) for c in checks] == [("q-domain", "inconclusive", "empty")]
+
+
+def test_completeness_without_a_q_interval_below_the_pole_says_so(tmp_path, capsys):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(_NO_Q_INTERVAL_BELOW_POLE))
+    code, out, err = run(["completeness", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_NUMERIC
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error == {"type": "NonpositiveQ", "message": "profile has no Q-positive interval"}
+
+
+def test_skrp_far_below_the_pole_keeps_the_profile_digits(tmp_path, capsys):
+    # At f - c ~ -1e12, B e^x / x^m is 0 and phi = A U + const: the residual
+    # read 1.4 while the profile added and subtracted B U.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "kappa": 0.0102, "c": 1e12, "A": -156.2, "B": -5657.9, "a": 2,
+                               "I": [-1, 8.42]}))
+    code, out, _ = run(["skrp", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    measured = {c["name"]: c["measured"] for c in json.loads(out)["checks"]}
+    assert measured["profile-ode-residual"] < 1e-12
+
+
+def test_completeness_of_an_e_to_the_x_profile_below_the_pole(tmp_path, capsys):
+    # A = kappa = 0 and m = 3: Q = 2 B e^x / x^2 > 0 down to -inf, where it
+    # decays like e^x; the -inf end diverges.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 3, "kappa": 0, "c": -3.6776, "A": 0, "B": 2.834,
+                               "I": ["-inf", -3.6776], "phi_sign": 1}))
+    code, out, _ = run(["completeness", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_PASS
+    measured = {c["name"]: c["measured"] for c in json.loads(out)["checks"]}
+    assert measured["endpoint-inf-class"] == "InfiniteRangeDivergent"
+    assert measured["verdict"] == "inconclusive-at-end"
 
 
 @pytest.mark.parametrize("upper", ["inf", 1000], ids=["unbounded", "bounded"])

@@ -64,7 +64,7 @@ def test_phi_hand_values():
 
 
 def test_phi_without_remainder_term_far_out():
-    # B = 0: the exp remainder drops out, so f far past exp's overflow stays finite.
+    # B = 0: the exp term drops out, so f far past exp's overflow stays finite.
     params = skrp.SkrpParams(m=2, kappa=4.0, c=0.0, A=1.0, B=0.0, I=(0.5, math.inf), phi_sign=+1)
     f = 800.0
     phi, dphi, d2phi = skrp.phi_closed(params, f)
@@ -82,8 +82,8 @@ def test_phi_without_remainder_term_far_out():
     ids=["B-times-T", "head-cancels"],
 )
 def test_phi_refuses_a_product_that_overflows(params, f):
-    # B * T overflows to inf without an OverflowError; phi_closed refuses it
-    # on either return path, including the A + B = 0 one.
+    # B * T or B * E overflows to inf without an OverflowError; phi_closed
+    # refuses it, also where A + B = 0.
     with pytest.raises(DomainError, match="profile overflows float64"):
         skrp.phi_closed(params, f)
 
@@ -113,6 +113,65 @@ def test_phi_derivatives_match_jets():
         assert expr.val == pytest.approx(phi, rel=1e-13)
         assert expr.grad[0] == pytest.approx(dphi, rel=1e-13)
         assert expr.hess[0, 0] == pytest.approx(d2phi, rel=1e-12)
+
+
+def _mp_profile_terms(mp, m, x):
+    """Exact (mpmath) monomials of the terms phi_closed sums at x, for phi,
+    phi' and phi'': U = x^-m S_m(x) with A + B for |x| <= 1 or A beyond, and
+    E = x^-m e^x with B beyond |x| = 1 or T = sum_{j>=1} x^j / (m+j)! within."""
+    xm = mp.mpf(x)
+    u = [[], [], []]
+    for k in range(m + 1):
+        e = k - m
+        c = 1 / mp.factorial(k)
+        u[0].append(c * xm**e)
+        u[1].append(c * e * xm ** (e - 1))
+        u[2].append(c * e * (e - 1) * xm ** (e - 2))
+    if abs(x) > 1.0:
+        ex = xm ** (-m) * mp.exp(xm)
+        rest = [[ex], [ex, -m * ex / xm], [ex, -2 * m * ex / xm, m * (m + 1) * ex / xm**2]]
+    else:
+        rest = [[], [], []]
+        for j in range(1, 60):
+            c = 1 / mp.factorial(m + j)
+            rest[0].append(c * xm**j)
+            rest[1].append(c * j * xm ** (j - 1))
+            rest[2].append(c * j * (j - 1) * xm ** (j - 2) if j >= 2 else mp.mpf(0))
+    return u, rest
+
+
+# x in [-700, 700], away from the pole and with both sides of |x| = 1.
+_MP_GRID = sorted(
+    {*np.linspace(-700.0, 700.0, 57).tolist(), -40.0, -20.0, -5.0, -1.5, -1.0, -0.6, -0.25, 0.3, 0.8, 1.0, 1.5, 5.0}
+    - {0.0}
+)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_phi_matches_mpmath_to_roundoff_of_its_terms(m):
+    # |got - exact| <= 1e-15 times the summed magnitudes of the monomials of
+    # the terms, for phi, phi' and phi''; below the pole no term may cancel
+    # another (the subtracted exp remainder read up to 1e274 at x = -655).
+    mp = pytest.importorskip("mpmath")
+    coeffs = (0.0, 1.3, -0.7)
+    with mp.workdps(40):
+        for x in _MP_GRID:
+            u, rest = _mp_profile_terms(mp, m, x)
+            interval = (0.0, math.inf) if x > 0 else (-math.inf, 0.0)
+            for A in coeffs:
+                for B in coeffs:
+                    u_coeff = A + B if abs(x) <= 1.0 else A
+                    for kappa in (0.0, 2.5):
+                        params = skrp.SkrpParams(m=m, kappa=kappa, A=A, B=B, I=interval)
+                        got = skrp.phi_closed(params, x)
+                        const = mp.mpf(-kappa) / (2 * m)
+                        for k in range(3):
+                            terms = [u_coeff * t for t in u[k]] + [B * t for t in rest[k]] + ([const] if k == 0 else [])
+                            scale = float(sum(abs(t) for t in terms))
+                            if scale < 1e-290:
+                                continue
+                            err = float(abs(got[k] - sum(terms))) / scale
+                            assert err <= 1e-15, (x, A, B, kappa, k, got[k], err)
 
 
 # -- profile ODE ---------------------------------------------------------------------
@@ -474,6 +533,27 @@ def test_ell_map_rejects_sign_change():
     params = fixtures.skrp_fixture("koiso-m2-compact")
     with pytest.raises(DomainSplit):
         skrp.EllMap(params, 2.0, (1.0, 4.0))  # Q zero at ~2.656 inside
+
+
+@pytest.mark.parametrize(
+    "q,ier",
+    [
+        (lambda f: 1.0 + 1e-3 * math.sin(1e7 * f), 1),  # oscillates past QAG's subinterval limit
+        (lambda f: 1e-9 + abs(f - 0.7318) ** 0.5, 3),  # a cusp between grid nodes
+    ],
+    ids=["oscillating", "cusp"],
+)
+def test_ell_map_quadrature_missing_its_tolerance_raises(q, ier):
+    profile = skrp.QProfile(q=q, dq=lambda f: 0.0, interval=(0.0, 1.0), m=2)
+    with pytest.raises(IntegrationFailure, match=f"ier = {ier},"):
+        skrp.EllMap(profile, 0.5, profile.interval)
+
+
+def test_ell_map_zero_of_q_at_a_quadrature_node_is_a_domain_split():
+    # Q = 0 at 0.3001, between grid nodes but on a node of the quadrature.
+    profile = skrp.QProfile(q=lambda f: math.sqrt(abs(f - 0.3001)), dq=lambda f: 0.0, interval=(0.0, 1.0), m=2)
+    with pytest.raises(DomainSplit, match="at f = 0.3001"):
+        skrp.EllMap(profile, 0.5, profile.interval)
 
 
 # -- chart assembly -------------------------------------------------------------------------

@@ -54,8 +54,8 @@ SEEDS = (None, "7")
 # check bands on which the closed-vs-integrated oracle must still hold,
 # four profiles whose fiber-norm map overflows float64, five profiles at
 # float64's limits that crashed with a traceback until the checks below, a
-# shifted capped profile whose end lies ulps past a zero of Q, and the three
-# outcomes of a profile with no Q-positive interval or a failing quadrature.
+# shifted capped profile whose end lies ulps past a zero of Q, and four
+# profiles with no Q-positive interval or a window whose ell overflows.
 CONFIGS = {
     "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
                       "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
@@ -101,8 +101,14 @@ CONFIGS = {
     # phi > 0 but f - c < 0 on I: Q > 0 nowhere, skrp's q-domain is
     # inconclusive (exit 0).
     "q-domain-empty": {"m": 2, "A": 1, "I": [-3, -1]},
-    # A fiber-norm quadrature ends on QUADPACK's roundoff flag: exit 3.
+    # log ell = integral of a / Q passes exp's range inside the window: exit 3
+    # (DomainError).  The id names the roundoff flag (ier = 2) the fiber-norm
+    # quadrature ended on while the profile cancelled its own terms.
     "ell-quadrature-roundoff": {"m": 2, "B": -1, "a": 2, "I": [-12.5, -12]},
+    # Q = 2 B e^x / x < 0 for every x = f - c < 0, which the profile resolves
+    # below the pole only if it never subtracts its terms: skrp's q-domain is
+    # inconclusive (exit 0) and completeness finds no Q-positive interval.
+    "no-q-interval-below-pole": {"m": 2, "kappa": 0, "c": 1.2572, "A": 0, "B": 1.2121, "I": ["-inf", 1.2572]},
 }
 # The {"fixture": NAME} form of a config, which every command reads.
 FIXTURE_CONFIG = {"fixture": "koiso-m2-A1B0"}
