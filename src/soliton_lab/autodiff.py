@@ -14,6 +14,17 @@ over the leading axes the way numpy does, :func:`stack` and indexing build
 and slice such jets, and every entry carries exactly the bits the same
 operations give on scalar jets, so a 4 x 4 metric block is one jet
 expression instead of ten scalar ones.
+
+The same broadcasting evaluates many points at once.  :func:`seed` of a
+``(B, n)`` array of B points gives coordinate jets of value shape (B,), so
+the batch is the last value axis: a quantity of shape S at one point has
+value shape S + (B,), gradient S + (B, n) and Hessian S + (B, n, n).  A jet
+function written for one point then runs unchanged on a batch, as long as
+its constants broadcast against that axis (a constant jet or float has no
+batch axis; an array constant of shape S needs a trailing unit axis, S +
+(1,)), and :func:`at` takes out one point's jet.  Entry-wise functions go
+through Python floats (:func:`lift_entrywise`), so each point of a batch
+carries the bits it has when seeded alone.
 """
 
 from __future__ import annotations
@@ -29,7 +40,9 @@ __all__ = [
     "seed",
     "constant",
     "stack",
+    "at",
     "lift_univariate",
+    "lift_entrywise",
     "jet_exp",
     "jet_log",
 ]
@@ -43,6 +56,15 @@ _HESS_AXES = (Ellipsis, None, None)
 def _up(value, axes):
     """An array value lined up with derivative arrays; floats pass as they are."""
     return value[axes] if isinstance(value, np.ndarray) else value
+
+
+def _accumulate(total: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """``total + term``, added in place when ``total`` (a new array) already
+    has the broadcast shape."""
+    if np.broadcast_shapes(total.shape, term.shape) == total.shape:
+        total += term
+        return total
+    return total + term
 
 
 def _entrywise(fn: Callable[[float], float], value):
@@ -115,12 +137,12 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self.val, other.val
+            # The Hessian is summed left to right into its first term, so a
+            # batch's product holds two Hessian-sized arrays at a time, not four.
+            hess = _accumulate(_up(a, _HESS_AXES) * other.hess, _up(b, _HESS_AXES) * self.hess)
             cross = self.grad[..., :, None] * other.grad[..., None, :]
-            return Jet(
-                a * b,
-                _up(a, _GRAD_AXES) * other.grad + _up(b, _GRAD_AXES) * self.grad,
-                _up(a, _HESS_AXES) * other.hess + _up(b, _HESS_AXES) * self.hess + cross + cross.swapaxes(-1, -2),
-            )
+            hess = _accumulate(_accumulate(hess, cross), cross.swapaxes(-1, -2))
+            return Jet(a * b, _up(a, _GRAD_AXES) * other.grad + _up(b, _GRAD_AXES) * self.grad, hess)
         if isinstance(other, numbers.Real):
             return Jet(self.val * other, self.grad * other, self.hess * other)
         if isinstance(other, np.ndarray):
@@ -161,15 +183,16 @@ class Jet:
         return f"Jet(val={self.val!r}, grad={self.grad!r})"
 
 
-def seed(coords: Sequence[float]) -> list[Jet]:
-    """Return jets for the coordinate functions at the given point."""
+def seed(coords) -> list[Jet]:
+    """Jets of the coordinate functions at one point (shape (n,)) or at each
+    of a batch of B points (shape (B, n), value shape (B,) per jet)."""
     x = np.asarray(coords, dtype=float)
-    n = x.shape[0]
+    batch, n = x.shape[:-1], x.shape[-1]
     jets = []
     for i in range(n):
-        g = np.zeros(n)
-        g[i] = 1.0
-        jets.append(Jet(x[i], g, np.zeros((n, n))))
+        g = np.zeros(batch + (n,))
+        g[..., i] = 1.0
+        jets.append(Jet(x[..., i], g, np.zeros(batch + (n, n))))
     return jets
 
 
@@ -178,9 +201,31 @@ def constant(value: float, nvars: int) -> Jet:
     return Jet(value, np.zeros(nvars), np.zeros((nvars, nvars)))
 
 
+def batch_axis(jet: Jet) -> Jet:
+    """``jet`` with a batch axis of length 1 appended to its value shape, so a
+    jet computed without the batch (a constant) broadcasts against one."""
+    return Jet(np.asarray(jet.val)[..., None], jet.grad[..., None, :], jet.hess[..., None, :, :])
+
+
 def stack(jets: Sequence[Jet]) -> Jet:
-    """One jet whose new leading axis runs over ``jets`` (of equal shapes)."""
-    return Jet(np.array([j.val for j in jets]), np.array([j.grad for j in jets]), np.array([j.hess for j in jets]))
+    """One jet whose new leading axis runs over ``jets`` (of equal shapes at a
+    point); constants among batched jets are broadcast over the batch."""
+    rank = max(np.ndim(j.val) for j in jets)
+    jets = [j if np.ndim(j.val) == rank else batch_axis(j) for j in jets]
+    vals, grads, hesses = (np.broadcast_arrays(*parts) for parts in zip(*((j.val, j.grad, j.hess) for j in jets)))
+    return Jet(np.array(vals), np.array(grads), np.array(hesses))
+
+
+def at(jet: Jet, k: int, rank: int) -> Jet:
+    """Point k's jet out of a batch's jet whose value has ``rank`` axes at one
+    point, as a copy, so it does not keep the batch's arrays alive; a jet
+    without the batch axis, or with one of length 1, is the same at every
+    point."""
+    if np.ndim(jet.val) == rank:
+        return jet
+    if jet.val.shape[-1] == 1:
+        k = 0
+    return Jet(jet.val[..., k].copy(), jet.grad[..., k, :].copy(), jet.hess[..., k, :, :].copy())
 
 
 def lift_univariate(x: Jet, value, deriv1, deriv2) -> Jet:
@@ -197,6 +242,16 @@ def lift_univariate(x: Jet, value, deriv1, deriv2) -> Jet:
         _up(deriv1, _GRAD_AXES) * x.grad,
         _up(deriv1, _HESS_AXES) * x.hess + _up(deriv2, _HESS_AXES) * outer,
     )
+
+
+def lift_entrywise(x: Jet, jet_of: Callable[[float], tuple[float, float, float]]) -> Jet:
+    """:func:`lift_univariate` with the 2-jet ``jet_of(v) = (h(v), h'(v), h''(v))``
+    taken at each entry v of ``x.val`` through Python floats, so every point
+    of a batch gets the bits it gets alone."""
+    if isinstance(x.val, np.ndarray):
+        rows = np.array([jet_of(v) for v in x.val.ravel().tolist()], dtype=float)
+        return lift_univariate(x, *rows.T.reshape((3,) + x.val.shape))
+    return lift_univariate(x, *jet_of(x.val))
 
 
 def jet_exp(x: Jet) -> Jet:

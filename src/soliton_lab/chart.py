@@ -5,8 +5,10 @@ metric components together with first and second coordinate derivatives
 (exact, via the jet engine), and a :class:`ScalarField` supplies a function
 value with gradient and Hessian-of-coordinates.  On top of these the module
 computes Christoffel symbols, Ricci curvature and metric Hessians, bundles a
-point's soliton-equation data into one :class:`PointGeometry`, and runs the
-dual-path consistency checks for the conformal-change identities
+point's soliton-equation data into one :class:`PointGeometry` (the jets of a
+list of points are evaluated a chunk of points at a time, by
+:func:`point_jets`), and runs the dual-path consistency checks for the
+conformal-change identities
 
     hess(f; g/tau^2) = hess(f; g) + tau^{-1} [2 dtau (.) df - g(grad tau, grad f) g]
 
@@ -25,7 +27,7 @@ so lap(|x|^2 / 2) = n on flat space.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,8 @@ __all__ = [
     "christoffel",
     "ricci",
     "hessian",
+    "CHUNK",
+    "point_jets",
     "PointGeometry",
     "point_geometry",
     "tensor_gnorm",
@@ -71,7 +75,7 @@ class SmoothFunction1D:
     deriv2: Callable[[float], float]
 
     def jet(self, x: ad.Jet) -> ad.Jet:
-        return ad.lift_univariate(x, self.value(x.val), self.deriv(x.val), self.deriv2(x.val))
+        return ad.lift_entrywise(x, lambda v: (self.value(v), self.deriv(v), self.deriv2(v)))
 
 
 class ScalarField:
@@ -89,13 +93,16 @@ class ScalarField:
         self.name = name
 
     def jet(self, jets) -> ad.Jet:
-        """The field's jet at the point whose coordinate jets are ``jets``;
-        a constant evaluator gives a constant jet."""
+        """The field's jet at the point, or batch of points, whose coordinate
+        jets are ``jets``; a constant evaluator gives a constant jet."""
         return _as_jet(self._fn(jets), len(jets))
 
-    def evaluate(self, p) -> tuple[float, np.ndarray, np.ndarray]:
-        """Return (value, gradient, coordinate Hessian) at ``p``."""
-        out = self.jet(ad.seed(as_point(p, self.dim)))
+    def evaluate(self, p, jet: ad.Jet | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+        """Return (value, gradient, coordinate Hessian) at ``p``.  ``jet`` is
+        the field's jet at p where the caller holds it (from
+        :func:`point_jets`, which has checked p), so the field is not
+        evaluated again."""
+        out = ad.at(self.jet(ad.seed(as_point(p, self.dim)[None])), 0, 0) if jet is None else jet
         return out.val, out.grad, out.hess
 
     def __call__(self, p) -> float:
@@ -135,10 +142,11 @@ class MetricChart:
     Parameters
     ----------
     jet_fn : callable
-        Maps the coordinate jets of a point to one ``(n, n)``-valued
-        :class:`~soliton_lab.autodiff.Jet` of the components g_ij.  Only its
-        upper triangle is read; :meth:`components` mirrors it, so the metric
-        data is symmetric bit for bit.
+        Maps the coordinate jets of a batch of points (seeded from a ``(B, n)``
+        array) to one :class:`~soliton_lab.autodiff.Jet` of the components
+        g_ij, of value shape ``(n, n, B)`` (or ``(n, n)`` for a constant).
+        Only its upper triangle is read; :meth:`components` mirrors it, so
+        the metric data is symmetric bit for bit.
     dim : int
         Chart dimension (n >= 2).
     domain : Box
@@ -189,19 +197,30 @@ class MetricChart:
         and the scaled chart keeps the full accuracy of the base chart.
         """
         base_jet = self._jet_fn
-        return MetricChart(
-            lambda jets: factor.jet(jets) * base_jet(jets), self.dim, self.domain, name or f"{self.name}*scaled"
-        )
+
+        def jet_fn(jets):
+            base = base_jet(jets)
+            # A constant metric gets the batch axis, which a field's jet has last.
+            return factor.jet(jets) * (base if base.val.ndim > 2 else ad.batch_axis(base))
+
+        return MetricChart(jet_fn, self.dim, self.domain, name or f"{self.name}*scaled")
 
     # -- evaluation ----------------------------------------------------------
 
-    def components(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(G, dG, d2G)`` at ``p``: ``G[i, j] = g_ij``, ``dG[k, i, j] = d_k g_ij``
-        and ``d2G[k, l, i, j] = d_k d_l g_ij``."""
+    def checked_point(self, p) -> np.ndarray:
+        """``p`` as a coordinate vector of this chart; :class:`DomainError`
+        unless it is one and lies in the domain."""
         p = as_point(p, self.dim)
         if not self.domain.contains(p):
             raise DomainError(f"point {p.tolist()} outside chart domain {self.domain}")
-        raw = self._jet_fn(ad.seed(p))
+        return p
+
+    def components(self, p, jet: ad.Jet | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(G, dG, d2G)`` at ``p``: ``G[i, j] = g_ij``, ``dG[k, i, j] = d_k g_ij``
+        and ``d2G[k, l, i, j] = d_k d_l g_ij``.  ``jet`` is the components'
+        jet at p where the caller holds it (from :func:`point_jets`, which
+        has checked p), so the metric is not evaluated again."""
+        raw = ad.at(self._jet_fn(ad.seed(self.checked_point(p)[None])), 0, 2) if jet is None else jet
         n = self.dim
         if raw.val.shape != (n, n):
             raise ValueError(f"metric jet has value shape {raw.val.shape}, expected {(n, n)}")
@@ -215,8 +234,37 @@ class MetricChart:
         d2G[:, :, lower[0], lower[1]] = d2G[:, :, upper[0], upper[1]]
         return G, dG, d2G
 
-    def matrix(self, p) -> np.ndarray:
-        return self.components(p)[0]
+    def matrix(self, p, jet: ad.Jet | None = None) -> np.ndarray:
+        return self.components(p, jet)[0]
+
+
+# Sample points whose jets are evaluated together.  A chunk's jet arrays,
+# and the numpy temporaries that build them, grow with its size: on the
+# Kahler chart an 800-point report's traced allocations peak at 0.1 MiB one
+# point at a time, 0.5 MiB at 32 points, 0.8 MiB at 64, 1.6 MiB at 128 and
+# 9.0 MiB at 800, in a process of about 37 MiB whose benchmarked peak RSS
+# may grow by 3%.  Past 32 points the time per point falls little.
+CHUNK = 32
+
+
+def point_jets(g: MetricChart, points, *fields: ScalarField) -> Iterator[tuple[np.ndarray, list[ad.Jet]]]:
+    """Each of ``points`` (shape (N, n)) in order, with g's components jet
+    and each field's jet there.
+
+    The jets are evaluated once per chunk of at most :data:`CHUNK`
+    consecutive points, seeded with the chunk as a batch, after every point
+    of the chunk has passed :meth:`MetricChart.checked_point`; a point's
+    jets are its slices, which ``components(p, jet)`` and
+    ``evaluate(p, jet)`` read.  Each point's data equals, bit for bit, what
+    evaluating at that point alone gives.
+    """
+    for start in range(0, len(points), CHUNK):
+        chunk = np.array([g.checked_point(p) for p in points[start : start + CHUNK]])
+        jets = ad.seed(chunk)
+        batch = [(g._jet_fn(jets), 2)] + [(f.jet(jets), 0) for f in fields]
+        for k, p in enumerate(chunk):
+            yield p, [ad.at(jet, k, rank) for jet, rank in batch]
+        del batch  # before the next chunk's jets are built beside it
 
 
 # -- pointwise linear algebra -------------------------------------------------
@@ -327,10 +375,12 @@ class PointGeometry:
     grad_sq: float
 
 
-def point_geometry(g: MetricChart, f: ScalarField, p) -> PointGeometry:
-    """Evaluate g and f once at p and derive the soliton-equation quantities."""
-    G, dG, d2G = g.components(p)
-    f_val, df, hess_coords = f.evaluate(p)
+def point_geometry(g: MetricChart, f: ScalarField, p, jets: Sequence[ad.Jet] | None = None) -> PointGeometry:
+    """Evaluate g and f once at p and derive the soliton-equation quantities;
+    ``jets`` are g's and f's jets at p where the caller holds them."""
+    g_jet, f_jet = (None, None) if jets is None else jets
+    G, dG, d2G = g.components(p, g_jet)
+    f_val, df, hess_coords = f.evaluate(p, f_jet)
     G_inv = metric_inverse(G)
     gamma = _christoffel_from(G_inv, dG)
     ric = _ricci_from(gamma, _christoffel_derivative_from(G_inv, dG, d2G))

@@ -221,8 +221,14 @@ def _laurent_U(x: float, m: int) -> tuple[float, float, float]:
 
 def _scaled_exp_E(x: float, m: int) -> tuple[float, float, float]:
     """E = x^{-m} e^x and two derivatives, E' = E (1 - m/x) and
-    E'' = E ((1 - m/x)^2 + m/x^2); for |x| > 1, where no factor cancels."""
-    e = x ** (-m) * math.exp(x)
+    E'' = E ((1 - m/x)^2 + m/x^2); for |x| > 1, where no factor cancels.
+    Where x^{-m} underflows to a subnormal or 0, E is formed as
+    +-exp(x - m log|x|) instead, which keeps it while it is a normal float."""
+    power = x ** (-m)
+    if abs(power) < sys.float_info.min:
+        e = math.copysign(math.exp(x - m * math.log(abs(x))), power)
+    else:
+        e = power * math.exp(x)
     r = 1.0 - m / x
     return e, e * r, e * (r * r + m / (x * x))
 
@@ -684,16 +690,17 @@ class _PotentialCore:
     """Shared closed-form scaffolding of the chart: t(z, w) and f(t) jets.
 
     The metric and every field built on the potential ask for f at the same
-    point in turn, so :meth:`f_jet` keeps the last point's jet, keyed on the
-    bits of the coordinates (the jets passed in are a point's coordinate
-    jets).  Key and jet are one tuple, so a concurrent reader never pairs
-    one point with another point's jet.
+    points in turn, so :meth:`f_jet` keeps the last batch's jet, keyed on the
+    shape and bits of the coordinates (the jets passed in are the coordinate
+    jets of a point or of a batch of points).  Key and jet are one tuple, so
+    a concurrent reader never pairs one batch with another batch's jet.
+    Each point of a batch is inverted on its own.
     """
 
     def __init__(self, params: SkrpParams, ell: EllMap):
         self.params = params
         self.ell = ell
-        self._last: tuple[bytes | None, ad.Jet | None] = (None, None)
+        self._last: tuple[tuple | None, ad.Jet | None] = (None, None)
 
     def t_jet(self, jets):
         z1, z2, w1, w2 = jets
@@ -702,20 +709,24 @@ class _PotentialCore:
         return 0.5 * self.params.s * ad.jet_log(one_pz) + 0.5 * ad.jet_log(wsq)
 
     def f_jet(self, jets):
-        key = np.array([j.val for j in jets]).tobytes()
+        coords = np.array([j.val for j in jets])
+        key = (coords.shape, coords.tobytes())
         last_key, last_jet = self._last
         if last_key == key:
             return last_jet
-        t = self.t_jet(jets)
-        f0 = self.ell.f_of_log_ell(t.val)
-        fj = ad.lift_univariate(t, f0, self.ell.dfdt(f0), self.ell.d2fdt2(f0))
+        fj = ad.lift_entrywise(self.t_jet(jets), self._f_of_t)
         self._last = (key, fj)
         return fj
 
+    def _f_of_t(self, t: float) -> tuple[float, float, float]:
+        f = self.ell.f_of_log_ell(t)
+        return f, self.ell.dfdt(f), self.ell.d2fdt2(f)
 
-# The horizontal (base) block of the chart's coordinates (z1, z2, w1, w2).
-_HORIZONTAL = np.diag([1.0, 1.0, 0.0, 0.0])
-_QUARTER_TURN_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+
+# The horizontal (base) block of the chart's coordinates (z1, z2, w1, w2),
+# and the signs of the quarter turn; each with a unit batch axis.
+_HORIZONTAL = np.diag([1.0, 1.0, 0.0, 0.0])[..., None]
+_QUARTER_TURN_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
 
 
 def _metric_components_fn(params: SkrpParams, core: _PotentialCore, lambda_h: float, fc_sign: float, conformal_rate: float = 0.0):
@@ -735,7 +746,7 @@ def _metric_components_fn(params: SkrpParams, core: _PotentialCore, lambda_h: fl
         one_pz = 1.0 + z1 * z1 + z2 * z2
         wsq = w1 * w1 + w2 * w2
         fj = core.f_jet(jets)
-        phi_j = ad.lift_univariate(fj, *phi_closed(params, fj.val))
+        phi_j = ad.lift_entrywise(fj, lambda f: phi_closed(params, f))
         x = fj - params.c
         q_j = 2.0 * x * phi_j
         pre = q_j * inv_p2
@@ -775,17 +786,18 @@ def _chart_window(params: SkrpParams, ell: EllMap, f_window: tuple[float, float]
     )
 
 
-def kahler_closedness_residual(metric: ct.MetricChart, J: np.ndarray, p) -> float:
-    """Max component of the exterior derivative of the fundamental 2-form."""
-    _, dG, _ = metric.components(p)
+def kahler_closedness_residual(metric: ct.MetricChart, J: np.ndarray, p, jet: ad.Jet | None = None) -> float:
+    """Max component of the exterior derivative of the fundamental 2-form;
+    ``jet`` is the metric's jet at p where the caller holds it."""
+    _, dG, _ = metric.components(p, jet)
     # omega_ij = J^a_i g_aj; d_k omega_ij from d_k g_aj.
     domega = np.einsum("ai,kaj->kij", J, dG)
     t = domega + np.einsum("ijk->kij", domega) + np.einsum("jki->kij", domega)
     return float(np.max(np.abs(t)))
 
 
-def hermitian_metric_residual(metric: ct.MetricChart, J: np.ndarray, p) -> float:
-    G = metric.matrix(p)
+def hermitian_metric_residual(metric: ct.MetricChart, J: np.ndarray, p, jet: ad.Jet | None = None) -> float:
+    G = metric.matrix(p, jet)
     return float(np.max(np.abs(J.T @ G @ J - G)))
 
 
@@ -802,9 +814,10 @@ def killing_residual(chart: CalabiChart, p) -> float:
     return float(np.max(np.abs(lie)))
 
 
-def gradient_soliton_residual(chart: CalabiChart, p) -> float:
-    """g-norm of ric + hess f - c g with the profile's constant c."""
-    geo = ct.point_geometry(chart.metric, chart.f_field, p)
+def gradient_soliton_residual(chart: CalabiChart, p, jets=None) -> float:
+    """g-norm of ric + hess f - c g with the profile's constant c; ``jets``
+    are the metric's and the potential's jets at p where the caller holds them."""
+    geo = ct.point_geometry(chart.metric, chart.f_field, p, jets)
     tensor = geo.ric + geo.hess_f - chart.coefficient() * geo.G
     return ct.tensor_gnorm(geo.G_inv, tensor)
 
@@ -856,7 +869,8 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     metric = ct.MetricChart.from_jets(
         _metric_components_fn(params, core, lambda_h, fc_sign), 4, domain, name or "calabi-m2"
     )
-    closedness = max(kahler_closedness_residual(metric, _J4, p) for p in sample_box(domain, 12, seed=7))
+    closed_points = sample_box(domain, 12, seed=7)
+    closedness = max(kahler_closedness_residual(metric, _J4, p, jet) for p, (jet,) in ct.point_jets(metric, closed_points))
     if closedness > CLOSEDNESS_TOL:
         ratio = params.a * params.s / (params.p**2 * lambda_h)
         raise CalibrationFailure(
@@ -876,11 +890,10 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
         name=name or "calabi-m2",
     )
 
-    # Both residuals at one check point before the next, so the potential's
-    # last-point cache serves both and each point is inverted once.
+    # Both residuals read the check points' jets, evaluated once.
     residuals = [
-        (hermitian_metric_residual(metric, _J4, p), gradient_soliton_residual(chart, p))
-        for p in sample_box(domain, 6, seed=11)
+        (hermitian_metric_residual(metric, _J4, p, jets[0]), gradient_soliton_residual(chart, p, jets))
+        for p, jets in ct.point_jets(metric, sample_box(domain, 6, seed=11), chart.f_field)
     ]
     herm = max(h for h, _ in residuals)
     solres = max(s for _, s in residuals)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,13 @@ class SolitonPair:
     def geometry(self, p) -> ct.PointGeometry:
         """Metric and field data at p from one evaluation of each."""
         return ct.point_geometry(self.metric, self.f, p)
+
+    def geometries(self, points) -> Iterator[ct.PointGeometry]:
+        """:meth:`geometry` at each of ``points`` in order, from one evaluation
+        of the metric's and the field's jets per chunk of points
+        (:func:`~soliton_lab.chart.point_jets`)."""
+        for p, jets in ct.point_jets(self.metric, points, self.f):
+            yield ct.point_geometry(self.metric, self.f, p, jets)
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,7 @@ def residual_report(pair: SolitonPair, points: np.ndarray) -> ResidualReport:
     residuals = np.empty(len(points))
     grad_sq = np.empty(len(points))
     first = None
-    for k, p in enumerate(points):
-        geo = pair.geometry(p)
+    for k, (p, geo) in enumerate(zip(points, pair.geometries(points))):
         coeffs[k], residuals[k] = extract_coefficient(pair, p, geo)
         grad_sq[k] = geo.grad_sq
         if k == 0:

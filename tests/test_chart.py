@@ -316,13 +316,14 @@ def test_dual_metric_is_the_einsum_product_rule_bitwise(name):
 
 
 def _hand_stacked(nested, n):
-    """An n x n nested sequence of jets/floats written into one (n, n) jet."""
-    val, grad, hess = np.empty((n, n)), np.empty((n, n, n)), np.empty((n, n, n, n))
+    """An n x n nested sequence of jets/floats written into one (n, n) jet,
+    with the batch axis of its entries where they have one."""
+    entries = [[e if isinstance(e, ad.Jet) else ad.constant(float(e), n) for e in row] for row in nested]
+    batch = np.broadcast_shapes(*(np.shape(e.val) for row in entries for e in row))
+    val, grad, hess = np.empty((n, n) + batch), np.empty((n, n) + batch + (n,)), np.empty((n, n) + batch + (n, n))
     for i in range(n):
         for j in range(n):
-            entry = nested[i][j]
-            if not isinstance(entry, ad.Jet):
-                entry = ad.constant(float(entry), n)
+            entry = entries[i][j]
             val[i, j], grad[i, j], hess[i, j] = entry.val, entry.grad, entry.hess
     return ad.Jet(val, grad, hess)
 

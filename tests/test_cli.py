@@ -304,23 +304,32 @@ def test_verify_evaluates_each_point_once(fixture, capsys, monkeypatch):
     from soliton_lab import chart as ct
     from soliton_lab import soliton as sol
 
-    reports, evaluations = [], []
+    reports, evaluations, covered = [], [], []
     build_report = sol.residual_report
     components = ct.MetricChart.components
+    point_jets = ct.point_jets
 
     def counting_report(pair, points):
         reports.append(len(points))
         return build_report(pair, points)
 
-    def counting_components(self, p):
+    def counting_components(self, p, jet=None):
         evaluations.append(self.name)
-        return components(self, p)
+        return components(self, p, jet)
+
+    def covering_point_jets(g, points, *fields):
+        for p, jets in point_jets(g, points, *fields):
+            covered.append(tuple(p))
+            yield p, jets
 
     monkeypatch.setattr(sol, "residual_report", counting_report)
     monkeypatch.setattr(ct.MetricChart, "components", counting_components)
+    monkeypatch.setattr(ct, "point_jets", covering_point_jets)
     run(["verify", "--fixture", fixture, "--samples", "30"], capsys)
     assert reports == [30]
     assert len(evaluations) == 30
+    # The chunked evaluation covers each sample point once.
+    assert len(covered) == len(set(covered)) == 30
 
 
 def _one_line_usage_error(code, err):
@@ -647,18 +656,30 @@ def test_fixture_with_config_is_usage_error(command, fixture, config, tmp_path, 
 
 
 def test_dualize_evaluates_each_source_spot_point_once(capsys, monkeypatch):
+    from soliton_lab import chart as ct
     from soliton_lab import soliton as sol
 
-    source_geometries, dual_extractions = [], []
+    # The source metric is evaluated at a point either alone (components
+    # without a jet) or as part of a chunk (point_jets); the assembly's own
+    # check points are evaluated before counting starts.
+    fixtures.calabi_fixture("koiso-m2-A1B0")
+    source_points, dual_extractions = [], []
     in_report = []
-    geometry = sol.SolitonPair.geometry
+    components = ct.MetricChart.components
+    point_jets = ct.point_jets
     extract = sol.extract_coefficient
     build_report = sol.residual_report
 
-    def counting_geometry(self, p):
-        if self.name == "koiso-m2-A1B0":
-            source_geometries.append(tuple(p))
-        return geometry(self, p)
+    def counting_components(self, p, jet=None):
+        if self.name == "koiso-m2-A1B0" and jet is None:
+            source_points.append(tuple(p))
+        return components(self, p, jet)
+
+    def counting_point_jets(g, points, *fields):
+        for p, jets in point_jets(g, points, *fields):
+            if g.name == "koiso-m2-A1B0":
+                source_points.append(tuple(p))
+            yield p, jets
 
     def counting_extract(pair, p, geometry=None):
         if pair.name.endswith("-dual"):
@@ -672,12 +693,13 @@ def test_dualize_evaluates_each_source_spot_point_once(capsys, monkeypatch):
         finally:
             in_report.pop()
 
-    monkeypatch.setattr(sol.SolitonPair, "geometry", counting_geometry)
+    monkeypatch.setattr(ct.MetricChart, "components", counting_components)
+    monkeypatch.setattr(ct, "point_jets", counting_point_jets)
     monkeypatch.setattr(sol, "extract_coefficient", counting_extract)
     monkeypatch.setattr(sol, "residual_report", marking_report)
     code, _, _ = run(["dualize", "--fixture", "koiso-m2-A1B0", "--samples", "30"], capsys)
     assert code == cli.EXIT_PASS
-    assert len(source_geometries) == len(set(source_geometries)) == 25
+    assert len(source_points) == len(set(source_points)) == 25
     assert len(dual_extractions) == 30 and all(dual_extractions)
 
 

@@ -174,6 +174,25 @@ def test_phi_matches_mpmath_to_roundoff_of_its_terms(m):
                             assert err <= 1e-15, (x, A, B, kappa, k, got[k], err)
 
 
+@pytest.mark.parametrize("f", [700.0, 650.0])
+def test_exp_term_survives_the_underflow_of_its_power(f):
+    # x^-200 underflows to 0 at x = 650 and 700, while E = x^-200 e^x is a
+    # normal float near 1e-281 and 1e-265; the product read 0 there.
+    mp = pytest.importorskip("mpmath")
+    m = 200
+    got = skrp.phi_closed(skrp.SkrpParams(m=m, B=1.0, I=(1.0, math.inf)), f)
+    with mp.workdps(40):
+        x = mp.mpf(f)
+        e = x ** (-m) * mp.exp(x)
+        r = 1 - m / x
+        exact = (e, e * r, e * (r * r + m / x**2))
+    # exp(x - m log x) carries the roundoff of its exponent, whose terms sum to x + m log x.
+    bound = 1e-15 * (f + m * math.log(f))
+    for k in range(3):
+        assert got[k] != 0.0
+        assert float(abs(got[k] - exact[k]) / exact[k]) <= bound, (k, got[k])
+
+
 # -- profile ODE ---------------------------------------------------------------------
 
 
@@ -790,7 +809,7 @@ def _entrywise_metric_fn(params, core, lambda_h, fc_sign, conformal_rate=0.0):
         one_pz = 1.0 + z1 * z1 + z2 * z2
         wsq = w1 * w1 + w2 * w2
         fj = core.f_jet(jets)
-        phi_j = ad.lift_univariate(fj, *skrp.phi_closed(params, fj.val))
+        phi_j = ad.lift_entrywise(fj, lambda f: skrp.phi_closed(params, f))
         x = fj - params.c
         pre = 2.0 * x * phi_j * inv_p2
         base = (2.0 * fc_sign) * x * (lambda_h * one_pz**-2)
