@@ -12,6 +12,9 @@ statement by statement: the same summation order, the machine constants of
 The interval lists keep the Fortran's 1-based indices (element 0 is
 unused); the Kronrod rule's tables are 0-based.  As in QUADPACK, a missed
 tolerance is the status ``ier`` returned to the caller, never a warning.
+:func:`first_steps` takes QAG's first step over many intervals at once,
+with numpy arrays in ``dqk21``'s order, for callers that integrate many
+short intervals and need the full :func:`quad` only where it goes on.
 
 ``scipy.integrate.quad`` runs QAGS (``dqagse``), which adds Wynn's epsilon
 extrapolation to the same bisection.  The two agree bit for bit (value,
@@ -32,7 +35,9 @@ import math
 import sys
 from collections.abc import Callable
 
-__all__ = ["LIMIT", "quad", "qage"]
+import numpy as np
+
+__all__ = ["LIMIT", "quad", "qage", "first_steps"]
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -83,6 +88,64 @@ def quad(f: Callable[[float], float], a: float, b: float, *, epsabs: float, epsr
     if ier == 6:
         raise ValueError("with epsabs <= 0, epsrel must exceed both 5e-29 and 50 * machine epsilon")
     return result, abserr, ier
+
+
+def first_steps(f: Callable[[np.ndarray], np.ndarray], a, b, *, epsabs: float, epsrel: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QAG's first step over each interval [a[k], b[k]] at once: (value,
+    abserr, done), arrays of the limits' 1-D shape.
+
+    ``f`` is called once, on a 1-D array of all 21 nodes of every interval,
+    zero-width ones included, and returns their values.  value and abserr
+    are the 21-point Kronrod estimate and error of :func:`_qk21`, summed in
+    its order with numpy's elementwise arithmetic, so node values equal to a
+    scalar call's give its bits (min(1, r**1.5) goes through Python floats,
+    as numpy's pow may differ from libm's in the last place).  ``done`` marks
+    the intervals on which :func:`quad` returns at this step with ``ier =
+    0``: a zero-width interval, which gives (0, 0) as in :func:`quad`, or
+    finite limits and node values whose estimate :func:`qage` accepts.  Any
+    other interval needs :func:`quad` itself.
+    """
+    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
+        raise ValueError("with epsabs <= 0, epsrel must exceed both 5e-29 and 50 * machine epsilon")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(all="ignore"):  # lanes with non-finite limits or values are not done
+        centr = 0.5 * (a + b)
+        hlgth = 0.5 * (b - a)
+        dhlgth = np.abs(hlgth)
+        absc = hlgth * np.array(_XGK[:10])[:, None]
+        nodes = np.concatenate([centr[None], centr - absc, centr + absc])
+    values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    fc, fv1, fv2 = values[0], values[1:11], values[11:]
+    with np.errstate(all="ignore"):
+        resg = 0.0
+        resk = _WGK[10] * fc
+        resabs = np.abs(resk)
+        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+            fsum = fv1[j] + fv2[j]
+            if j % 2:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * np.abs(fc - reskh)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh))
+        result = resk * hlgth
+        resabs = resabs * dhlgth
+        resasc = resasc * dhlgth
+        abserr = np.abs((resk - resg) * hlgth)
+        scaled = (resasc != 0.0) & (abserr != 0.0)
+        ratios = (200.0 * abserr[scaled] / resasc[scaled]).tolist()
+        abserr[scaled] = resasc[scaled] * np.array([r**1.5 if r < 1.0 else 1.0 for r in ratios])
+        abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum((_EPMACH * 50.0) * resabs, abserr), abserr)
+        # qage's return after its first estimate, without ier = 2 (roundoff).
+        errbnd = np.maximum(epsabs, epsrel * np.abs(result))
+        roundoff = (abserr <= 50.0 * _EPMACH * resabs) & (abserr > errbnd)
+        accepted = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
+    finite = np.isfinite(a) & np.isfinite(b)
+    done = finite & np.isfinite(values).all(axis=0) & accepted & ~roundoff
+    empty = finite & (a == b)
+    return np.where(empty, 0.0, result), np.where(empty, 0.0, abserr), done | empty
 
 
 def _qk21(f, a, b):

@@ -45,6 +45,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -182,7 +183,7 @@ class SkrpParams:
         if self.A + self.B != 0.0 and lo < self.c < hi:
             raise ValueError("interval I must avoid the pole f = c when A + B != 0")
 
-    @property
+    @cached_property
     def pole_margin(self) -> float:
         lo, hi = self.I
         width = hi - lo if math.isfinite(hi) and math.isfinite(lo) else 1.0 + abs(self.c)
@@ -195,16 +196,17 @@ class SkrpParams:
     def interval(self) -> tuple[float, float]:
         return self.I
 
-    def q(self, f: float) -> float:
-        """Q(f) = 2 f_c phi(f), the squared gradient norm of the potential."""
+    def q(self, f: float | np.ndarray) -> float | np.ndarray:
+        """Q(f) = 2 f_c phi(f), the squared gradient norm of the potential, at
+        a float or at each entry of an array (see :func:`phi_closed`)."""
         return 2.0 * (f - self.c) * phi_closed(self, f)[0]
 
-    def dq(self, f: float) -> float:
+    def dq(self, f: float | np.ndarray) -> float | np.ndarray:
         phi, dphi, _ = phi_closed(self, f)
         return 2.0 * phi + 2.0 * (f - self.c) * dphi
 
 
-def _laurent_U(x: float, m: int) -> tuple[float, float, float]:
+def _laurent_U(x, m: int):
     """U = x^{-m} S_m(x) and two derivatives, exactly; past k = 170 a term is x^(k-m) / inf = 0."""
     u = u1 = u2 = 0.0
     kfact = 1.0
@@ -219,13 +221,16 @@ def _laurent_U(x: float, m: int) -> tuple[float, float, float]:
     return u, u1, u2
 
 
-def _scaled_exp_E(x: float, m: int) -> tuple[float, float, float]:
+def _scaled_exp_E(x, m: int):
     """E = x^{-m} e^x and two derivatives, E' = E (1 - m/x) and
     E'' = E ((1 - m/x)^2 + m/x^2); for |x| > 1, where no factor cancels.
     Where x^{-m} underflows to a subnormal or 0, E is formed as
     +-exp(x - m log|x|) instead, which keeps it while it is a normal float."""
     power = x ** (-m)
-    if abs(power) < sys.float_info.min:
+    if isinstance(x, np.ndarray):
+        tiny = np.abs(power) < sys.float_info.min
+        e = np.where(tiny, np.copysign(np.exp(x - m * np.log(np.abs(x))), power), power * np.exp(x))
+    elif abs(power) < sys.float_info.min:
         e = math.copysign(math.exp(x - m * math.log(abs(x))), power)
     else:
         e = power * math.exp(x)
@@ -233,7 +238,7 @@ def _scaled_exp_E(x: float, m: int) -> tuple[float, float, float]:
     return e, e * r, e * (r * r + m / (x * x))
 
 
-def _scaled_remainder_T(x: float, m: int) -> tuple[float, float, float]:
+def _scaled_remainder_T(x, m: int):
     """T = x^{-m} (e^x - S_m(x)) with two derivatives, for |x| <= 1.
 
     Entire in x, but the difference loses every digit near x = 0, so T is
@@ -256,21 +261,13 @@ def _scaled_remainder_T(x: float, m: int) -> tuple[float, float, float]:
     return t, t1, t2
 
 
-def phi_closed(params: SkrpParams, f: float) -> tuple[float, float, float]:
-    """Profile value and derivatives (phi, phi', phi'') at f.
-
-    The sum of the module docstring's terms; a zero coefficient skips its
-    term, so B = 0 never evaluates exp and A + B = 0 never meets U's pole.
-    Derivatives are the hand-differentiated closed forms, not differences.
-    Raises :class:`PoleError` at f = c when the numerator is singular there,
-    and :class:`DomainError` where a term overflows float64.
-    """
-    # A Python float overflows with OverflowError in exp and **, but a
-    # product such as B * e overflows to inf silently; both are refused.
-    x = float(f - params.c)
-    if params.A + params.B != 0.0 and abs(x) < params.pole_margin:
-        raise PoleError(f"profile has a pole at f = c = {params.c}; got f = {f}")
-    if abs(x) > 1.0:
+def _term_sums(params: SkrpParams, x, far: bool):
+    """phi, phi', phi'' at x = f - c, floats or arrays alike: the module
+    docstring's terms for |x| > 1 (``far``) or |x| <= 1, a zero coefficient
+    skipping its term, and then the constant.  A float term that overflows
+    raises OverflowError in exp and ** and makes phi inf; an array's
+    overflows to inf."""
+    if far:
         terms = ((params.A, _laurent_U), (params.B, _scaled_exp_E))
     else:
         terms = ((params.A + params.B, _laurent_U), (params.B, _scaled_remainder_T))
@@ -285,8 +282,52 @@ def phi_closed(params: SkrpParams, f: float) -> tuple[float, float, float]:
     except OverflowError:
         phi = math.inf
     phi += params.phi_sign * params.kappa / (2.0 * params.m)
+    return phi, dphi, d2phi
+
+
+def _refusal(params: SkrpParams, f: float, x: float, pole: bool) -> Exception:
+    if pole:
+        return PoleError(f"profile has a pole at f = c = {params.c}; got f = {f}")
+    return DomainError(f"profile overflows float64 at f = {f} (f - c = {x})")
+
+
+def phi_closed(params: SkrpParams, f: float | np.ndarray) -> tuple:
+    """Profile value and derivatives (phi, phi', phi'') at f, a float or a
+    1-D array of floats.
+
+    The sum of the module docstring's terms; a zero coefficient skips its
+    term, so B = 0 never evaluates exp and A + B = 0 never meets U's pole.
+    Derivatives are the hand-differentiated closed forms, not differences.
+    A float is summed in Python floats, whose bits every ``skrp`` and
+    ``completeness`` report carries.  An array runs the same term helpers
+    under numpy, its entries with |f - c| > 1 and <= 1 apart: each entry
+    agrees with the float path to roundoff of its terms (numpy's pow and exp
+    may differ from libm's in the last place) and has the same bits in any
+    array.  Raises :class:`PoleError` at f = c when the numerator is
+    singular there, and :class:`DomainError` where a term overflows float64;
+    an array raises what its first such entry raises alone.
+    """
+    if isinstance(f, np.ndarray):
+        x = f - params.c
+        far = np.abs(x) > 1.0
+        sums = np.empty((3,) + x.shape)
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            for lanes, is_far in ((far, True), (~far, False)):
+                if lanes.any():
+                    for k, v in enumerate(_term_sums(params, x[lanes], is_far)):
+                        sums[k, lanes] = v
+        pole = (params.A + params.B != 0.0) & (np.abs(x) < params.pole_margin)
+        bad = pole | ~np.isfinite(sums).all(axis=0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _refusal(params, float(f[k]), float(x[k]), bool(pole[k]))
+        return sums[0], sums[1], sums[2]
+    x = float(f - params.c)
+    if params.A + params.B != 0.0 and abs(x) < params.pole_margin:
+        raise _refusal(params, f, x, True)
+    phi, dphi, d2phi = _term_sums(params, x, abs(x) > 1.0)
     if not (math.isfinite(phi) and math.isfinite(dphi) and math.isfinite(d2phi)):
-        raise DomainError(f"profile overflows float64 at f = {f} (f - c = {x})")
+        raise _refusal(params, f, x, False)
     return phi, dphi, d2phi
 
 
@@ -396,9 +437,10 @@ def bounded_interval(interval: tuple[float, float], c: float, reach: float) -> t
 def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     """Maximal open subintervals of I on which Q > 0.
 
-    Sign changes of phi and of f_c are bracketed on a 2048-point grid and
-    bisected to adjacent floats (:func:`_sign_change`), so an end where Q
-    changes sign is the last float with Q >= 0; an unbounded end is scanned
+    Sign changes of phi and of f_c are bracketed on a 2048-point grid, where
+    Q is evaluated as one array, and bisected to adjacent floats
+    (:func:`_sign_change`), so an end where Q changes sign is the last float
+    with Q >= 0; an unbounded end is scanned
     out to where the exponential/constant behaviour of the profile is
     settled, :func:`bounded_interval` with a reach of 60.  The scan compares
     the signs of neighbouring values, not their product, which underflows to
@@ -427,9 +469,10 @@ def q_domain(params: SkrpParams) -> list[tuple[float, float]]:
     q = params.q
     intervals: list[tuple[float, float]] = []
     for left, right in pieces:
-        xs = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), 2048).tolist()
-        vals = np.array([q(x) for x in xs])
+        grid = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), 2048)
+        vals = q(grid)
         signs = np.sign(vals)
+        xs = grid.tolist()
         roots = []
         for i in range(len(xs) - 1):
             if vals[i] == 0.0:
@@ -474,7 +517,8 @@ def working_interval(params: SkrpParams) -> tuple[tuple[float, float], tuple[flo
 @dataclass(frozen=True)
 class QProfile:
     """Q with one derivative on an interval; :class:`SkrpParams` is the
-    closed-form profile with the same interface."""
+    closed-form profile with the same interface.  Inverting an
+    :class:`EllMap` calls ``dq`` on an array of the map's grid nodes."""
 
     q: Callable[[float], float]
     dq: Callable[[float], float]
@@ -492,13 +536,19 @@ class EllMap:
     inversion t -> f starts from the quintic Hermite interpolant of f(t) on
     the table bracket of t, built from f, df/dt = Q/a and d2f/dt2 = Q Q'/a^2
     at the two nodes, and refines it by Newton steps on the exact
-    quadrature.  The start is accurate to roundoff, so an inversion costs
-    one quadrature; a zero-width bracket or a non-finite start falls back to
-    linear interpolation.  Round trips f -> ell -> f are accurate to
-    ~1e-12.  The node derivatives are computed on the first inversion, so a
-    map that is never inverted does not pay for them.  Read-only after
-    construction apart from that one-time table.  Q <= 0 at a grid node or
-    at a quadrature node raises :class:`DomainSplit`.
+    quadrature; a zero-width bracket or a non-finite start falls back to
+    linear interpolation.  The start is accurate to roundoff, so one Newton
+    step settles it.  An array of t (the chart inverts a chunk of points at
+    once) takes that step for every entry together: the starts, one batched
+    first step of the quadrature (:func:`.quadpack.first_steps`) and one
+    Newton step; an entry whose quadrature goes on past its first step, whose
+    Q is not positive or whose step does not settle it is inverted alone.
+    Round trips f -> ell -> f are accurate to ~1e-12.  The node derivatives
+    are computed on the first inversion, with one call of the profile's dq on
+    the grid, so a map that is never inverted does not pay for them; an
+    array of t calls q on arrays too, which :class:`SkrpParams` takes.
+    Read-only after construction apart from that one-time table.  Q <= 0 at a
+    grid node or at a quadrature node raises :class:`DomainSplit`.
     """
 
     def __init__(self, profile: QProfile | SkrpParams, f0: float, bounds: tuple[float, float]):
@@ -529,7 +579,7 @@ class EllMap:
         if not np.all(np.isfinite(self._t_nodes)):
             raise DomainError(f"log ell = integral of a / Q overflows float64 on ({lo}, {hi}) (a = {profile.a})")
         self._q_nodes = qvals
-        self._node_slopes: tuple[list[float], list[float]] | None = None
+        self._node_slopes: tuple[np.ndarray, np.ndarray] | None = None
         self.bounds = (float(lo), float(hi))
         self.increasing = bool(self._t_nodes[-1] > self._t_nodes[0])
 
@@ -562,7 +612,10 @@ class EllMap:
         except OverflowError:
             raise DomainError(f"ell = exp({t}) overflows float64 at f = {f}") from None
 
-    def f_of_log_ell(self, t: float) -> float:
+    def f_of_log_ell(self, t: float | np.ndarray) -> float | np.ndarray:
+        """f with log ell(f) = t, for a float t or each entry of a 1-D array."""
+        if isinstance(t, np.ndarray):
+            return self._invert_batch(t)
         t_nodes = self._t_nodes if self.increasing else -self._t_nodes
         tt = t if self.increasing else -t
         if not (t_nodes[0] - 1e-12 <= tt <= t_nodes[-1] + 1e-12):
@@ -585,42 +638,76 @@ class EllMap:
             f"(last f = {f!r}, residual {resid:.3e})"
         )
 
+    def _invert_batch(self, t: np.ndarray) -> np.ndarray:
+        """The float path's first Newton step for every entry of t at once,
+        each operation in its order; an entry that step does not settle (or
+        whose t is out of range, or whose start does not stand) is inverted
+        by the float path, so it returns or raises what that path does."""
+        t_nodes = self._t_nodes if self.increasing else -self._t_nodes
+        tt = t if self.increasing else -t
+        last = len(self._grid) - 2
+        start = self._hermite_starts(t, np.clip(np.searchsorted(t_nodes, tt) - 1, 0, last))
+        settled = np.isfinite(start) & (t_nodes[0] - 1e-12 <= tt) & (tt <= t_nodes[-1] + 1e-12)
+        f = np.where(settled, start, self.f0)  # every entry evaluable
+        try:
+            i = np.clip(np.searchsorted(self._grid, f) - 1, 0, last)
+            value, _, done = quadpack.first_steps(self._batch_integrand, self._grid[i], f, epsabs=1e-14, epsrel=1e-13)
+            q = self.profile.q(f)
+            with np.errstate(all="ignore"):
+                step = (self._t_nodes[i] + value - t) * q / self.profile.a
+                f_new = np.minimum(np.maximum(f - step, self.bounds[0]), self.bounds[1])
+                settled &= done & (q > 0.0) & np.isfinite(q) & (np.abs(f_new - f) <= 1e-15 * (1.0 + np.abs(f)))
+        except (PoleError, DomainError):  # some entry's own inversion raises it
+            f_new, settled = np.empty_like(t), np.zeros(t.shape, dtype=bool)
+        for k in np.flatnonzero(~settled):
+            f_new[k] = self.f_of_log_ell(float(t[k]))
+        return f_new
+
+    def _batch_integrand(self, f: np.ndarray) -> np.ndarray:
+        """a / Q at each entry of f, NaN where Q <= 0 (where the float path
+        raises :class:`DomainSplit`), so that interval is not done."""
+        q = self.profile.q(f)
+        return self.profile.a / np.where(q > 0.0, q, np.nan)
+
     def _hermite_start(self, t: float, i: int) -> float | None:
-        """Quintic Hermite estimate of f(t) on the table bracket i, clipped to
-        the bracket; None when the bracket has zero width or the estimate is
-        not finite."""
-        t0, t1 = float(self._t_nodes[i]), float(self._t_nodes[i + 1])
-        h = t1 - t0
-        if h == 0.0:
-            return None
+        """Quintic Hermite estimate of f(t) on the table bracket i; None
+        where :meth:`_hermite_starts` gives NaN."""
+        f = float(self._hermite_starts(np.array([t]), np.array([i]))[0])
+        return None if math.isnan(f) else f
+
+    def _hermite_starts(self, t: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Quintic Hermite estimate of f(t) on the table bracket i, entry by
+        entry, clipped to the bracket; NaN when the bracket has zero width or
+        the estimate is not finite."""
         if self._node_slopes is None:
             a = self.profile.a
-            dq = np.array([self.profile.dq(f) for f in self._grid])
-            self._node_slopes = ((self._q_nodes / a).tolist(), (self._q_nodes * dq / a**2).tolist())
+            self._node_slopes = (self._q_nodes / a, self._q_nodes * self.profile.dq(self._grid) / a**2)
         d1, d2 = self._node_slopes
-        f0, f1 = float(self._grid[i]), float(self._grid[i + 1])
-        # Scaled end data: the jump, the slopes times h, the curvatures times h^2.
-        jump, s0, s1 = f1 - f0, h * d1[i], h * d1[i + 1]
-        c0, c1 = h * h * d2[i], h * h * d2[i + 1]
-        c3 = 10.0 * jump - 6.0 * s0 - 4.0 * s1 - 1.5 * c0 + 0.5 * c1
-        c4 = -15.0 * jump + 8.0 * s0 + 7.0 * s1 + 1.5 * c0 - c1
-        c5 = 6.0 * jump - 3.0 * s0 - 3.0 * s1 - 0.5 * c0 + 0.5 * c1
-        u = min(max((t - t0) / h, 0.0), 1.0)
-        f = f0 + u * (s0 + u * (0.5 * c0 + u * (c3 + u * (c4 + u * c5))))
-        if not math.isfinite(f):
-            return None
-        return min(max(f, min(f0, f1)), max(f0, f1))
+        t0, t1 = self._t_nodes[i], self._t_nodes[i + 1]
+        f0, f1 = self._grid[i], self._grid[i + 1]
+        with np.errstate(all="ignore"):
+            h = t1 - t0
+            # Scaled end data: the jump, the slopes times h, the curvatures times h^2.
+            jump, s0, s1 = f1 - f0, h * np.take(d1, i), h * np.take(d1, i + 1)
+            c0, c1 = h * h * np.take(d2, i), h * h * np.take(d2, i + 1)
+            c3 = 10.0 * jump - 6.0 * s0 - 4.0 * s1 - 1.5 * c0 + 0.5 * c1
+            c4 = -15.0 * jump + 8.0 * s0 + 7.0 * s1 + 1.5 * c0 - c1
+            c5 = 6.0 * jump - 3.0 * s0 - 3.0 * s1 - 0.5 * c0 + 0.5 * c1
+            u = np.minimum(np.maximum((t - t0) / h, 0.0), 1.0)
+            f = f0 + u * (s0 + u * (0.5 * c0 + u * (c3 + u * (c4 + u * c5))))
+        clipped = np.minimum(np.maximum(f, np.minimum(f0, f1)), np.maximum(f0, f1))
+        return np.where((h != 0.0) & np.isfinite(f), clipped, np.nan)
 
     def f_of_ell(self, ell: float) -> float:
         if ell <= 0:
             raise DomainError("fiber norm ell must be positive")
         return self.f_of_log_ell(math.log(ell))
 
-    def dfdt(self, f: float) -> float:
+    def dfdt(self, f: float | np.ndarray) -> float | np.ndarray:
         """df / d(log ell) = Q(f) / a."""
         return self.profile.q(f) / self.profile.a
 
-    def d2fdt2(self, f: float) -> float:
+    def d2fdt2(self, f: float | np.ndarray) -> float | np.ndarray:
         return self.profile.q(f) * self.profile.dq(f) / self.profile.a**2
 
 
@@ -686,6 +773,14 @@ def _fubini_study_chart(lambda_h: float) -> ct.MetricChart:
     return ct.MetricChart.from_jets(comps, 2, Box([-0.9, -0.9], [0.9, 0.9]), "fubini-study")
 
 
+def _lift_batch(x: ad.Jet, jet_of: Callable[[np.ndarray], tuple]) -> ad.Jet:
+    """:func:`.autodiff.lift_univariate` with the 2-jet ``jet_of(v) = (h(v),
+    h'(v), h''(v))`` taken on all the values of ``x`` as one 1-D array; the
+    value of a scalar jet is a batch of one."""
+    shape = np.shape(x.val)
+    return ad.lift_univariate(x, *(np.reshape(d, shape) for d in jet_of(np.atleast_1d(x.val))))
+
+
 class _PotentialCore:
     """Shared closed-form scaffolding of the chart: t(z, w) and f(t) jets.
 
@@ -694,7 +789,7 @@ class _PotentialCore:
     shape and bits of the coordinates (the jets passed in are the coordinate
     jets of a point or of a batch of points).  Key and jet are one tuple, so
     a concurrent reader never pairs one batch with another batch's jet.
-    Each point of a batch is inverted on its own.
+    A batch is inverted with one array call of :meth:`EllMap.f_of_log_ell`.
     """
 
     def __init__(self, params: SkrpParams, ell: EllMap):
@@ -714,11 +809,11 @@ class _PotentialCore:
         last_key, last_jet = self._last
         if last_key == key:
             return last_jet
-        fj = ad.lift_entrywise(self.t_jet(jets), self._f_of_t)
+        fj = _lift_batch(self.t_jet(jets), self._f_of_t)
         self._last = (key, fj)
         return fj
 
-    def _f_of_t(self, t: float) -> tuple[float, float, float]:
+    def _f_of_t(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         f = self.ell.f_of_log_ell(t)
         return f, self.ell.dfdt(f), self.ell.d2fdt2(f)
 
@@ -746,7 +841,7 @@ def _metric_components_fn(params: SkrpParams, core: _PotentialCore, lambda_h: fl
         one_pz = 1.0 + z1 * z1 + z2 * z2
         wsq = w1 * w1 + w2 * w2
         fj = core.f_jet(jets)
-        phi_j = ad.lift_entrywise(fj, lambda f: phi_closed(params, f))
+        phi_j = _lift_batch(fj, lambda f: phi_closed(params, f))
         x = fj - params.c
         q_j = 2.0 * x * phi_j
         pre = q_j * inv_p2

@@ -293,3 +293,51 @@ def test_nan_integrand_ends_as_dqage_does(f):
     port = quadpack.qage(f, 0.0, 1.0, 1e-14, 1e-13, quadpack.LIMIT)
     assert _bits(*port) == _bits(*oracles.dqage(f, 0.0, 1.0, 1e-14, 1e-13, quadpack.LIMIT))
     assert port[3] > 0
+
+
+# -- QAG's first step over many intervals at once ---------------------------------------
+
+# Integrands of + - * / only, whose numpy values carry a Python float's bits.
+_ARITHMETIC = {
+    "cubic": lambda x: x * x * x - 2.0 * x + 1.0,
+    "lorentz": lambda x: 1.0 / (1.0 + x * x),
+    "narrow-peak": lambda x: 1.0 / (1e-4 + x * x),
+    "line": lambda x: x,
+}
+_LANES_A = np.array([-1.0, 0.0, 0.3, -1.0, 2.5, -3.0])
+_LANES_B = np.array([1.1, 2.0, 0.3, 1.0, 7.0, 5.0])
+
+
+def test_first_steps_match_qage_bit_for_bit():
+    # value and abserr equal qage's first estimate (limit 1 returns it), and
+    # a lane is done exactly where qage returns after that estimate with
+    # ier = 0; a zero-width lane gives quad's (0, 0).
+    seen = set()
+    for shape in ((1e-14, 1e-13), (0.0, 1.2e-14), (1e-300, 1e-10)):
+        for f in _ARITHMETIC.values():
+            calls = []
+            value, abserr, done = quadpack.first_steps(
+                lambda x: calls.append(x.shape) or f(x), _LANES_A, _LANES_B, epsabs=shape[0], epsrel=shape[1]
+            )
+            assert calls == [(21 * len(_LANES_A),)]
+            for k, (a, b) in enumerate(zip(_LANES_A.tolist(), _LANES_B.tolist())):
+                if a == b:
+                    assert quadpack.quad(f, a, b, epsabs=shape[0], epsrel=shape[1]) == (0.0, 0.0, 0)
+                    assert (value[k].hex(), abserr[k].hex(), done[k]) == ((0.0).hex(), (0.0).hex(), True)
+                    seen.add("zero-width")
+                    continue
+                first = quadpack.qage(f, a, b, *shape, 1)
+                assert (value[k].hex(), abserr[k].hex()) == (first[0].hex(), first[1].hex())
+                _, _, neval, ier = quadpack.qage(f, a, b, *shape, quadpack.LIMIT)
+                assert done[k] == (neval == 21 and ier == 0), (a, b, shape)
+                seen.add("done" if done[k] else "bisected" if ier == 0 else f"ier {ier}")
+    assert seen == {"zero-width", "done", "bisected", "ier 2"}
+
+
+def test_first_steps_leave_non_finite_lanes_and_limits_undone():
+    value, _, done = quadpack.first_steps(
+        lambda x: np.where(x > 0.5, np.nan, 1.0), np.array([0.0, 0.6, 0.0, -math.inf]), np.array([0.4, 0.9, math.inf, -math.inf]),
+        epsabs=1e-14, epsrel=1e-13,
+    )
+    assert done.tolist() == [True, False, False, False]
+    assert value[0] == quadpack.quad(lambda x: 1.0, 0.0, 0.4, epsabs=1e-14, epsrel=1e-13)[0]

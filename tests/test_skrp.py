@@ -174,6 +174,78 @@ def test_phi_matches_mpmath_to_roundoff_of_its_terms(m):
                             assert err <= 1e-15, (x, A, B, kappa, k, got[k], err)
 
 
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_phi_on_arrays_matches_mpmath_and_the_float_path(m):
+    # The bound of the test above, entry by entry, for phi_closed of an array
+    # holding the grid's negative or positive half; each entry also agrees
+    # with the float path within it.
+    mp = pytest.importorskip("mpmath")
+    coeffs = (0.0, 1.3, -0.7)
+    halves = [np.array([x for x in _MP_GRID if x < 0]), np.array([x for x in _MP_GRID if x > 0])]
+    with mp.workdps(40):
+        for xs in halves:
+            exact = [_mp_profile_terms(mp, m, x) for x in xs.tolist()]
+            interval = (0.0, math.inf) if xs[0] > 0 else (-math.inf, 0.0)
+            for A in coeffs:
+                for B in coeffs:
+                    for kappa in (0.0, 2.5):
+                        params = skrp.SkrpParams(m=m, kappa=kappa, A=A, B=B, I=interval)
+                        got = skrp.phi_closed(params, xs)
+                        const = mp.mpf(-kappa) / (2 * m)
+                        for j, x in enumerate(xs.tolist()):
+                            u, rest = exact[j]
+                            u_coeff = A + B if abs(x) <= 1.0 else A
+                            alone = skrp.phi_closed(params, x)
+                            for k in range(3):
+                                terms = [u_coeff * t for t in u[k]] + [B * t for t in rest[k]] + ([const] if k == 0 else [])
+                                scale = float(sum(abs(t) for t in terms))
+                                if scale < 1e-290:
+                                    continue
+                                err = float(abs(got[k][j] - sum(terms))) / scale
+                                assert err <= 1e-15, (x, A, B, kappa, k, got[k][j], err)
+                                assert abs(got[k][j] - alone[k]) <= 1e-15 * scale, (x, A, B, kappa, k)
+
+
+@pytest.mark.parametrize(
+    "params,fs",
+    [
+        (skrp.SkrpParams(m=2, A=1.0, I=(0.0, math.inf)), [0.5, 3.0, 1e-7, 2.0, -1e-8]),
+        (skrp.SkrpParams(m=2, B=1.0, I=(1.0, math.inf)), [2.0, 720.0, 5.0, 800.0]),
+        (skrp.SkrpParams(m=2, B=1e308, I=(0.5, 6.0)), [0.6, 1.0, 5.0]),
+        (skrp.SkrpParams(m=200, A=1.0, B=1.0, I=(0.0, math.inf)), [700.0, 1e-9, 0.5]),
+        (skrp.SkrpParams(m=200, B=1.0, I=(0.0, math.inf)), [700.0, 0.5, 1e-9]),  # 200! overflows
+    ],
+    ids=["pole", "exp-overflow", "B-times-T", "pole-before-overflow", "overflow-before-pole"],
+)
+def test_phi_on_an_array_raises_what_its_first_offending_entry_raises(params, fs):
+    raised = []
+    for f in fs:
+        try:
+            skrp.phi_closed(params, f)
+        except (PoleError, DomainError) as exc:
+            raised.append(exc)
+    assert raised
+    with pytest.raises(type(raised[0])) as batch:
+        skrp.phi_closed(params, np.array(fs))
+    assert str(batch.value) == str(raised[0])
+
+
+@pytest.mark.parametrize(
+    "I,c",
+    [((0.5, 2.5), 0.0), ((-3.0, 7.0), 9.0), ((0.2, math.inf), 0.0), ((-math.inf, -4.0), 1.5), ((1.0, 1.0 + 1e-7), 1.0 - 1e-13),
+     ((-math.inf, math.inf), 0.0)],
+    ids=["bounded", "bounded-far-from-c", "half-infinite-above", "half-infinite-below", "pole-adjacent", "whole-line"],
+)
+def test_pole_margin_is_computed_once_with_the_formula(I, c):
+    params = skrp.SkrpParams(m=2, kappa=1.0, c=c, A=0.0 if I[0] < c < I[1] else 1.0, I=I)
+    lo, hi = I
+    width = hi - lo if math.isfinite(hi) and math.isfinite(lo) else 1.0 + abs(c)
+    gap = max(lo - c, c - hi)
+    expected = skrp.POLE_MARGIN * width if gap <= 0.0 else min(skrp.POLE_MARGIN * width, gap)
+    assert params.pole_margin == expected
+    assert params.pole_margin is params.pole_margin  # kept, not recomputed
+
+
 @pytest.mark.parametrize("f", [700.0, 650.0])
 def test_exp_term_survives_the_underflow_of_its_power(f):
     # x^-200 underflows to 0 at x = 650 and 700, while E = x^-200 e^x is a
@@ -865,6 +937,67 @@ def test_ell_inversion_costs_one_quadrature(koiso_chart, monkeypatch):
     assert len(calls) > 2 * len(targets)
     for a, b in zip(hermite, linear):
         assert abs(a - b) <= 1e-15 * abs(b)
+
+
+def test_batched_inversion_equals_the_float_path_on_the_800_point_report(koiso_chart):
+    # The t values of `verify --fixture koiso-m2-A1B0 --samples 800` (seed 0),
+    # inverted a chunk at a time and one by one.
+    ell = koiso_chart.ell
+    core = skrp._PotentialCore(koiso_chart.params, ell)
+    t = core.t_jet(ad.seed(sample_box(koiso_chart.domain, 800, seed=0))).val
+    batched = np.concatenate([ell.f_of_log_ell(t[k : k + ct.CHUNK]) for k in range(0, len(t), ct.CHUNK)])
+    alone = np.array([ell.f_of_log_ell(v) for v in t.tolist()])
+    assert np.all(np.abs(batched - alone) <= 1e-15 * np.abs(alone))
+
+
+def test_batched_inversion_hands_unsettled_entries_to_the_float_path(koiso_chart, monkeypatch):
+    ell = koiso_chart.ell
+    t = np.array([ell.log_ell(f) for f in np.linspace(*koiso_chart.f_window, 6)])
+    alone = [ell.f_of_log_ell(v) for v in t.tolist()]
+    first_steps = skrp.quadpack.first_steps
+
+    def entry_2_goes_on(*args, **kwargs):
+        value, abserr, done = first_steps(*args, **kwargs)
+        return value, abserr, done & (np.arange(len(done)) != 2)
+
+    monkeypatch.setattr(skrp.quadpack, "first_steps", entry_2_goes_on)
+    floats = []
+    log_ell = ell.log_ell
+    monkeypatch.setattr(ell, "log_ell", lambda f: floats.append(f) or log_ell(f))
+    batched = ell.f_of_log_ell(t)
+    assert floats and all(math.isclose(f, alone[2], rel_tol=1e-12) for f in floats)
+    assert batched[2] == alone[2]
+    assert np.all(np.abs(batched - alone) <= 1e-15 * np.abs(alone))
+    # An entry out of range raises what inverting it alone raises.
+    with pytest.raises(DomainError) as single:
+        ell.f_of_log_ell(1e3)
+    with pytest.raises(DomainError) as batch:
+        ell.f_of_log_ell(np.array([t[0], 1e3, t[1]]))
+    assert str(batch.value) == str(single.value)
+    # A profile that refuses the batch leaves every entry to the float path.
+    params = ell.profile
+
+    class RefusesArrays:
+        a = params.a
+
+        def q(self, f):
+            if isinstance(f, np.ndarray):
+                raise DomainError("refused")
+            return params.q(f)
+
+    monkeypatch.setattr(ell, "profile", RefusesArrays())
+    assert ell.f_of_log_ell(t).tolist() == alone
+
+
+@pytest.mark.parametrize("side", ["source", "dual"])
+def test_potential_inverts_each_chunk_with_one_call(side, monkeypatch):
+    pair = fixtures.soliton_fixture("koiso-m2-A1B0")
+    pair = sol.dualize(pair) if side == "dual" else pair
+    shapes = []
+    f_of_log_ell = skrp.EllMap.f_of_log_ell
+    monkeypatch.setattr(skrp.EllMap, "f_of_log_ell", lambda self, t: shapes.append(np.shape(t)) or f_of_log_ell(self, t))
+    sol.residual_report(pair, sample_box(pair.metric.domain, 2 * ct.CHUNK + 1, seed=71))
+    assert shapes == [(ct.CHUNK,), (ct.CHUNK,), (1,)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
