@@ -5,10 +5,8 @@ metric components together with first and second coordinate derivatives
 (exact, via the jet engine), and a :class:`ScalarField` supplies a function
 value with gradient and Hessian-of-coordinates.  On top of these the module
 computes Christoffel symbols, Ricci curvature and metric Hessians, bundles a
-point's soliton-equation data into one :class:`PointGeometry` (the jets of a
-list of points are evaluated a chunk of points at a time, by
-:func:`point_jets`), and runs the dual-path consistency checks for the
-conformal-change identities
+point's soliton-equation data into one :class:`PointGeometry`, and runs the
+dual-path consistency checks for the conformal-change identities
 
     hess(f; g/tau^2) = hess(f; g) + tau^{-1} [2 dtau (.) df - g(grad tau, grad f) g]
 
@@ -19,6 +17,14 @@ and
 
 with the variant of the Ricci identity in which tau is a function of f and
 the Hessian of tau is expanded through tau', tau''.
+
+The points of a list are evaluated a chunk of at most :data:`CHUNK` at a
+time: :func:`point_jets` evaluates the chunk's jets once, and
+:func:`point_geometries` runs the curvature formulas once on the chunk's
+stacked metric data, whose leading axis runs over its points.  One point is
+a chunk of one, so :func:`christoffel`, :func:`ricci`, :func:`hessian` and
+:func:`point_geometry` read the same formulas, and a point's data does not
+depend on the chunk it is in.
 
 Sign conventions (validated by the constant-curvature oracles in the test
 suite): the unit round sphere has ric = (n-1) g, and lap f = trace_g hess f,
@@ -49,6 +55,7 @@ __all__ = [
     "point_jets",
     "PointGeometry",
     "point_geometry",
+    "point_geometries",
     "tensor_gnorm",
     "metric_inverse",
     "conformal_hessian_check",
@@ -238,12 +245,19 @@ class MetricChart:
         return self.components(p, jet)[0]
 
 
-# Sample points whose jets are evaluated together.  A chunk's jet arrays,
-# and the numpy temporaries that build them, grow with its size: on the
-# Kahler chart an 800-point report's traced allocations peak at 0.1 MiB one
-# point at a time, 0.5 MiB at 32 points, 0.8 MiB at 64, 1.6 MiB at 128 and
-# 9.0 MiB at 800, in a process of about 37 MiB whose benchmarked peak RSS
-# may grow by 3%.  Past 32 points the time per point falls little.
+# Sample points whose jets and curvature are evaluated together.  A chunk's
+# jet and curvature arrays, and the numpy temporaries that build them, grow
+# with its size.  Traced allocations of a residual report peak at
+#
+#   points per chunk                      1     32     64    128    all
+#   Kahler chart, 800 points            0.1    0.6    1.1    2.1   11.0 MiB
+#   gaussian-soliton-n5, 200 points     0.1    0.8    1.6    2.6    4.1 MiB
+#
+# (the n = 5 dual, whose (B, n, n, n, n) second derivatives are the largest
+# arrays), in a process of about 38 MiB whose benchmarked peak RSS may grow
+# by 3%.  On a 2-core x86-64 host (best of 5) the 800-point Kahler report
+# takes 1.35 s one point at a time, 0.10 s at 32 points, 0.084 s at 64 and
+# 0.073 s at 128.
 CHUNK = 32
 
 
@@ -253,31 +267,55 @@ def point_jets(g: MetricChart, points, *fields: ScalarField) -> Iterator[tuple[n
 
     The jets are evaluated once per chunk of at most :data:`CHUNK`
     consecutive points, seeded with the chunk as a batch, after every point
-    of the chunk has passed :meth:`MetricChart.checked_point`; a point's
-    jets are its slices, which ``components(p, jet)`` and
+    of the chunk has passed the domain check (:func:`_checked_chunk`); a
+    point's jets are its slices, which ``components(p, jet)`` and
     ``evaluate(p, jet)`` read.  Each point's data equals, bit for bit, what
     evaluating at that point alone gives.
     """
     for start in range(0, len(points), CHUNK):
-        chunk = np.array([g.checked_point(p) for p in points[start : start + CHUNK]])
+        chunk = _checked_chunk(g, points[start : start + CHUNK])
         jets = ad.seed(chunk)
         batch = [(g._jet_fn(jets), 2)] + [(f.jet(jets), 0) for f in fields]
         for k, p in enumerate(chunk):
-            yield p, [ad.at(jet, k, rank) for jet, rank in batch]
-        del batch  # before the next chunk's jets are built beside it
+            point = [ad.at(jet, k, rank) for jet, rank in batch]
+            if k == len(chunk) - 1:
+                # Released before the caller uses the chunk's last point, when
+                # it builds the chunk's curvature or the next chunk's jets.
+                del batch
+            yield p, point
 
 
-# -- pointwise linear algebra -------------------------------------------------
+def _checked_chunk(g: MetricChart, points) -> np.ndarray:
+    """``points`` as a ``(B, n)`` array of g's coordinates, checked with one
+    array comparison; where a point fails, the :class:`DomainError` that
+    :meth:`MetricChart.checked_point` raises for the first such point."""
+    try:
+        chunk = np.array(points, dtype=float)
+    except ValueError:  # points of unequal lengths
+        chunk = None
+    domain = g.domain
+    if (
+        chunk is None
+        or chunk.shape[1:] != (g.dim,)
+        or not np.all(np.isfinite(chunk) & (chunk >= domain.lo) & (chunk <= domain.hi))
+    ):
+        for p in points:
+            g.checked_point(p)
+    return chunk
+
+
+# -- linear algebra -------------------------------------------------------------
 
 
 def metric_inverse(G: np.ndarray) -> np.ndarray:
-    """Inverse metric via Cholesky; raises SingularMetric when not SPD."""
+    """Inverse metric via Cholesky, of one ``(n, n)`` matrix or of each of a
+    ``(B, n, n)`` stack; raises SingularMetric when one is not SPD."""
     try:
         chol = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"metric matrix is not positive definite: {exc}") from exc
     inv_chol = np.linalg.inv(chol)
-    return inv_chol.T @ inv_chol
+    return np.swapaxes(inv_chol, -1, -2) @ inv_chol
 
 
 def tensor_gnorm(G_inv: np.ndarray, T: np.ndarray) -> float:
@@ -291,58 +329,66 @@ def tensor_gnorm(G_inv: np.ndarray, T: np.ndarray) -> float:
 def christoffel(g: MetricChart, p) -> np.ndarray:
     """Christoffel symbols Gamma^k_{ij} = (1/2) g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
     G, dG, _ = g.components(p)
-    return _christoffel_from(metric_inverse(G), dG)
+    return _christoffel_from(metric_inverse(G[None]), dG[None])[0]
 
 
 def ricci(g: MetricChart, p) -> np.ndarray:
     """Ricci tensor R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj."""
     G, dG, d2G = g.components(p)
-    G_inv = metric_inverse(G)
-    return _ricci_from(_christoffel_from(G_inv, dG), _christoffel_derivative_from(G_inv, dG, d2G))
+    G_inv = metric_inverse(G[None])
+    return _ricci_from(_christoffel_from(G_inv, dG[None]), _christoffel_derivative_from(G_inv, dG[None], d2G[None]))[0]
 
 
-# The pointwise formulas behind the public functions above and below, on
-# already-evaluated metric data; PointGeometry reads the same ones, so the
-# per-point bundle and the reference functions agree bit for bit.
+# The formulas behind the public functions above and below, on
+# already-evaluated metric data of a batch of points: the leading axis z of
+# every argument and result runs over the batch, and one point is a batch
+# of one.  PointGeometry reads the same ones, so a chunk's geometries and
+# the reference functions agree bit for bit.
 
 
 def _christoffel_from(G_inv: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    # dG[k, i, j] = d_k g_ij
-    bracket = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
-    return 0.5 * np.einsum("kl,lij->kij", G_inv, bracket)
+    # dG[z, k, i, j] = d_k g_ij
+    bracket = np.einsum("zijl->zlij", dG) + np.einsum("zjil->zlij", dG) - dG
+    return 0.5 * np.einsum("zkl,zlij->zkij", G_inv, bracket)
 
 
 def _christoffel_derivative_from(G_inv: np.ndarray, dG: np.ndarray, d2G: np.ndarray) -> np.ndarray:
     # d_m g^{kl} = - g^{ka} (d_m g_ab) g^{bl}
-    dG_inv = -np.einsum("ka,mab,bl->mkl", G_inv, dG, G_inv)
-    bracket = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
-    dbracket = np.einsum("mijl->mlij", d2G) + np.einsum("mjil->mlij", d2G) - d2G
-    return 0.5 * (
-        np.einsum("mkl,lij->mkij", dG_inv, bracket) + np.einsum("kl,mlij->mkij", G_inv, dbracket)
-    )
+    dG_inv = -np.einsum("zka,zmab,zbl->zmkl", G_inv, dG, G_inv)
+    bracket = np.einsum("zijl->zlij", dG) + np.einsum("zjil->zlij", dG) - dG
+    dbracket = np.einsum("zmijl->zmlij", d2G) + np.einsum("zmjil->zmlij", d2G) - d2G
+    # 0.5 (d g^{-1} bracket + g^{-1} dbracket), summed in place: a chunk's
+    # (B, n, n, n, n) temporaries are what its peak memory is made of.
+    dgamma = np.einsum("zkl,zmlij->zmkij", G_inv, dbracket)
+    del dbracket
+    dgamma += np.einsum("zmkl,zlij->zmkij", dG_inv, bracket)
+    dgamma *= 0.5
+    return dgamma
 
 
 def _ricci_from(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     ric = (
-        np.einsum("kkij->ij", dgamma)
-        - np.einsum("ikkj->ij", dgamma)
-        + np.einsum("kkl,lij->ij", gamma, gamma)
-        - np.einsum("kil,lkj->ij", gamma, gamma)
+        np.einsum("zkkij->zij", dgamma)
+        - np.einsum("zikkj->zij", dgamma)
+        + np.einsum("zkkl,zlij->zij", gamma, gamma)
+        - np.einsum("zkil,zlkj->zij", gamma, gamma)
     )
-    return 0.5 * (ric + ric.T)
+    return 0.5 * (ric + np.swapaxes(ric, 1, 2))
 
 
 def _hessian_from(gamma: np.ndarray, grad: np.ndarray, hess_coords: np.ndarray) -> np.ndarray:
-    hess = hess_coords - np.einsum("kij,k->ij", gamma, grad)
-    return 0.5 * (hess + hess.T)
+    hess = hess_coords - np.einsum("zkij,zk->zij", gamma, grad)
+    return 0.5 * (hess + np.swapaxes(hess, 1, 2))
 
 
-def _trace_g(G_inv: np.ndarray, T: np.ndarray) -> float:
-    return float(np.einsum("ij,ij->", G_inv, T))
+def _trace_g(G_inv: np.ndarray, T: np.ndarray) -> np.ndarray:
+    return np.einsum("zij,zij->z", G_inv, T)
 
 
-def _norm_sq_g(G_inv: np.ndarray, v: np.ndarray) -> float:
-    return float(v @ G_inv @ v)
+def _norm_sq_g(G_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # Two matrix products, as v @ G_inv @ v at one point; a three-operand
+    # einsum sums in another order.
+    return (v[:, None, :] @ G_inv @ v[:, :, None])[:, 0, 0]
 
 
 # -- scalar-field calculus ------------------------------------------------------
@@ -351,7 +397,7 @@ def _norm_sq_g(G_inv: np.ndarray, v: np.ndarray) -> float:
 def hessian(g: MetricChart, f: ScalarField, p) -> np.ndarray:
     """Metric Hessian (hess f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     _, grad, hess_coords = f.evaluate(p)
-    return _hessian_from(christoffel(g, p), grad, hess_coords)
+    return _hessian_from(christoffel(g, p)[None], grad[None], hess_coords[None])[0]
 
 
 @dataclass(frozen=True)
@@ -360,9 +406,11 @@ class PointGeometry:
 
     Holds the metric G, its inverse, the Ricci tensor, the field value f,
     its coordinate gradient df and metric Hessian, and lap f and |grad f|^2
-    derived from those.  Build one with :func:`point_geometry`; G, ric and
-    hess_f equal, bit for bit, what :meth:`MetricChart.matrix`, :func:`ricci`
-    and :func:`hessian` compute at the same point.
+    derived from those.  Build one with :func:`point_geometry`, or those of
+    a list of points with :func:`point_geometries`; its arrays are the
+    point's slices of its chunk's arrays.  G, ric and hess_f equal, bit for
+    bit, what :meth:`MetricChart.matrix`, :func:`ricci` and :func:`hessian`
+    compute at the same point.
     """
 
     G: np.ndarray = field(repr=False)
@@ -375,17 +423,40 @@ class PointGeometry:
     grad_sq: float
 
 
-def point_geometry(g: MetricChart, f: ScalarField, p, jets: Sequence[ad.Jet] | None = None) -> PointGeometry:
-    """Evaluate g and f once at p and derive the soliton-equation quantities;
-    ``jets`` are g's and f's jets at p where the caller holds them."""
-    g_jet, f_jet = (None, None) if jets is None else jets
-    G, dG, d2G = g.components(p, g_jet)
-    f_val, df, hess_coords = f.evaluate(p, f_jet)
-    G_inv = metric_inverse(G)
-    gamma = _christoffel_from(G_inv, dG)
-    ric = _ricci_from(gamma, _christoffel_derivative_from(G_inv, dG, d2G))
-    hess_f = _hessian_from(gamma, df, hess_coords)
-    return PointGeometry(G, G_inv, ric, f_val, df, hess_f, _trace_g(G_inv, hess_f), _norm_sq_g(G_inv, df))
+def point_geometry(g: MetricChart, f: ScalarField, p) -> PointGeometry:
+    """Evaluate g and f once at p and derive the soliton-equation quantities:
+    :func:`point_geometries` of the one point."""
+    return next(point_geometries(g, f, [p]))
+
+
+def point_geometries(g: MetricChart, f: ScalarField, points, jets=None) -> Iterator[PointGeometry]:
+    """The :class:`PointGeometry` of each of ``points`` in order, with one
+    evaluation of the jets (:func:`point_jets`) and one batched curvature
+    pass per chunk of at most :data:`CHUNK` points.  ``jets`` is what
+    ``point_jets(g, points, f)`` yields, where the caller reads it too.
+
+    Each point's components and field values are read alone, into arrays
+    allocated for the chunk; the metric's derivative arrays are released
+    before the chunk's geometries are yielded.
+    """
+    n, count = g.dim, len(points)
+    stream = point_jets(g, points, f) if jets is None else iter(jets)
+    for start in range(0, count, CHUNK):
+        size = min(CHUNK, count - start)
+        G, dG, d2G = np.empty((size, n, n)), np.empty((size, n, n, n)), np.empty((size, n, n, n, n))
+        f_val, df, hess_coords = np.empty(size), np.empty((size, n)), np.empty((size, n, n))
+        # range first, so that the chunk's last point does not pull the next chunk's jets
+        for k, (p, (g_jet, f_jet)) in zip(range(size), stream):
+            G[k], dG[k], d2G[k] = g.components(p, g_jet)
+            f_val[k], df[k], hess_coords[k] = f.evaluate(p, f_jet)
+        G_inv = metric_inverse(G)
+        gamma = _christoffel_from(G_inv, dG)
+        ric = _ricci_from(gamma, _christoffel_derivative_from(G_inv, dG, d2G))
+        del dG, d2G
+        hess_f = _hessian_from(gamma, df, hess_coords)
+        lap_f, grad_sq = _trace_g(G_inv, hess_f).tolist(), _norm_sq_g(G_inv, df).tolist()
+        for k in range(size):
+            yield PointGeometry(G[k], G_inv[k], ric[k], f_val[k], df[k], hess_f[k], lap_f[k], grad_sq[k])
 
 
 # -- conformal-change identities ------------------------------------------------

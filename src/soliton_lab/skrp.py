@@ -909,10 +909,10 @@ def killing_residual(chart: CalabiChart, p) -> float:
     return float(np.max(np.abs(lie)))
 
 
-def gradient_soliton_residual(chart: CalabiChart, p, jets=None) -> float:
-    """g-norm of ric + hess f - c g with the profile's constant c; ``jets``
-    are the metric's and the potential's jets at p where the caller holds them."""
-    geo = ct.point_geometry(chart.metric, chart.f_field, p, jets)
+def gradient_soliton_residual(chart: CalabiChart, p, geometry: ct.PointGeometry | None = None) -> float:
+    """g-norm of ric + hess f - c g with the profile's constant c; ``geometry``
+    is the pair's geometry at p where the caller holds it."""
+    geo = ct.point_geometry(chart.metric, chart.f_field, p) if geometry is None else geometry
     tensor = geo.ric + geo.hess_f - chart.coefficient() * geo.G
     return ct.tensor_gnorm(geo.G_inv, tensor)
 
@@ -985,13 +985,13 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
         name=name or "calabi-m2",
     )
 
-    # Both residuals read the check points' jets, evaluated once.
-    residuals = [
-        (hermitian_metric_residual(metric, _J4, p, jets[0]), gradient_soliton_residual(chart, p, jets))
-        for p, jets in ct.point_jets(metric, sample_box(domain, 6, seed=11), chart.f_field)
-    ]
-    herm = max(h for h, _ in residuals)
-    solres = max(s for _, s in residuals)
+    # Both residuals read the check points' jets, evaluated once; their
+    # curvature is one batched pass.
+    check_points = sample_box(domain, 6, seed=11)
+    jets = list(ct.point_jets(metric, check_points, chart.f_field))
+    herm = max(hermitian_metric_residual(metric, _J4, p, g_jet) for p, (g_jet, _) in jets)
+    geometries = ct.point_geometries(metric, chart.f_field, check_points, jets)
+    solres = max(gradient_soliton_residual(chart, p, geo) for p, geo in zip(check_points, geometries))
     if herm > HERMITIAN_TOL:
         raise CalibrationFailure(f"assembled metric is not Hermitian: residual {herm:.3e}")
     if solres > SOLITON_RESIDUAL_TOL:

@@ -86,10 +86,9 @@ class SolitonPair:
 
     def geometries(self, points) -> Iterator[ct.PointGeometry]:
         """:meth:`geometry` at each of ``points`` in order, from one evaluation
-        of the metric's and the field's jets per chunk of points
-        (:func:`~soliton_lab.chart.point_jets`)."""
-        for p, jets in ct.point_jets(self.metric, points, self.f):
-            yield ct.point_geometry(self.metric, self.f, p, jets)
+        of the metric's and the field's jets and one curvature pass per chunk
+        of points (:func:`~soliton_lab.chart.point_geometries`)."""
+        return ct.point_geometries(self.metric, self.f, points)
 
 
 @dataclass(frozen=True)

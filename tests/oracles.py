@@ -4,8 +4,9 @@ Central finite differences check every field's jet derivatives, the
 divergence-form Laplacian checks the Christoffel-symbol one, the
 u = 1/(f - c) substitution checks the tail transformation of the
 completeness integrals, and the closed-form tail asymptote checks the
-u-substituted tail integrand, and a restatement of QUADPACK's dqage checks
-the package's QAG off the path it shares with scipy's QAGS.  None of them
+u-substituted tail integrand, a restatement of QUADPACK's dqage checks
+the package's QAG off the path it shares with scipy's QAGS, and the
+one-point curvature formulas check the chart's batched ones.  None of them
 is on a command's path.
 """
 
@@ -77,6 +78,60 @@ def laplacian_divergence_form(g: ct.MetricChart, f: ct.ScalarField, p) -> float:
         + np.einsum("iij,j->", dG_inv, grad)
         + np.einsum("i,ij,j->", dlog_sqrt_det, G_inv, grad)
     )
+
+
+# -- the curvature of one point ----------------------------------------------------
+#
+# The chart computes the curvature of a chunk of points in one batched pass.
+# These are the same formulas on one point's (n, n)-shaped data, with no
+# batch axis, as the chart evaluated them point by point; the batched pass
+# equals them bit for bit.
+
+
+def metric_inverse_at(G: np.ndarray) -> np.ndarray:
+    inv_chol = np.linalg.inv(np.linalg.cholesky(G))
+    return inv_chol.T @ inv_chol
+
+
+def christoffel_at(G_inv: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    bracket = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
+    return 0.5 * np.einsum("kl,lij->kij", G_inv, bracket)
+
+
+def christoffel_derivative_at(G_inv: np.ndarray, dG: np.ndarray, d2G: np.ndarray) -> np.ndarray:
+    dG_inv = -np.einsum("ka,mab,bl->mkl", G_inv, dG, G_inv)
+    bracket = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
+    dbracket = np.einsum("mijl->mlij", d2G) + np.einsum("mjil->mlij", d2G) - d2G
+    return 0.5 * (
+        np.einsum("mkl,lij->mkij", dG_inv, bracket) + np.einsum("kl,mlij->mkij", G_inv, dbracket)
+    )
+
+
+def ricci_at(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    ric = (
+        np.einsum("kkij->ij", dgamma)
+        - np.einsum("ikkj->ij", dgamma)
+        + np.einsum("kkl,lij->ij", gamma, gamma)
+        - np.einsum("kil,lkj->ij", gamma, gamma)
+    )
+    return 0.5 * (ric + ric.T)
+
+
+def hessian_at(gamma: np.ndarray, grad: np.ndarray, hess_coords: np.ndarray) -> np.ndarray:
+    hess = hess_coords - np.einsum("kij,k->ij", gamma, grad)
+    return 0.5 * (hess + hess.T)
+
+
+def point_geometry_at(g: ct.MetricChart, f: ct.ScalarField, p) -> ct.PointGeometry:
+    """The geometry of (g, f) at p from the one-point formulas above."""
+    G, dG, d2G = g.components(p)
+    f_val, df, hess_coords = f.evaluate(p)
+    G_inv = metric_inverse_at(G)
+    gamma = christoffel_at(G_inv, dG)
+    ric = ricci_at(gamma, christoffel_derivative_at(G_inv, dG, d2G))
+    hess_f = hessian_at(gamma, df, hess_coords)
+    lap_f = float(np.einsum("ij,ij->", G_inv, hess_f))
+    return ct.PointGeometry(G, G_inv, ric, f_val, df, hess_f, lap_f, float(df @ G_inv @ df))
 
 
 def u_substituted_integral(integrand: Callable[[float], float], f1: float, f2: float, c: float = 0.0) -> float:
