@@ -429,18 +429,17 @@ def point_geometry(g: MetricChart, f: ScalarField, p) -> PointGeometry:
     return next(point_geometries(g, f, [p]))
 
 
-def point_geometries(g: MetricChart, f: ScalarField, points, jets=None) -> Iterator[PointGeometry]:
+def point_geometries(g: MetricChart, f: ScalarField, points) -> Iterator[PointGeometry]:
     """The :class:`PointGeometry` of each of ``points`` in order, with one
     evaluation of the jets (:func:`point_jets`) and one batched curvature
-    pass per chunk of at most :data:`CHUNK` points.  ``jets`` is what
-    ``point_jets(g, points, f)`` yields, where the caller reads it too.
+    pass per chunk of at most :data:`CHUNK` points.
 
     Each point's components and field values are read alone, into arrays
     allocated for the chunk; the metric's derivative arrays are released
     before the chunk's geometries are yielded.
     """
     n, count = g.dim, len(points)
-    stream = point_jets(g, points, f) if jets is None else iter(jets)
+    stream = point_jets(g, points, f)
     for start in range(0, count, CHUNK):
         size = min(CHUNK, count - start)
         G, dG, d2G = np.empty((size, n, n)), np.empty((size, n, n, n)), np.empty((size, n, n, n, n))

@@ -13,7 +13,7 @@ The interval lists keep the Fortran's 1-based indices (element 0 is
 unused); the Kronrod rule's tables are 0-based.  As in QUADPACK, a missed
 tolerance is the status ``ier`` returned to the caller, never a warning.
 :func:`first_steps` takes QAG's first step over many intervals at once,
-with numpy arrays in ``dqk21``'s order, for callers that integrate many
+with ``dqk21``'s sums on numpy arrays, for callers that integrate many
 short intervals and need the full :func:`quad` only where it goes on.
 
 ``scipy.integrate.quad`` runs QAGS (``dqagse``), which adds Wynn's epsilon
@@ -96,8 +96,8 @@ def first_steps(f: Callable[[np.ndarray], np.ndarray], a, b, *, epsabs: float, e
 
     ``f`` is called once, on a 1-D array of all 21 nodes of every interval,
     zero-width ones included, and returns their values.  value and abserr
-    are the 21-point Kronrod estimate and error of :func:`_qk21`, summed in
-    its order with numpy's elementwise arithmetic, so node values equal to a
+    are the 21-point Kronrod estimate and error of :func:`_qk21`, whose sums
+    (:func:`_qk21_sums`) run here on arrays, so node values equal to a
     scalar call's give its bits (min(1, r**1.5) goes through Python floats,
     as numpy's pow may differ from libm's in the last place).  ``done`` marks
     the intervals on which :func:`quad` returns at this step with ``ier =
@@ -111,29 +111,11 @@ def first_steps(f: Callable[[np.ndarray], np.ndarray], a, b, *, epsabs: float, e
     with np.errstate(all="ignore"):  # lanes with non-finite limits or values are not done
         centr = 0.5 * (a + b)
         hlgth = 0.5 * (b - a)
-        dhlgth = np.abs(hlgth)
         absc = hlgth * np.array(_XGK[:10])[:, None]
         nodes = np.concatenate([centr[None], centr - absc, centr + absc])
     values = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    fc, fv1, fv2 = values[0], values[1:11], values[11:]
     with np.errstate(all="ignore"):
-        resg = 0.0
-        resk = _WGK[10] * fc
-        resabs = np.abs(resk)
-        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-            fsum = fv1[j] + fv2[j]
-            if j % 2:
-                resg = resg + _WG[j // 2] * fsum
-            resk = resk + _WGK[j] * fsum
-            resabs = resabs + _WGK[j] * (np.abs(fv1[j]) + np.abs(fv2[j]))
-        reskh = resk * 0.5
-        resasc = _WGK[10] * np.abs(fc - reskh)
-        for j in range(10):
-            resasc = resasc + _WGK[j] * (np.abs(fv1[j] - reskh) + np.abs(fv2[j] - reskh))
-        result = resk * hlgth
-        resabs = resabs * dhlgth
-        resasc = resasc * dhlgth
-        abserr = np.abs((resk - resg) * hlgth)
+        result, abserr, resabs, resasc = _qk21_sums(values[0], values[1:11], values[11:], hlgth)
         scaled = (resasc != 0.0) & (abserr != 0.0)
         ratios = (200.0 * abserr[scaled] / resasc[scaled]).tolist()
         abserr[scaled] = resasc[scaled] * np.array([r**1.5 if r < 1.0 else 1.0 for r in ratios])
@@ -153,32 +135,14 @@ def _qk21(f, a, b):
     integral of |f| (resabs) and of |f - mean| (resasc)."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    dhlgth = abs(hlgth)
+    fc = float(f(centr))
     fv1 = [0.0] * 10
     fv2 = [0.0] * 10
-    resg = 0.0
-    fc = float(f(centr))
-    resk = _WGK[10] * fc
-    resabs = abs(resk)
     for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
         absc = hlgth * _XGK[j]
-        fval1 = float(f(centr - absc))
-        fval2 = float(f(centr + absc))
-        fv1[j] = fval1
-        fv2[j] = fval2
-        fsum = fval1 + fval2
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
-    result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
-    abserr = abs((resk - resg) * hlgth)
+        fv1[j] = float(f(centr - absc))
+        fv2[j] = float(f(centr + absc))
+    result, abserr, resabs, resasc = _qk21_sums(fc, fv1, fv2, hlgth)
     if resasc != 0.0 and abserr != 0.0:
         # min(1, r**1.5) without the OverflowError a huge r raises in Python.
         ratio = 200.0 * abserr / resasc
@@ -186,6 +150,28 @@ def _qk21(f, a, b):
     if resabs > _UFLOW / (50.0 * _EPMACH):
         abserr = max((_EPMACH * 50.0) * resabs, abserr)
     return result, abserr, resabs, resasc
+
+
+def _qk21_sums(fc, fv1, fv2, hlgth):
+    """dqk21's sums over the values at the centre (fc) and at centr -+
+    hlgth * xgk[j] (fv1[j], fv2[j]), in its order, on Python floats or
+    elementwise on numpy arrays alike: (result, abserr, resabs, resasc)
+    before abserr is rescaled by resasc and bounded below by roundoff."""
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
+        fsum = fv1[j] + fv2[j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    dhlgth = abs(hlgth)
+    return resk * hlgth, abs((resk - resg) * hlgth), resabs * dhlgth, resasc * dhlgth
 
 
 def _qpsrt(limit, last, maxerr, elist, iord):

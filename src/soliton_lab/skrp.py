@@ -517,8 +517,9 @@ def working_interval(params: SkrpParams) -> tuple[tuple[float, float], tuple[flo
 @dataclass(frozen=True)
 class QProfile:
     """Q with one derivative on an interval; :class:`SkrpParams` is the
-    closed-form profile with the same interface.  Inverting an
-    :class:`EllMap` calls ``dq`` on an array of the map's grid nodes."""
+    closed-form profile with the same interface.  ``q`` and ``dq`` take a
+    float or a 1-D array of floats (inverting an :class:`EllMap` passes
+    arrays); a constant may return one float for an array."""
 
     q: Callable[[float], float]
     dq: Callable[[float], float]
@@ -538,15 +539,15 @@ class EllMap:
     at the two nodes, and refines it by Newton steps on the exact
     quadrature; a zero-width bracket or a non-finite start falls back to
     linear interpolation.  The start is accurate to roundoff, so one Newton
-    step settles it.  An array of t (the chart inverts a chunk of points at
-    once) takes that step for every entry together: the starts, one batched
-    first step of the quadrature (:func:`.quadpack.first_steps`) and one
-    Newton step; an entry whose quadrature goes on past its first step, whose
-    Q is not positive or whose step does not settle it is inverted alone.
-    Round trips f -> ell -> f are accurate to ~1e-12.  The node derivatives
-    are computed on the first inversion, with one call of the profile's dq on
-    the grid, so a map that is never inverted does not pay for them; an
-    array of t calls q on arrays too, which :class:`SkrpParams` takes.
+    step settles it.  The steps run on a 1-D array of t at once (the chart
+    inverts a chunk of points together; a float t is a batch of one): each
+    takes QAG's first step of every pending entry's quadrature in one call
+    (:func:`.quadpack.first_steps`), and an entry that step does not finish
+    takes the full :func:`.quadpack.quad`.  Round trips f -> ell -> f are
+    accurate to ~1e-12.  The node derivatives are computed on the first
+    inversion, with one call of the profile's dq on the grid, so a map that
+    is never inverted does not pay for them; an inversion calls q on arrays
+    of f too.
     Read-only after construction apart from that one-time table.  Q <= 0 at a
     grid node or at a quadrature node raises :class:`DomainSplit`.
     """
@@ -613,67 +614,47 @@ class EllMap:
             raise DomainError(f"ell = exp({t}) overflows float64 at f = {f}") from None
 
     def f_of_log_ell(self, t: float | np.ndarray) -> float | np.ndarray:
-        """f with log ell(f) = t, for a float t or each entry of a 1-D array."""
-        if isinstance(t, np.ndarray):
-            return self._invert_batch(t)
+        """f with log ell(f) = t at each entry of a 1-D array of t; a float t
+        is a batch of one and gives a float."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         t_nodes = self._t_nodes if self.increasing else -self._t_nodes
-        tt = t if self.increasing else -t
-        if not (t_nodes[0] - 1e-12 <= tt <= t_nodes[-1] + 1e-12):
-            raise DomainError(f"log ell = {t} outside ell-map range")
-        i = int(np.searchsorted(t_nodes, tt)) - 1
-        i = min(max(i, 0), len(self._grid) - 2)
-        f = self._hermite_start(t, i)
-        if f is None:
-            f = float(np.interp(tt, t_nodes[i : i + 2], self._grid[i : i + 2]))
-        # Newton refinement on log_ell(f) - t; derivative is a/Q.
+        tt = ts if self.increasing else -ts
+        outside = ~((t_nodes[0] - 1e-12 <= tt) & (tt <= t_nodes[-1] + 1e-12))
+        if outside.any():
+            raise DomainError(f"log ell = {float(ts[outside][0])} outside ell-map range")
+        last = len(self._grid) - 2
+        bracket = np.clip(np.searchsorted(t_nodes, tt) - 1, 0, last)
+        f = self._hermite_starts(ts, bracket)
+        for k in np.flatnonzero(np.isnan(f)):
+            i = bracket[k]
+            f[k] = np.interp(tt[k], t_nodes[i : i + 2], self._grid[i : i + 2])
+        # Newton refinement on log_ell(f) - t, whose derivative is a/Q, of
+        # every entry not yet settled.
+        pending = np.arange(len(ts))
         for _ in range(NEWTON_STEPS):
-            resid = self.log_ell(f) - t
-            step = resid * self.profile.q(f) / self.profile.a
-            f_new = min(max(f - step, self.bounds[0]), self.bounds[1])
-            if abs(f_new - f) <= 1e-15 * (1.0 + abs(f)):
-                return f_new
-            f = f_new
+            fp = f[pending]
+            i = np.clip(np.searchsorted(self._grid, fp) - 1, 0, last)
+            value, _, done = quadpack.first_steps(self._batch_integrand, self._grid[i], fp, epsabs=1e-14, epsrel=1e-13)
+            for k in np.flatnonzero(~done):
+                value[k] = self._quad(self._grid[i[k]], fp[k])
+            resid = self._t_nodes[i] + value - ts[pending]
+            step = resid * self.profile.q(fp) / self.profile.a
+            f_new = np.minimum(np.maximum(fp - step, self.bounds[0]), self.bounds[1])
+            f[pending] = f_new
+            moving = ~(np.abs(f_new - fp) <= 1e-15 * (1.0 + np.abs(fp)))
+            if not moving.any():
+                return f if isinstance(t, np.ndarray) else float(f[0])
+            pending = pending[moving]
         raise ConvergenceFailure(
-            f"ell-map inversion of log ell = {t!r} did not converge in {NEWTON_STEPS} Newton steps "
-            f"(last f = {f!r}, residual {resid:.3e})"
+            f"ell-map inversion of log ell = {float(ts[pending[0]])!r} did not converge in {NEWTON_STEPS} Newton "
+            f"steps (last f = {float(f[pending[0]])!r}, residual {resid[moving][0]:.3e})"
         )
 
-    def _invert_batch(self, t: np.ndarray) -> np.ndarray:
-        """The float path's first Newton step for every entry of t at once,
-        each operation in its order; an entry that step does not settle (or
-        whose t is out of range, or whose start does not stand) is inverted
-        by the float path, so it returns or raises what that path does."""
-        t_nodes = self._t_nodes if self.increasing else -self._t_nodes
-        tt = t if self.increasing else -t
-        last = len(self._grid) - 2
-        start = self._hermite_starts(t, np.clip(np.searchsorted(t_nodes, tt) - 1, 0, last))
-        settled = np.isfinite(start) & (t_nodes[0] - 1e-12 <= tt) & (tt <= t_nodes[-1] + 1e-12)
-        f = np.where(settled, start, self.f0)  # every entry evaluable
-        try:
-            i = np.clip(np.searchsorted(self._grid, f) - 1, 0, last)
-            value, _, done = quadpack.first_steps(self._batch_integrand, self._grid[i], f, epsabs=1e-14, epsrel=1e-13)
-            q = self.profile.q(f)
-            with np.errstate(all="ignore"):
-                step = (self._t_nodes[i] + value - t) * q / self.profile.a
-                f_new = np.minimum(np.maximum(f - step, self.bounds[0]), self.bounds[1])
-                settled &= done & (q > 0.0) & np.isfinite(q) & (np.abs(f_new - f) <= 1e-15 * (1.0 + np.abs(f)))
-        except (PoleError, DomainError):  # some entry's own inversion raises it
-            f_new, settled = np.empty_like(t), np.zeros(t.shape, dtype=bool)
-        for k in np.flatnonzero(~settled):
-            f_new[k] = self.f_of_log_ell(float(t[k]))
-        return f_new
-
     def _batch_integrand(self, f: np.ndarray) -> np.ndarray:
-        """a / Q at each entry of f, NaN where Q <= 0 (where the float path
+        """a / Q at each entry of f, NaN where Q <= 0 (where :meth:`_quad`
         raises :class:`DomainSplit`), so that interval is not done."""
-        q = self.profile.q(f)
+        q = np.broadcast_to(self.profile.q(f), f.shape)
         return self.profile.a / np.where(q > 0.0, q, np.nan)
-
-    def _hermite_start(self, t: float, i: int) -> float | None:
-        """Quintic Hermite estimate of f(t) on the table bracket i; None
-        where :meth:`_hermite_starts` gives NaN."""
-        f = float(self._hermite_starts(np.array([t]), np.array([i]))[0])
-        return None if math.isnan(f) else f
 
     def _hermite_starts(self, t: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Quintic Hermite estimate of f(t) on the table bracket i, entry by
@@ -891,8 +872,12 @@ def kahler_closedness_residual(metric: ct.MetricChart, J: np.ndarray, p, jet: ad
     return float(np.max(np.abs(t)))
 
 
-def hermitian_metric_residual(metric: ct.MetricChart, J: np.ndarray, p, jet: ad.Jet | None = None) -> float:
-    G = metric.matrix(p, jet)
+def hermitian_metric_residual(metric: ct.MetricChart, J: np.ndarray, p) -> float:
+    return _hermitian_defect(J, metric.matrix(p))
+
+
+def _hermitian_defect(J: np.ndarray, G: np.ndarray) -> float:
+    """Max component of J^T G J - G, which vanishes where G is J-Hermitian."""
     return float(np.max(np.abs(J.T @ G @ J - G)))
 
 
@@ -985,12 +970,10 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
         name=name or "calabi-m2",
     )
 
-    # Both residuals read the check points' jets, evaluated once; their
-    # curvature is one batched pass.
+    # Both residuals read the check points' geometry, one batched pass.
     check_points = sample_box(domain, 6, seed=11)
-    jets = list(ct.point_jets(metric, check_points, chart.f_field))
-    herm = max(hermitian_metric_residual(metric, _J4, p, g_jet) for p, (g_jet, _) in jets)
-    geometries = ct.point_geometries(metric, chart.f_field, check_points, jets)
+    geometries = list(ct.point_geometries(metric, chart.f_field, check_points))
+    herm = max(_hermitian_defect(_J4, geo.G) for geo in geometries)
     solres = max(gradient_soliton_residual(chart, p, geo) for p, geo in zip(check_points, geometries))
     if herm > HERMITIAN_TOL:
         raise CalibrationFailure(f"assembled metric is not Hermitian: residual {herm:.3e}")

@@ -147,7 +147,8 @@ def extract_coefficient(
 
 
 def residual_report(pair: SolitonPair, points: np.ndarray) -> ResidualReport:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    points = np.atleast_2d(points) if points.size else points.reshape(0, pair.dim)
     coeffs = np.empty(len(points))
     residuals = np.empty(len(points))
     grad_sq = np.empty(len(points))
@@ -170,9 +171,6 @@ def classify(pair: SolitonPair, sample: np.ndarray | int = 100) -> SolitonClass:
     """
     if isinstance(sample, (int, np.integer)):
         sample = pair.sample(int(sample))
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    if len(sample) == 0:
-        raise EmptySample("classification needs a nonempty sample")
     return classify_report(residual_report(pair, sample))
 
 

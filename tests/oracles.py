@@ -5,9 +5,10 @@ divergence-form Laplacian checks the Christoffel-symbol one, the
 u = 1/(f - c) substitution checks the tail transformation of the
 completeness integrals, and the closed-form tail asymptote checks the
 u-substituted tail integrand, a restatement of QUADPACK's dqage checks
-the package's QAG off the path it shares with scipy's QAGS, and the
-one-point curvature formulas check the chart's batched ones.  None of them
-is on a command's path.
+the package's QAG off the path it shares with scipy's QAGS, the
+one-point curvature formulas check the chart's batched ones, and Newton's
+method on one float at a time checks the batched fiber-norm inversion.
+None of them is on a command's path.
 """
 
 import math
@@ -18,8 +19,8 @@ import numpy as np
 
 from soliton_lab import chart as ct
 from soliton_lab import completeness as comp
-from soliton_lab import quadpack
-from soliton_lab.errors import DomainError
+from soliton_lab import quadpack, skrp
+from soliton_lab.errors import ConvergenceFailure, DomainError
 
 _EPS = np.finfo(float).eps
 
@@ -132,6 +133,28 @@ def point_geometry_at(g: ct.MetricChart, f: ct.ScalarField, p) -> ct.PointGeomet
     hess_f = hessian_at(gamma, df, hess_coords)
     lap_f = float(np.einsum("ij,ij->", G_inv, hess_f))
     return ct.PointGeometry(G, G_inv, ric, f_val, df, hess_f, lap_f, float(df @ G_inv @ df))
+
+
+def ell_inverse(ell: skrp.EllMap, t: float) -> float:
+    """f with ``ell.log_ell(f) = t`` by Newton's method on Python floats,
+    one t at a time, from the map's Hermite start on the table bracket of t
+    (linear on the bracket where that is NaN), until a step moves f by at
+    most 1e-15 (1 + |f|)."""
+    t_nodes = ell._t_nodes if ell.increasing else -ell._t_nodes
+    tt = t if ell.increasing else -t
+    if not (t_nodes[0] - 1e-12 <= tt <= t_nodes[-1] + 1e-12):
+        raise DomainError(f"log ell = {t} outside ell-map range")
+    i = min(max(int(np.searchsorted(t_nodes, tt)) - 1, 0), len(t_nodes) - 2)
+    f = float(ell._hermite_starts(np.array([t]), np.array([i]))[0])
+    if math.isnan(f):
+        f = float(np.interp(tt, t_nodes[i : i + 2], ell._grid[i : i + 2]))
+    for _ in range(skrp.NEWTON_STEPS):
+        resid = ell.log_ell(f) - t
+        f_new = min(max(f - resid * ell.profile.q(f) / ell.profile.a, ell.bounds[0]), ell.bounds[1])
+        if abs(f_new - f) <= 1e-15 * (1.0 + abs(f)):
+            return f_new
+        f = f_new
+    raise ConvergenceFailure(f"Newton on log ell = {t!r} did not settle (last f = {f!r}, residual {resid:.3e})")
 
 
 def u_substituted_integral(integrand: Callable[[float], float], f1: float, f2: float, c: float = 0.0) -> float:

@@ -295,6 +295,51 @@ def test_nan_integrand_ends_as_dqage_does(f):
     assert port[3] > 0
 
 
+def _scripted(level):
+    """An integrand on [0, 1] whose values are chosen by dyadic subinterval.
+
+    At the 21-point rule's node u in [-1, 1] of [i/2^d, (i+1)/2^d] it reads
+    level(d, i) + u, plus delta_d at the Kronrod-only nodes.  Both rules
+    integrate the line exactly, so the error estimate comes from delta_d,
+    which grows with d so that every subinterval's estimate is ~2.5e-10: a
+    bisection's halves sum to about twice their parent's error.
+    """
+
+    def f(x):
+        for d in range(40):
+            y = x * 2.0**d
+            i = math.floor(y)
+            u = 2.0 * (y - i) - 1.0
+            for j, node in enumerate(quadpack._XGK):
+                if abs(abs(u) - node) < 1e-6:
+                    return level(d, i) + u + (2e-9 * 2.0 ** (2 * (d + 1) / 3) if j % 2 == 0 else 0.0)
+        raise AssertionError(f"{x!r} is no node of a dyadic subinterval of [0, 1]")
+
+    return f
+
+
+@pytest.mark.parametrize(
+    "level, neval, ier",
+    [
+        # The area changes by ~3e-5 of itself per bisection, which iroff1's
+        # 1e-5 test does not count (its 1e-4 would, six times by the 7th
+        # subinterval), while iroff2 counts every bisection from the 11th
+        # subinterval on and reaches 20 at the 30th: ier = 2.
+        (lambda d, i: 1.0 + 3e-5 * d, 42 * 30 - 21, 2),
+        # The halves of [0, 1] tie, so the list update keeps the left one
+        # first and bisects it next; its halves' level 1e5 lifts the relative
+        # tolerance past the error sum.
+        (lambda d, i: 1e5 if d > 1 and i < 2 ** (d - 1) else 1.0, 105, 0),
+    ],
+    ids=["iroff2-reaches-20", "tied-halves"],
+)
+def test_scripted_integrands_match_the_dqage_oracle(level, neval, ier):
+    f = _scripted(level)
+    port = quadpack.qage(f, 0.0, 1.0, 1e-300, 1e-13, quadpack.LIMIT)
+    assert _bits(*port) == _bits(*oracles.dqage(f, 0.0, 1.0, 1e-300, 1e-13, quadpack.LIMIT))
+    assert port[2:] == (neval, ier)
+
+
 # -- QAG's first step over many intervals at once ---------------------------------------
 
 # Integrands of + - * / only, whose numpy values carry a Python float's bits.

@@ -613,10 +613,15 @@ def test_ell_map_monotone():
 
 def test_ell_map_inversion_raises_without_convergence(monkeypatch):
     ell = skrp.EllMap(FLATBASE, 1.5, (0.8, 2.2))
-    exact = ell.log_ell
+    first_steps = skrp.quadpack.first_steps
     flip = iter(np.tile([1e-6, -1e-6], 100))  # a jittering residual Newton cannot settle
-    monkeypatch.setattr(ell, "log_ell", lambda f: exact(f) + next(flip))
-    with pytest.raises(ConvergenceFailure):
+
+    def jittered(*args, **kwargs):
+        value, abserr, done = first_steps(*args, **kwargs)
+        return value + next(flip), abserr, done
+
+    monkeypatch.setattr(skrp.quadpack, "first_steps", jittered)
+    with pytest.raises(ConvergenceFailure, match=r"log ell = 0\.1 did not converge in 60 Newton steps \(last f = "):
         ell.f_of_log_ell(0.1)
 
 
@@ -924,69 +929,68 @@ def test_tensor_metric_block_matches_entrywise_oracle(koiso_chart, conformal_rat
 def test_ell_inversion_costs_one_quadrature(koiso_chart, monkeypatch):
     ell = koiso_chart.ell
     targets = [ell.log_ell(f) for f in np.linspace(*koiso_chart.f_window, 200)]
-    calls = []
-    exact = ell.log_ell
-    monkeypatch.setattr(ell, "log_ell", lambda f: calls.append(f) or exact(f))
+    # 21-point Kronrod steps: one per lane of first_steps, one per _qk21 of quad.
+    steps = []
+    first_steps, qk21 = skrp.quadpack.first_steps, skrp.quadpack._qk21
+    monkeypatch.setattr(skrp.quadpack, "first_steps", lambda f, a, b, **kw: steps.extend(a) or first_steps(f, a, b, **kw))
+    monkeypatch.setattr(skrp.quadpack, "_qk21", lambda *args: steps.append(None) or qk21(*args))
     hermite = [ell.f_of_log_ell(t) for t in targets]
-    assert len(calls) <= 1.05 * len(targets)
+    assert len(steps) <= 1.05 * len(targets)
     # Non-finite node slopes force the linear start of the bracket, which
     # takes more Newton steps to the same fixed point.
     monkeypatch.setattr(ell, "_node_slopes", ([math.nan] * 257, [math.nan] * 257))
-    del calls[:]
+    del steps[:]
     linear = [ell.f_of_log_ell(t) for t in targets]
-    assert len(calls) > 2 * len(targets)
+    assert len(steps) > 2 * len(targets)
     for a, b in zip(hermite, linear):
         assert abs(a - b) <= 1e-15 * abs(b)
 
 
+def _report_log_ells(chart):
+    """The t values of `verify --fixture koiso-m2-A1B0 --samples 800` (seed 0)."""
+    core = skrp._PotentialCore(chart.params, chart.ell)
+    return core.t_jet(ad.seed(sample_box(chart.domain, 800, seed=0))).val
+
+
 def test_batched_inversion_equals_the_float_path_on_the_800_point_report(koiso_chart):
-    # The t values of `verify --fixture koiso-m2-A1B0 --samples 800` (seed 0),
-    # inverted a chunk at a time and one by one.
+    # Inverted a chunk at a time, and one by one by Newton's method on floats.
     ell = koiso_chart.ell
-    core = skrp._PotentialCore(koiso_chart.params, ell)
-    t = core.t_jet(ad.seed(sample_box(koiso_chart.domain, 800, seed=0))).val
+    t = _report_log_ells(koiso_chart)
     batched = np.concatenate([ell.f_of_log_ell(t[k : k + ct.CHUNK]) for k in range(0, len(t), ct.CHUNK)])
-    alone = np.array([ell.f_of_log_ell(v) for v in t.tolist()])
+    alone = np.array([oracles.ell_inverse(ell, v) for v in t.tolist()])
     assert np.all(np.abs(batched - alone) <= 1e-15 * np.abs(alone))
 
 
-def test_batched_inversion_hands_unsettled_entries_to_the_float_path(koiso_chart, monkeypatch):
+def test_float_inversion_is_a_batch_of_one(koiso_chart):
+    ell = koiso_chart.ell
+    for v in _report_log_ells(koiso_chart).tolist():
+        f = ell.f_of_log_ell(v)
+        assert type(f) is float
+        assert f.hex() == ell.f_of_log_ell(np.array([v]))[0].hex()
+
+
+def test_batched_inversion_hands_unfinished_entries_to_quad(koiso_chart, monkeypatch):
     ell = koiso_chart.ell
     t = np.array([ell.log_ell(f) for f in np.linspace(*koiso_chart.f_window, 6)])
     alone = [ell.f_of_log_ell(v) for v in t.tolist()]
-    first_steps = skrp.quadpack.first_steps
+    first_steps, quad = skrp.quadpack.first_steps, skrp.quadpack.quad
 
     def entry_2_goes_on(*args, **kwargs):
         value, abserr, done = first_steps(*args, **kwargs)
         return value, abserr, done & (np.arange(len(done)) != 2)
 
     monkeypatch.setattr(skrp.quadpack, "first_steps", entry_2_goes_on)
-    floats = []
-    log_ell = ell.log_ell
-    monkeypatch.setattr(ell, "log_ell", lambda f: floats.append(f) or log_ell(f))
+    ends = []
+    monkeypatch.setattr(skrp.quadpack, "quad", lambda f, a, b, **kw: ends.append(b) or quad(f, a, b, **kw))
     batched = ell.f_of_log_ell(t)
-    assert floats and all(math.isclose(f, alone[2], rel_tol=1e-12) for f in floats)
-    assert batched[2] == alone[2]
-    assert np.all(np.abs(batched - alone) <= 1e-15 * np.abs(alone))
+    assert ends and all(math.isclose(b, alone[2], rel_tol=1e-12) for b in ends)
+    assert batched.tolist() == alone
     # An entry out of range raises what inverting it alone raises.
     with pytest.raises(DomainError) as single:
         ell.f_of_log_ell(1e3)
     with pytest.raises(DomainError) as batch:
         ell.f_of_log_ell(np.array([t[0], 1e3, t[1]]))
     assert str(batch.value) == str(single.value)
-    # A profile that refuses the batch leaves every entry to the float path.
-    params = ell.profile
-
-    class RefusesArrays:
-        a = params.a
-
-        def q(self, f):
-            if isinstance(f, np.ndarray):
-                raise DomainError("refused")
-            return params.q(f)
-
-    monkeypatch.setattr(ell, "profile", RefusesArrays())
-    assert ell.f_of_log_ell(t).tolist() == alone
 
 
 @pytest.mark.parametrize("side", ["source", "dual"])
@@ -1012,8 +1016,7 @@ def test_ell_inversion_on_zero_width_brackets_never_yields_nan():
     nodes = ell._t_nodes
     flat = np.flatnonzero(np.diff(nodes) == 0.0)
     assert len(flat) > 0
-    for i in flat:
-        assert ell._hermite_start(float(nodes[i]), int(i)) is None
+    assert np.isnan(ell._hermite_starts(nodes[flat], flat)).all()
     for t in (*nodes[flat[0] - 3 :], nodes[-1] + 1e-13):
         try:
             f = ell.f_of_log_ell(float(t))

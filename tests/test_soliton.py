@@ -119,8 +119,11 @@ def test_classify_report_agrees_with_classify():
 
 
 def test_classify_empty_sample():
-    with pytest.raises(EmptySample):
-        sol.classify(GAUSSIAN, np.empty((0, 3)))
+    for sample in (np.empty((0, 3)), []):
+        with pytest.raises(EmptySample):
+            sol.classify(GAUSSIAN, sample)
+        with pytest.raises(EmptySample):
+            sol.residual_report(GAUSSIAN, sample)
 
 
 # -- dualize -----------------------------------------------------------------------

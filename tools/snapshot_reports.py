@@ -6,7 +6,9 @@ Runs each invocation below in a fresh interpreter with the package directory
 SRC (a checkout's ``src``) on ``PYTHONPATH``: ``verify``/``dualize`` on every
 pair fixture, ``skrp`` on every profile fixture and ``completeness`` on every
 completeness fixture, in json and csv format, at the default seed and at
-seed 7; then inline-parameter ``--config`` runs of ``skrp`` and
+seed 7; ``verify``/``dualize`` on the assembled Kahler chart at 800 samples
+(the benchmark's ``kahler-dense`` traffic, 25 chunks of fiber-norm
+inversions); then inline-parameter ``--config`` runs of ``skrp`` and
 ``completeness``, a ``{"fixture": NAME}`` config run by every command, and
 one usage error per kind.  ``skrp`` and ``completeness`` write their report
 and side CSV with ``--out``.
@@ -122,6 +124,9 @@ def invocations():
         for fmt in ("json", "csv"):
             for seed in SEEDS:
                 yield f"{cmd}-{fx}-{fmt}-seed{seed or 'default'}", [cmd, "--fixture", fx, "--format", fmt], seed
+    for cmd in ("verify", "dualize"):
+        yield f"{cmd}-koiso-m2-A1B0-json-samples800", [cmd, "--fixture", "koiso-m2-A1B0", "--format", "json",
+                                                       "--samples", "800"], None
     for name in CONFIGS:
         for cmd in ("skrp", "completeness"):
             yield f"{cmd}-config-{name}", [cmd, "--config", f"configs/{name}.json"], None
