@@ -349,9 +349,9 @@ def cmd_skrp(config: RunConfig) -> Report:
     report.timings["profile-checks"] = time.perf_counter() - t0
 
     rows = []
-    for f in grid:
+    for f, ell_f in zip(grid, ell.ell(grid).tolist()):
         phi, dphi, _ = skrp.phi_closed(params, f)
-        rows.append((float(f), phi, dphi, params.q(f), ell.ell(f), comp.arc_integrand(params, f)))
+        rows.append((float(f), phi, dphi, params.q(f), ell_f, comp.arc_integrand(params, f)))
     report.tables[".profile.csv"] = (PROFILE_HEADER, rows)
     return report
 

@@ -518,8 +518,8 @@ def working_interval(params: SkrpParams) -> tuple[tuple[float, float], tuple[flo
 class QProfile:
     """Q with one derivative on an interval; :class:`SkrpParams` is the
     closed-form profile with the same interface.  ``q`` and ``dq`` take a
-    float or a 1-D array of floats (inverting an :class:`EllMap` passes
-    arrays); a constant may return one float for an array."""
+    float or a 1-D array of floats (an :class:`EllMap` passes arrays); a
+    constant may return one float for an array."""
 
     q: Callable[[float], float]
     dq: Callable[[float], float]
@@ -533,21 +533,23 @@ class EllMap:
     """Monotone fiber-norm map ell(f) on a Q-positive interval.
 
     log ell(f) = integral_{f0}^{f} a / Q(t) dt with ell(f0) = 1.  Built once
-    from a cumulative-quadrature table over a fixed 257-node grid.  An
+    as a cumulative table over a fixed 257-node grid, whose 256 segments and
+    the anchor's partial one are integrated together by QAG's first step
+    (:func:`.quadpack.first_steps`), with :func:`.quadpack.quad` on any
+    segment that step does not finish.  :meth:`log_ell` and :meth:`ell` take
+    a float or a 1-D array of f the same way (a float is a batch of one), and
+    :meth:`ell` takes exp of each entry through ``math.exp``.  An
     inversion t -> f starts from the quintic Hermite interpolant of f(t) on
     the table bracket of t, built from f, df/dt = Q/a and d2f/dt2 = Q Q'/a^2
     at the two nodes, and refines it by Newton steps on the exact
     quadrature; a zero-width bracket or a non-finite start falls back to
     linear interpolation.  The start is accurate to roundoff, so one Newton
     step settles it.  The steps run on a 1-D array of t at once (the chart
-    inverts a chunk of points together; a float t is a batch of one): each
-    takes QAG's first step of every pending entry's quadrature in one call
-    (:func:`.quadpack.first_steps`), and an entry that step does not finish
-    takes the full :func:`.quadpack.quad`.  Round trips f -> ell -> f are
-    accurate to ~1e-12.  The node derivatives are computed on the first
-    inversion, with one call of the profile's dq on the grid, so a map that
-    is never inverted does not pay for them; an inversion calls q on arrays
-    of f too.
+    inverts a chunk of points together; a float t is a batch of one), each
+    one batched first step over the pending entries.  Round trips
+    f -> ell -> f are accurate to ~1e-12.  The node derivatives are computed
+    on the first inversion, with one call of the profile's dq on the grid,
+    so a map that is never inverted does not pay for them.
     Read-only after construction apart from that one-time table.  Q <= 0 at a
     grid node or at a quadrature node raises :class:`DomainSplit`.
     """
@@ -565,14 +567,12 @@ class EllMap:
         if np.any(qvals <= 0):
             bad = self._grid[qvals <= 0][0]
             raise DomainSplit(f"Q vanishes or changes sign inside the working interval near f = {bad}")
-        # Cumulative log-ell values at the grid nodes, anchored at f0.
-        segs = np.empty(len(self._grid) - 1)
-        for i in range(len(segs)):
-            segs[i] = self._quad(self._grid[i], self._grid[i + 1])
-        # Anchor exactly so log ell(f0) = 0.
+        # Cumulative log-ell values at the grid nodes, anchored exactly at f0
+        # (log ell(f0) = 0) by the partial segment [grid[i0], f0].
         i0 = int(np.searchsorted(self._grid, self.f0)) - 1
         i0 = min(max(i0, 0), len(self._grid) - 2)
-        extra = self._quad(self._grid[i0], self.f0)
+        ints = self._integrals(np.append(self._grid[:-1], self._grid[i0]), np.append(self._grid[1:], self.f0))
+        segs, extra = ints[:-1], ints[-1]
         # An overflowing table (tiny Q, huge a) is refused below, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
             cumulative = np.concatenate([[0.0], np.cumsum(segs)])
@@ -584,13 +584,37 @@ class EllMap:
         self.bounds = (float(lo), float(hi))
         self.increasing = bool(self._t_nodes[-1] > self._t_nodes[0])
 
-    def log_ell(self, f: float) -> float:
+    def log_ell(self, f: float | np.ndarray) -> float | np.ndarray:
+        """log ell at each entry of a 1-D array of f; a float f is a batch of
+        one and gives a float."""
+        fs = np.atleast_1d(np.asarray(f, dtype=float))
         lo, hi = self.bounds
-        if not (lo <= f <= hi):
-            raise DomainError(f"f = {f} outside ell-map bounds {self.bounds}")
-        i = int(np.searchsorted(self._grid, f)) - 1
-        i = min(max(i, 0), len(self._grid) - 2)
-        return float(self._t_nodes[i] + self._quad(self._grid[i], f))
+        outside = ~((lo <= fs) & (fs <= hi))
+        if outside.any():
+            raise DomainError(f"f = {float(fs[outside][0])} outside ell-map bounds {self.bounds}")
+        i = np.clip(np.searchsorted(self._grid, fs) - 1, 0, len(self._grid) - 2)
+        t = self._t_nodes[i] + self._integrals(self._grid[i], fs)
+        return t if isinstance(f, np.ndarray) else float(t[0])
+
+    def ell(self, f: float | np.ndarray) -> float | np.ndarray:
+        """ell = exp(log ell) entry by entry, through ``math.exp``; a float f
+        is a batch of one and gives a float."""
+        fs = np.atleast_1d(np.asarray(f, dtype=float))
+        values = []
+        for t, fk in zip(self.log_ell(fs).tolist(), fs.tolist()):
+            try:
+                values.append(math.exp(t))
+            except OverflowError:
+                raise DomainError(f"ell = exp({t}) overflows float64 at f = {fk}") from None
+        return np.array(values) if isinstance(f, np.ndarray) else values[0]
+
+    def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Integral of a / Q over each [lo[k], hi[k]]: QAG's first step of
+        all of them in one call, and :meth:`_quad` on each it does not finish."""
+        value, _, done = quadpack.first_steps(self._batch_integrand, lo, hi, epsabs=1e-14, epsrel=1e-13)
+        for k in np.flatnonzero(~done):
+            value[k] = self._quad(lo[k], hi[k])
+        return value
 
     def _integrand(self, f: float) -> float:
         q = self.profile.q(f)
@@ -605,13 +629,6 @@ class EllMap:
             raise IntegrationFailure(f"fiber-norm quadrature of a / Q over [{float(lo)!r}, {float(hi)!r}] may "
                                      f"miss its tolerance (QUADPACK ier = {ier}, error estimate {abserr:.3e})")
         return value
-
-    def ell(self, f: float) -> float:
-        t = self.log_ell(f)
-        try:
-            return math.exp(t)
-        except OverflowError:
-            raise DomainError(f"ell = exp({t}) overflows float64 at f = {f}") from None
 
     def f_of_log_ell(self, t: float | np.ndarray) -> float | np.ndarray:
         """f with log ell(f) = t at each entry of a 1-D array of t; a float t
@@ -634,10 +651,7 @@ class EllMap:
         for _ in range(NEWTON_STEPS):
             fp = f[pending]
             i = np.clip(np.searchsorted(self._grid, fp) - 1, 0, last)
-            value, _, done = quadpack.first_steps(self._batch_integrand, self._grid[i], fp, epsabs=1e-14, epsrel=1e-13)
-            for k in np.flatnonzero(~done):
-                value[k] = self._quad(self._grid[i[k]], fp[k])
-            resid = self._t_nodes[i] + value - ts[pending]
+            resid = self._t_nodes[i] + self._integrals(self._grid[i], fp) - ts[pending]
             step = resid * self.profile.q(fp) / self.profile.a
             f_new = np.minimum(np.maximum(fp - step, self.bounds[0]), self.bounds[1])
             f[pending] = f_new
@@ -654,7 +668,8 @@ class EllMap:
         """a / Q at each entry of f, NaN where Q <= 0 (where :meth:`_quad`
         raises :class:`DomainSplit`), so that interval is not done."""
         q = np.broadcast_to(self.profile.q(f), f.shape)
-        return self.profile.a / np.where(q > 0.0, q, np.nan)
+        with np.errstate(over="ignore"):  # an overflowing lane is not finite, so not done
+            return self.profile.a / np.where(q > 0.0, q, np.nan)
 
     def _hermite_starts(self, t: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Quintic Hermite estimate of f(t) on the table bracket i, entry by
@@ -845,8 +860,7 @@ def _metric_components_fn(params: SkrpParams, core: _PotentialCore, lambda_h: fl
 
 def _chart_window(params: SkrpParams, ell: EllMap, f_window: tuple[float, float]) -> Box:
     """Coordinate box whose fiber-norm values stay inside the f-window."""
-    fa, fb = f_window
-    la, lb = sorted((ell.ell(fa), ell.ell(fb)))
+    la, lb = sorted(ell.ell(np.array(f_window)).tolist())
     for zmax in (0.25, 0.15, 0.08, 0.04):
         factor_max = (1.0 + 2.0 * zmax * zmax) ** (params.s / 2.0)
         w1_lo = 1.02 * la

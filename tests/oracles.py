@@ -6,8 +6,9 @@ u = 1/(f - c) substitution checks the tail transformation of the
 completeness integrals, and the closed-form tail asymptote checks the
 u-substituted tail integrand, a restatement of QUADPACK's dqage checks
 the package's QAG off the path it shares with scipy's QAGS, the
-one-point curvature formulas check the chart's batched ones, and Newton's
-method on one float at a time checks the batched fiber-norm inversion.
+one-point curvature formulas check the chart's batched ones, Newton's
+method on one float at a time checks the batched fiber-norm inversion, and
+one scalar quadrature per grid segment checks the batched fiber-norm table.
 None of them is on a command's path.
 """
 
@@ -271,3 +272,15 @@ def _dqpsrt(limit, last, maxerr, elist, iord, nrmax):
             iord[k + 1] = last  # label 80, or iord(i) = last after do 70
     maxerr = iord[nrmax]  # label 90
     return maxerr, elist[maxerr], nrmax
+
+
+def ell_table(ell: skrp.EllMap) -> np.ndarray:
+    """The log-ell table of ``ell`` from one scalar ``quadpack.quad`` per
+    grid segment (:meth:`.EllMap._quad`, on Python floats), summed in grid
+    order and anchored by the partial segment [grid[i0], f0] so that
+    log ell(f0) = 0."""
+    grid = ell._grid
+    segs = np.array([ell._quad(grid[i], grid[i + 1]) for i in range(len(grid) - 1)])
+    i0 = min(max(int(np.searchsorted(grid, ell.f0)) - 1, 0), len(grid) - 2)
+    cumulative = np.concatenate([[0.0], np.cumsum(segs)])
+    return cumulative - (cumulative[i0] + ell._quad(grid[i0], ell.f0))

@@ -854,6 +854,27 @@ def test_fiber_norm_overflow_below_the_pole_is_one_json_diagnostic(tmp_path):
     assert "np.float64" not in error["message"]
 
 
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        # kappa = 1e-320 makes a / Q overflow inside the batched quadrature.
+        ({"m": 2, "kappa": 1e-320, "a": -1, "phi_sign": 1, "I": ["-inf", 0.2]},
+         "log ell = integral of a / Q overflows float64 on (0.0044787493895453116, 0.19600977039570502) "
+         "(a = -1.0)"),
+        ({"m": 2, "kappa": 3, "c": 1, "B": 0, "a": 1e300, "p": 4, "phi_sign": -1, "I": [-50, -2]},
+         "ell = exp(2.8648850014889976e+297) overflows float64 at f = -25.884221105527637"),
+    ],
+    ids=["log-ell-overflow-kappa-1e-320", "ell-overflow-huge-a"],
+)
+def test_fiber_norm_overflow_is_the_json_diagnostic_alone(params, message, tmp_path):
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    code, out, err = _cli_process(["skrp", "--config", str(cfg)], timeout=120)
+    assert (code, out) == (cli.EXIT_NUMERIC, "")
+    # The whole of stderr parses: no numpy warning line precedes the diagnostic.
+    assert json.loads(err)["error"] == {"type": "DomainError", "message": message}
+
+
 # Q = 2 B e^x / x < 0 for every x = f - c < 0 when A = kappa = 0; the profile
 # resolves that sign only if it never subtracts its own terms below the pole.
 _NO_Q_INTERVAL_BELOW_POLE = {"m": 2, "kappa": 0, "c": 1.2572, "A": 0, "B": 1.2121, "I": ["-inf", 1.2572]}

@@ -93,21 +93,32 @@ def _assert_consistent(f, a, b, epsabs, epsrel, limit):
 # -- the package's own integrals ----------------------------------------------------
 
 
-def _recorded_calls(monkeypatch, run):
-    """Every quadpack.quad call ``run`` makes over a nonempty interval, as
-    (f, a, b, epsabs, epsrel, limit); an empty one calls no integrand."""
-    calls = []
-    original = quadpack.quad
+def _recorded(monkeypatch, run):
+    """What ``run`` integrates over nonempty intervals (an empty one calls no
+    integrand): every quadpack.quad call as (f, a, b, epsabs, epsrel, limit),
+    and every lane of quadpack.first_steps as (f, a, b, epsabs, epsrel,
+    value, abserr, done), with f the batched integrand."""
+    calls, lanes = [], []
+    quad, first_steps = quadpack.quad, quadpack.first_steps
 
-    def recording(f, a, b, *, epsabs, epsrel):
+    def recording_quad(f, a, b, *, epsabs, epsrel):
         if a != b:
             calls.append((f, float(a), float(b), epsabs, epsrel, quadpack.LIMIT))
-        return original(f, a, b, epsabs=epsabs, epsrel=epsrel)
+        return quad(f, a, b, epsabs=epsabs, epsrel=epsrel)
 
-    monkeypatch.setattr(quadpack, "quad", recording)
+    def recording_steps(f, a, b, *, epsabs, epsrel):
+        value, abserr, done = first_steps(f, a, b, epsabs=epsabs, epsrel=epsrel)
+        ends = zip(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist())
+        for (lo, hi), *out in zip(ends, value.tolist(), abserr.tolist(), done.tolist()):
+            if lo != hi:
+                lanes.append((f, lo, hi, epsabs, epsrel, *out))
+        return value, abserr, done
+
+    monkeypatch.setattr(quadpack, "quad", recording_quad)
+    monkeypatch.setattr(quadpack, "first_steps", recording_steps)
     run()
     monkeypatch.undo()
-    return calls
+    return calls, lanes
 
 
 @pytest.mark.parametrize(
@@ -127,15 +138,24 @@ def _recorded_calls(monkeypatch, run):
     ],
 )
 def test_package_integrals_match_scipy_bitwise(monkeypatch, name, run):
-    calls = _recorded_calls(monkeypatch, run)
-    assert calls
-    assert {call[3:] for call in calls} <= set(CALL_SHAPES)
-    nevals = {_assert_consistent(*call)[2] for call in calls}
-    if name == "ell-map":
-        # Every fiber-norm integral ends on its first Kronrod estimate, where
-        # QAG and QAGS are one code path: skrp, verify and dualize read
-        # scipy's numbers exactly.
-        assert nevals == {21}
+    calls, lanes = _recorded(monkeypatch, run)
+    if name != "ell-map":
+        assert calls and not lanes
+        assert {call[3:] for call in calls} <= set(CALL_SHAPES)
+        for call in calls:
+            _assert_consistent(*call)
+        return
+    # The fiber-norm map takes QAG's first Kronrod step of its intervals in
+    # batches and every one ends there, where QAG and QAGS are one code path:
+    # each lane returns scipy's bits on the same integrand, evaluated one
+    # float at a time, and no interval goes on to quad.  So skrp, verify and
+    # dualize read scipy's numbers exactly.
+    assert lanes and not calls
+    assert {(lane[3], lane[4], quadpack.LIMIT) for lane in lanes} <= set(CALL_SHAPES)
+    for f, a, b, epsabs, epsrel, value, abserr, done in lanes:
+        assert done
+        theirs = _scipy(lambda x: float(f(np.array([x]))[0]), a, b, epsabs, epsrel, quadpack.LIMIT)
+        assert _bits(value, abserr, 21, 0) == _bits(*theirs)
 
 
 # -- random integrands on the shared path ------------------------------------------
@@ -261,7 +281,7 @@ def test_ladder_calls_off_the_shared_path_match_the_dqage_oracle(monkeypatch):
         for name in COMPLETENESS_FIXTURES:
             comp.completeness_verdict(fixtures.q_profile_fixture(name))
 
-    calls = _recorded_calls(monkeypatch, run)
+    calls, _ = _recorded(monkeypatch, run)
     off_path = [call for call in calls if not _on_shared_path(_scipy(*call))]
     assert off_path
     for call in off_path:

@@ -634,8 +634,8 @@ def test_ell_map_rejects_sign_change():
 @pytest.mark.parametrize(
     "q,ier",
     [
-        (lambda f: 1.0 + 1e-3 * math.sin(1e7 * f), 1),  # oscillates past QAG's subinterval limit
-        (lambda f: 1e-9 + abs(f - 0.7318) ** 0.5, 3),  # a cusp between grid nodes
+        (lambda f: 1.0 + 1e-3 * np.sin(1e7 * f), 1),  # oscillates past QAG's subinterval limit
+        (lambda f: 1e-9 + np.abs(f - 0.7318) ** 0.5, 3),  # a cusp between grid nodes
     ],
     ids=["oscillating", "cusp"],
 )
@@ -647,7 +647,7 @@ def test_ell_map_quadrature_missing_its_tolerance_raises(q, ier):
 
 def test_ell_map_zero_of_q_at_a_quadrature_node_is_a_domain_split():
     # Q = 0 at 0.3001, between grid nodes but on a node of the quadrature.
-    profile = skrp.QProfile(q=lambda f: math.sqrt(abs(f - 0.3001)), dq=lambda f: 0.0, interval=(0.0, 1.0), m=2)
+    profile = skrp.QProfile(q=lambda f: np.sqrt(np.abs(f - 0.3001)), dq=lambda f: 0.0, interval=(0.0, 1.0), m=2)
     with pytest.raises(DomainSplit, match="at f = 0.3001"):
         skrp.EllMap(profile, 0.5, profile.interval)
 
@@ -870,6 +870,55 @@ def test_ell_map_thousand_round_trips():
     for f in np.linspace(0.85, 2.15, 1000):
         worst = max(worst, abs(ell.f_of_ell(ell.ell(float(f))) - f))
     assert worst < 1e-10
+
+
+def _skrp_ell_column(name, monkeypatch):
+    """The fiber-norm map `skrp --fixture NAME` builds, its f grid and its
+    200-point ell column."""
+    maps, build = [], skrp.EllMap
+    monkeypatch.setattr(skrp, "EllMap", lambda *args: maps.append(build(*args)) or maps[-1])
+    _, rows = cli.cmd_skrp(cli.RunConfig("skrp", fixture=name)).tables[".profile.csv"]
+    monkeypatch.undo()
+    (ell,) = maps
+    return ell, np.array([row[0] for row in rows]), np.array([row[4] for row in rows])
+
+
+def _assert_ell_matches_the_scalar_path(ell, grid, column):
+    table = oracles.ell_table(ell)
+    assert np.all(np.abs(ell._t_nodes - table) <= 1e-15 * np.abs(table))
+    assert len(column) == 200
+    i = np.clip(np.searchsorted(ell._grid, grid) - 1, 0, len(ell._grid) - 2)
+    scalar = np.array([math.exp(table[k] + ell._quad(ell._grid[k], f)) for k, f in zip(i, grid.tolist())])
+    assert np.all(np.abs(column - scalar) <= 1e-15 * scalar)
+    # exp through libm, entry by entry, of the batched and the float log ell.
+    assert column.tolist() == [math.exp(t) for t in ell.log_ell(grid).tolist()]
+    floats = [math.exp(ell.log_ell(f)) for f in grid.tolist()]
+    assert np.all(np.abs(column - floats) <= 1e-15 * column)
+    for f, value in zip(grid.tolist(), column.tolist()):
+        single = ell.ell(f)
+        assert type(single) is float
+        assert single.hex() == value.hex() == ell.ell(np.array([f]))[0].hex()
+
+
+@pytest.mark.parametrize("name", sorted(fixtures._SKRP))
+def test_skrp_ell_table_and_column_match_the_scalar_quadratures(name, monkeypatch):
+    _assert_ell_matches_the_scalar_path(*_skrp_ell_column(name, monkeypatch))
+
+
+def test_chart_ell_table_and_column_match_the_scalar_quadratures(koiso_chart):
+    grid = np.linspace(*koiso_chart.f_window, 200)
+    _assert_ell_matches_the_scalar_path(koiso_chart.ell, grid, koiso_chart.ell.ell(grid))
+
+
+def test_skrp_builds_its_ell_table_and_column_with_one_first_step_each(monkeypatch):
+    lanes, quads = [], []
+    first_steps, quad = skrp.quadpack.first_steps, skrp.quadpack.quad
+    monkeypatch.setattr(skrp.quadpack, "first_steps", lambda f, a, b, **kw: lanes.append(len(a)) or first_steps(f, a, b, **kw))
+    monkeypatch.setattr(skrp.quadpack, "quad", lambda *args, **kw: quads.append(args) or quad(*args, **kw))
+    cli.cmd_skrp(cli.RunConfig("skrp", fixture="koiso-m2-A1B0"))
+    # 256 segments and the anchor's partial one, then the 200-point column.
+    assert lanes == [257, 200]
+    assert quads == []
 
 
 # -- the tensor-valued metric block and the one-quadrature inversion ---------------------
