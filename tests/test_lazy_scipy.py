@@ -1,11 +1,14 @@
-"""No command loads scipy; the package only registers a lazy ``scipy.integrate``.
+"""No command loads scipy or ``numpy.random``; the package only registers a
+lazy ``scipy.integrate``.
 
 Quadrature is the package's own QUADPACK port, root finding a bisection in
 ``skrp.q_domain`` and the ODE oracles its own DOP853 port, so no command's
 cold start-up pays for scipy.  ``skrp`` still registers ``scipy.integrate``
 lazily in ``sys.modules``, because perfbench's tracer looks it up there to
 wrap ``quad`` and ``solve_ivp``; nothing in the package reads from it, and
-where scipy cannot be imported nothing is registered.
+where scipy cannot be imported nothing is registered.  The Halton scramble
+draws from the package's own copy of numpy's ``default_rng`` stream, so no
+command loads ``numpy.random`` either.
 """
 
 import ast
@@ -90,27 +93,42 @@ def test_quadrature_commands_do_not_load_scipy(tmp_path):
     )
 
 
-def test_no_command_imports_scipy(tmp_path):
-    # Every fixture of every command, in one interpreter: verify and dualize
-    # on each pair, skrp on each profile, completeness on each Q profile.
+def _run_every_command(tmp_path, modules: tuple[str, ...]) -> None:
+    """Run every fixture of every command in one interpreter, asserting that
+    none of ``modules`` is loaded after the import or after any command:
+    verify and dualize on each pair, skrp on each profile, completeness on
+    each Q profile."""
     _run_fresh(
         f"""
         import contextlib, io, sys
         import soliton_lab.cli as cli
         from soliton_lab import fixtures
 
+        def loaded():
+            return [name for name in {modules!r} if name in sys.modules]
+
         runs = [[cmd, "--fixture", name, "--samples", "10"] for name in fixtures._PAIRS for cmd in ("verify", "dualize")]
         runs += [["skrp", "--fixture", name] for name in fixtures._SKRP]
         runs += [["completeness", "--fixture", name] for name in (*fixtures._SYNTHETIC_Q, *fixtures._SKRP)]
-        assert "scipy" not in sys.modules, "loaded by import"
+        assert loaded() == [], f"loaded by import: {{loaded()}}"
         for argv in runs:
             out = {str(tmp_path)!r} + "/" + "-".join(argv[:3]) + ".json"
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([*argv, "--out", out])
             assert code != cli.EXIT_USAGE, argv
-            assert "scipy" not in sys.modules, f"loaded by {{argv}}"
+            assert loaded() == [], f"loaded by {{argv}}: {{loaded()}}"
         """
     )
+
+
+def test_no_command_imports_scipy(tmp_path):
+    _run_every_command(tmp_path, ("scipy",))
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # The Halton scramble draws from sampling._draws32, not numpy.random, whose
+    # import also loads secrets, hashlib and OpenSSL: about 6 MiB of peak RSS.
+    _run_every_command(tmp_path, ("numpy.random", "secrets", "hashlib"))
 
 
 # Prints whether the import registered scipy.integrate, then the exit code and

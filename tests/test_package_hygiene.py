@@ -1,12 +1,14 @@
 """Every module's ``__all__`` names what it defines, and it imports nothing it
 never uses; no module warns; one module picks the working interval; scipy is
-a test dependency; README's layout names every module."""
+a test dependency; no module names ``numpy.random``; README's layout names
+every module."""
 
 import ast
 import glob
 import importlib
 import os
 import re
+import textwrap
 
 import pytest
 
@@ -92,6 +94,63 @@ def test_scipy_is_only_a_test_dependency():
         project = tomllib.load(handle)["project"]
     lists = {"dependencies": project["dependencies"], **project["optional-dependencies"]}
     assert [name for name, specs in lists.items() if any(s.startswith("scipy") for s in specs)] == ["test"]
+
+
+def _numpy_random_references(source: str) -> list[int]:
+    """Lines that import ``numpy.random``, name it (as ``numpy.random`` or
+    ``np.random``) or ``default_rng`` in code, or name either in a module-name
+    string."""
+
+    def named(node: ast.AST) -> list[str]:
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return [node.value]
+        if isinstance(node, ast.Attribute):
+            return [f"{node.value.id}.{node.attr}" if isinstance(node.value, ast.Name) else node.attr]
+        if isinstance(node, ast.Name):
+            return [node.id]
+        return []
+
+    def offends(name: str) -> bool:
+        return name == "default_rng" or name.endswith(".default_rng") or any(
+            name == module or name.startswith(f"{module}.") for module in ("numpy.random", "np.random")
+        )
+
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if any(map(offends, named(node)))})
+
+
+def test_numpy_random_guard_sees_imports_strings_and_attributes():
+    source = textwrap.dedent(
+        """\
+        \"\"\"Bit-identical to numpy.random's default_rng, in prose only.\"\"\"
+        import numpy.random
+        from numpy import random
+        from numpy.random import Generator
+        from .sampling import default_rng
+        rng = np.random.default_rng(7)
+        rng = numpy.random.Generator(bits)
+        random = importlib.import_module("numpy.random")
+        seed = default_rng
+        rng = gen.default_rng()
+        values = np.random_like = random.random()
+        """
+    )
+    assert _numpy_random_references(source) == [2, 3, 4, 5, 6, 7, 8, 9, 10]
+
+
+def test_package_never_names_numpy_random():
+    # Importing numpy.random loads ten numpy extensions and secrets, hashlib
+    # and OpenSSL: about 6 MiB of every sampling command's peak RSS.  The
+    # Halton scramble draws from sampling._draws32 instead.
+    offenders = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as handle:
+            if lines := _numpy_random_references(handle.read()):
+                offenders[os.path.basename(path)] = lines
+    assert offenders == {}
 
 
 def test_readme_layout_names_every_module():

@@ -126,6 +126,11 @@ def test_classify_empty_sample():
             sol.residual_report(GAUSSIAN, sample)
 
 
+def test_classify_zero_count_is_an_empty_sample():
+    with pytest.raises(EmptySample):
+        sol.classify(GAUSSIAN, 0)
+
+
 # -- dualize -----------------------------------------------------------------------
 
 
