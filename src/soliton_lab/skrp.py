@@ -51,7 +51,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import chart as ct
-from . import dop853, quadpack
+from . import quadpack
 from .errors import (
     CalibrationFailure,
     ConvergenceFailure,
@@ -118,9 +118,10 @@ POLE_MARGIN = 1e-6
 NEWTON_STEPS = 60
 # The largest k whose k! is a finite float64.
 _MAX_FACTORIAL = 170
-# Right-hand-side calls one profile-ODE integration may make (the fixtures
-# need at most a few hundred); a stiff profile would otherwise run for minutes.
-ODE_RHS_BUDGET = 100_000
+# Taylor terms one profile-ODE integration may sum (the fixtures need at
+# most a few hundred); at large m the steps shrink to |f - c| / m, so a
+# huge-m profile would otherwise run for minutes.
+TAYLOR_TERM_CAP = 100_000
 # The float64 band of working_interval: |f - c| > BAND_POLE_GAP, and
 # f - c < BAND_TAIL_REACH above the pole.
 BAND_POLE_GAP = 0.05
@@ -362,31 +363,66 @@ def phi_ode_integrate(
 ) -> tuple[float, float]:
     """Numerical oracle: integrate the profile ODE from (f0, phi0, phi0') to f.
 
-    Independent of the closed form: the package's DOP853 port
-    (:func:`.dop853.solve`, 8th-order adaptive Runge-Kutta) at rtol 1e-11
-    and atol 1e-13, bit-identical to scipy's ``solve_ivp`` with those
-    settings.  A failed integration, or one that needs more than
-    ``ODE_RHS_BUDGET`` right-hand-side calls, raises :class:`IntegrationFailure`.
+    Independent of the closed form: Taylor series of the ODE itself.  The
+    ODE is linear with polynomial coefficients, so about x0 = f - c != 0 the
+    coefficients of phi = sum a_k h^k follow from the three-term recurrence
+
+        x0^2 (k+2)(k+1) a_{k+2} = r [k=0] - (2 x0 (k+1) k + (m x0 - alpha x0^2)(k+1)) a_{k+1}
+                                  - (k(k-1) + (m - 2 alpha x0) k - m) a_k + alpha (k-1) a_{k-1}
+
+    with r = -sgn(phi) kappa / 2, and converge for |h| < |x0|.  Steps keep
+    |h| <= min(|x0| / m, 4), so the alternating terms of the x^-m and e^x
+    modes cancel by at most a factor e^2 and e^8, and each sums until three
+    successive terms of phi and h phi' fall below 1e-17 of their sums
+    (G. Corliss & Y. F. Chang, ACM TOMS 8 (1982)).  A path that reaches or crosses the pole c, a step
+    across which phi changes sign (the forcing jumps there), a non-finite
+    state, or more than ``TAYLOR_TERM_CAP`` terms in all raises
+    :class:`IntegrationFailure`.
     """
     if f == f0:
         return phi0, dphi0
-    calls = 0
-
-    def rhs(t, y):
-        nonlocal calls
-        calls += 1
-        if calls > ODE_RHS_BUDGET:
-            raise IntegrationFailure(f"profile ODE from f = {f0} to {f} exceeds {ODE_RHS_BUDGET} right-hand-side calls")
-        x = t - params.c
-        phi, dphi = y
+    c, m = params.c, params.m
+    if f0 == c or f == c or (f0 < c) != (f < c):
+        raise IntegrationFailure(f"profile ODE path from f = {f0} to {f} meets the pole c = {c}")
+    t, phi, dphi = f0, phi0, dphi0
+    terms = 0
+    while t != f:
+        x0 = t - c
+        h_max = min(abs(x0) / m, 4.0)
+        last = abs(f - t) <= h_max
+        h = f - t if last else math.copysign(h_max, f - t)
         sgn = math.copysign(1.0, phi) if phi != 0.0 else 1.0
-        d2 = (-x * (params.m - x * alpha) * dphi + params.m * phi - sgn * params.kappa / 2.0) / (x * x)
-        return [dphi, d2]
-
-    y, _, success, message = dop853.solve(rhs, f0, f, [phi0, dphi0], rtol=1e-11, atol=1e-13)
-    if not success:
-        raise IntegrationFailure(f"profile ODE integration failed: {message}")
-    return float(y[0]), float(y[1])
+        r = -sgn * params.kappa / 2.0
+        x2, lin = x0 * x0, m * x0 - alpha * x0 * x0
+        a_prev, a, a_next = 0.0, phi, dphi  # a_{k-1}, a_k, a_{k+1}
+        # value and slope sum phi(t + h) and h phi'(t + h) term by term.
+        value, slope, hk, k, small = phi + dphi * h, dphi * h, h, 0, 0
+        while small < 3:
+            a_new = (
+                (r if k == 0 else 0.0)
+                - (2.0 * x0 * (k + 1) * k + lin * (k + 1)) * a_next
+                - (k * (k - 1) + (m - 2.0 * alpha * x0) * k - m) * a
+                + alpha * (k - 1) * a_prev
+            ) / (x2 * (k + 2) * (k + 1))
+            k += 1
+            a_prev, a, a_next = a, a_next, a_new
+            hk *= h
+            term = a_next * hk
+            value += term
+            slope += (k + 1) * term
+            terms += 1
+            if terms > TAYLOR_TERM_CAP:
+                raise IntegrationFailure(
+                    f"profile ODE from f = {f0} to {f} needs more than {TAYLOR_TERM_CAP} Taylor terms"
+                )
+            small = small + 1 if (k + 1) * abs(term) <= 1e-17 * (abs(value) + abs(slope)) else 0
+        if not (math.isfinite(value) and math.isfinite(slope)):
+            raise IntegrationFailure(f"profile ODE from f = {f0} to {f} is not finite past f = {t}")
+        if (math.copysign(1.0, value) if value != 0.0 else 1.0) != sgn:
+            raise IntegrationFailure(f"phi changes sign between f = {t} and f = {t + h}: the forcing jumps there")
+        t = f if last else t + h
+        phi, dphi = value, slope / h
+    return phi, dphi
 
 
 def soliton_coeff_profile(params: SkrpParams, alpha: float, f: float) -> float:

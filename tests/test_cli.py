@@ -9,10 +9,11 @@ import stat
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
-from soliton_lab import cli, fixtures
+from soliton_lab import cli, fixtures, skrp
 
 
 def run(argv, capsys):
@@ -506,15 +507,14 @@ def test_ell_map_overflow_is_numeric_error(params, tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "DomainError"
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -2.6], "phi_sign": -1},
-        {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -0.2], "phi_sign": -1},
-        {"m": 3, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -2.6], "phi_sign": -1},
-    ],
-    ids=["m2-to-2.6", "m2-to-0.2", "m3-to-2.6"],
-)
+WIDE_BANDS = {
+    "wide-band-m2": {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -2.6], "phi_sign": -1},
+    "wide-band-m2-to-0.2": {"m": 2, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -0.2], "phi_sign": -1},
+    "wide-band-m3": {"m": 3, "kappa": 1, "A": 0, "B": 1, "I": ["-inf", -2.6], "phi_sign": -1},
+}
+
+
+@pytest.mark.parametrize("params", list(WIDE_BANDS.values()), ids=["m2-to-2.6", "m2-to-0.2", "m3-to-2.6"])
 def test_closed_vs_integrated_holds_on_wide_bands(params, tmp_path, capsys):
     # The check band spans ~38 units; integrating from its midpoint let the
     # ODE's e^f mode grow the integrator's error past the tolerance.
@@ -527,6 +527,35 @@ def test_closed_vs_integrated_holds_on_wide_bands(params, tmp_path, capsys):
     assert checks["closed-vs-integrated"]["measured"] < 1e-9
 
 
+@pytest.mark.parametrize("name", [*fixtures._SKRP, *WIDE_BANDS])
+def test_profile_oracle_matches_the_closed_form_at_the_check_points(name, monkeypatch, tmp_path, capsys):
+    # closed-vs-integrated integrates 8 segments between 9 check points; at
+    # each segment's end the Taylor oracle must give the closed form's phi to
+    # 1e-13 relative, not just 1e-13 of 1 + |phi|.
+    integrate, ends = skrp.phi_ode_integrate, []
+
+    def recording(params, alpha, f0, phi0, dphi0, f):
+        phi, dphi = integrate(params, alpha, f0, phi0, dphi0, f)
+        ends.append((params, f, phi))
+        return phi, dphi
+
+    monkeypatch.setattr(skrp, "phi_ode_integrate", recording)
+    if name in WIDE_BANDS:
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(WIDE_BANDS[name]))
+        argv = ["skrp", "--config", str(cfg)]
+    else:
+        argv = ["skrp", "--fixture", name]
+    code, out, _ = run(argv, capsys)
+    assert code == cli.EXIT_PASS
+    assert len(ends) == 8
+    for params, f, phi in ends:
+        phi_ref = skrp.phi_closed(params, f)[0]
+        assert abs(phi - phi_ref) <= 1e-13 * abs(phi_ref), (f, phi, phi_ref)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["closed-vs-integrated"]["measured"] <= 1e-13
+
+
 @pytest.mark.parametrize(
     "command, params, message",
     [
@@ -537,21 +566,17 @@ def test_closed_vs_integrated_holds_on_wide_bands(params, tmp_path, capsys):
         ("completeness", {"m": 2, "kappa": 4, "A": 1, "I": [800, 900], "phi_sign": 1}, "0 or not finite"),
         ("completeness", {"m": 2, "A": 1, "c": 1e7, "I": [1e7, "inf"]}, "0 or not finite"),
         ("skrp", {"m": 2, "c": 1e7}, "pole margin"),
-        ("skrp", {"m": 4, "kappa": 1e10, "c": 10, "B": 1e10, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
-         "right-hand-side calls"),
-        ("skrp", {"m": 4, "kappa": 1e300, "c": 10, "B": 1e300, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
-         "right-hand-side calls"),
     ],
     ids=["skrp-exp-overflow", "completeness-exp-overflow", "skrp-exp-overflow-to-inf",
          "completeness-exp-overflow-to-inf", "integrand-underflow", "integrand-underflow-c-1e7",
-         "every-probe-in-pole-margin", "stiff-ode-1e10", "stiff-ode-1e300"],
+         "every-probe-in-pole-margin"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_float64_limits_are_numeric_errors(command, params, message, tmp_path, capsys):
-    # Each crashed with a traceback (exit 1) or ran for minutes: exp(-f / (m - 1))
-    # past f ~ -709, an integrand that underflows to 0 in the exponent fit, a
+    # Each crashed with a traceback (exit 1): exp(-f / (m - 1)) past
+    # f ~ -709, an integrand that underflows to 0 in the exponent fit, and a
     # whole-line I whose probes all lie within the pole margin 1e-6 (1 + |c|)
-    # of c = 1e7, and a stiff profile ODE.
+    # of c = 1e7.
     cfg = tmp_path / "params.json"
     cfg.write_text(json.dumps(params))
     code, out, err = run([command, "--config", str(cfg)], capsys)
@@ -560,6 +585,29 @@ def test_float64_limits_are_numeric_errors(command, params, message, tmp_path, c
     assert "Traceback" not in err
     error = json.loads(err)["error"]
     assert message in error["message"]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"m": 4, "kappa": 1e10, "c": 10, "B": 1e10, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
+        {"m": 4, "kappa": 1e300, "c": 10, "B": 1e300, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
+    ],
+    ids=["stiff-ode-1e10", "stiff-ode-1e300"],
+)
+def test_stiff_profile_odes_reach_a_verdict(params, tmp_path, capsys):
+    # kappa = B = 1e10 or 1e300 make the profile ODE stiff, which an
+    # adaptive-step oracle pays for in steps; the Taylor oracle's steps
+    # depend on |f - c| and m alone.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps(params))
+    t0 = time.perf_counter()
+    code, out, err = run(["skrp", "--config", str(cfg)], capsys)
+    assert time.perf_counter() - t0 < 3.0
+    assert code == cli.EXIT_PASS, err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["profile-ode-residual", "closed-vs-integrated", "coefficient-constancy"]
+    assert {c["status"] for c in checks} == {"pass"}
 
 
 def test_skrp_table_may_hold_an_underflowed_integrand(tmp_path, capsys):

@@ -350,6 +350,21 @@ def test_flow_length_matches_profile_integral(koiso_chart):
     assert flow == pytest.approx(reduced, rel=1e-6)
 
 
+@pytest.mark.parametrize("margin", [0.02, 0.05])
+def test_flow_length_richardson_estimate_and_reduction_agree_to_1e_9(koiso_chart, margin):
+    f1, f2 = koiso_chart.fiber_level_range(margin=margin)
+    n = comp.FLOW_STEPS
+    coarse = comp._rk4_flow_length(koiso_chart, f1, f2, n)
+    fine = comp._rk4_flow_length(koiso_chart, f1, f2, 2 * n)
+    flow = comp.gradient_flow_length_crosscheck(koiso_chart, f1, f2)
+    assert flow == fine + (fine - coarse) / 15.0
+    assert abs(fine - coarse) / 15.0 <= 1e-9 * flow
+    reduced = quad(
+        lambda f: comp.arc_integrand(koiso_chart.params, f), f1, f2, epsabs=1e-14, epsrel=1e-13
+    )[0]
+    assert abs(flow - reduced) <= 1e-9 * reduced
+
+
 def test_flow_length_symmetric_and_zero(koiso_chart):
     f1, f2 = koiso_chart.fiber_level_range(margin=0.05)
     forward = comp.gradient_flow_length_crosscheck(koiso_chart, f1, f2)

@@ -2,8 +2,9 @@
 lazy ``scipy.integrate``.
 
 Quadrature is the package's own QUADPACK port, root finding a bisection in
-``skrp.q_domain`` and the ODE oracles its own DOP853 port, so no command's
-cold start-up pays for scipy.  ``skrp`` still registers ``scipy.integrate``
+``skrp.q_domain``, the profile-ODE oracle a Taylor series and the flow
+cross-check classical Runge-Kutta, so no command's cold start-up pays for
+scipy.  ``skrp`` still registers ``scipy.integrate``
 lazily in ``sys.modules``, because perfbench's tracer looks it up there to
 wrap ``quad`` and ``solve_ivp``; nothing in the package reads from it, and
 where scipy cannot be imported nothing is registered.  The Halton scramble
@@ -66,7 +67,7 @@ def test_quadrature_commands_do_not_load_scipy(tmp_path):
     # The lazy registration must not import the scipy package either.
     # koiso-m2-tail's Q has no zero to bracket; koiso-m2-compact's and
     # koiso-m2-capped's have one, which q_domain bisects to adjacent
-    # floats; skrp integrates with the package's own DOP853 port.
+    # floats; skrp integrates the profile ODE by Taylor series.
     _run_fresh(
         f"""
         import contextlib, io, sys
@@ -343,6 +344,7 @@ def test_lazy_integrate_guard_sees_reads_imports_and_names():
 
 
 def test_package_never_uses_lazy_integrate():
-    # ODE solves are dop853.solve; one read of the lazy module would bring
-    # scipy.integrate's ~0.85 s import back into a command.
+    # The package solves its ODEs itself (skrp.phi_ode_integrate and
+    # completeness.gradient_flow_length_crosscheck); one read of the lazy
+    # module would bring scipy.integrate's ~0.85 s import back into a command.
     assert _package_offenders(_lazy_integrate_uses) == {}

@@ -343,6 +343,18 @@ def test_integrator_constant_solution_stays_constant():
     assert dphi == pytest.approx(0.0, abs=1e-12)
 
 
+def test_integrator_keeps_its_accuracy_at_moderate_m():
+    # phi = f^-30 e^f: its terms about f = 2 alternate and grow like
+    # C(29 + k, k) (h / 2)^k.  Steps of |f - c| / 2 would cancel them down to
+    # 7e-5; steps of |f - c| / m leave only float64's conditioning of this
+    # decaying solution, about 1e-16 (3/2)^30 ~ 2e-11.
+    params = skrp.SkrpParams(m=30, kappa=0.0, c=0.0, A=0.0, B=1.0, I=(1.0, 3.0), phi_sign=1)
+    phi0, dphi0, _ = skrp.phi_closed(params, 2.0)
+    phi, _ = skrp.phi_ode_integrate(params, 1.0, 2.0, phi0, dphi0, 3.0)
+    phi_ref = skrp.phi_closed(params, 3.0)[0]
+    assert abs(phi - phi_ref) <= 1e-9 * phi_ref
+
+
 def test_integrator_fails_at_pole():
     with pytest.raises(IntegrationFailure):
         phi0, dphi0, _ = skrp.phi_closed(FLATBASE, 0.5)
@@ -350,12 +362,23 @@ def test_integrator_fails_at_pole():
 
 
 def test_integrator_refuses_past_its_call_budget(monkeypatch):
-    # A stiff profile would take millions of right-hand-side calls; the budget
-    # turns that into an IntegrationFailure (exit 3) instead of a hang.
-    monkeypatch.setattr(skrp, "ODE_RHS_BUDGET", 50)
+    # The budget is TAYLOR_TERM_CAP series terms.  At large m the steps
+    # shrink to |f - c| / m; the cap turns a huge-m profile into an
+    # IntegrationFailure (exit 3) instead of a hang.
+    monkeypatch.setattr(skrp, "TAYLOR_TERM_CAP", 50)
     phi0, dphi0, _ = skrp.phi_closed(FLATBASE, 0.5)
-    with pytest.raises(IntegrationFailure, match="exceeds 50 right-hand-side calls"):
+    with pytest.raises(IntegrationFailure, match="needs more than 50 Taylor terms"):
         skrp.phi_ode_integrate(FLATBASE, 1.0, 0.5, phi0, dphi0, 4.0)
+
+
+def test_integrator_refuses_a_step_across_a_sign_change_of_phi():
+    # koiso-m2-compact's phi falls through 0 near f = 2.66; the forcing
+    # -sgn(phi) kappa / 2 jumps there, so one step from 2 to 3 is refused.
+    params = fixtures.skrp_fixture("koiso-m2-compact")
+    phi0, dphi0, _ = skrp.phi_closed(params, 2.0)
+    assert phi0 > 0 > skrp.phi_closed(params, 3.0)[0]
+    with pytest.raises(IntegrationFailure, match="phi changes sign"):
+        skrp.phi_ode_integrate(params, 1.0, 2.0, phi0, dphi0, 3.0)
 
 
 # -- soliton coefficient profile ------------------------------------------------------------

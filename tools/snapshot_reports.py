@@ -56,8 +56,10 @@ SEEDS = (None, "7")
 # check bands on which the closed-vs-integrated oracle must still hold,
 # four profiles whose fiber-norm map overflows float64, five profiles at
 # float64's limits that crashed with a traceback until the checks below, a
-# shifted capped profile whose end lies ulps past a zero of Q, and four
-# profiles with no Q-positive interval or a window whose ell overflows.
+# shifted capped profile whose end lies ulps past a zero of Q, four
+# profiles with no Q-positive interval or a window whose ell overflows, and
+# two stiff profile ODEs whose closed-vs-integrated oracle must reach a
+# verdict.
 CONFIGS = {
     "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
                       "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
@@ -111,6 +113,11 @@ CONFIGS = {
     # below the pole only if it never subtracts its terms: skrp's q-domain is
     # inconclusive (exit 0) and completeness finds no Q-positive interval.
     "no-q-interval-below-pole": {"m": 2, "kappa": 0, "c": 1.2572, "A": 0, "B": 1.2121, "I": ["-inf", 1.2572]},
+    # kappa = B = 1e10 or 1e300 below the pole c = 10: skrp passes all three
+    # profile checks (exit 0); completeness finds both ends interior
+    # (inconclusive-at-end, exit 0).
+    "stiff-ode-1e10": {"m": 4, "kappa": 1e10, "c": 10, "B": 1e10, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
+    "stiff-ode-1e300": {"m": 4, "kappa": 1e300, "c": 10, "B": 1e300, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
 }
 # The {"fixture": NAME} form of a config, which every command reads.
 FIXTURE_CONFIG = {"fixture": "koiso-m2-A1B0"}
