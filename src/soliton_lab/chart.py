@@ -356,7 +356,10 @@ def _christoffel_derivative_from(G_inv: np.ndarray, dG: np.ndarray, d2G: np.ndar
     # d_m g^{kl} = - g^{ka} (d_m g_ab) g^{bl}
     dG_inv = -np.einsum("zka,zmab,zbl->zmkl", G_inv, dG, G_inv)
     bracket = np.einsum("zijl->zlij", dG) + np.einsum("zjil->zlij", dG) - dG
-    dbracket = np.einsum("zmijl->zmlij", d2G) + np.einsum("zmjil->zmlij", d2G) - d2G
+    # C order, so that a point's dgamma does not depend on its chunk: from
+    # n = 6 on, numpy lays this sum out in another order at some chunk sizes,
+    # and einsum sums in an order that follows its operands' layout.
+    dbracket = np.ascontiguousarray(np.einsum("zmijl->zmlij", d2G) + np.einsum("zmjil->zmlij", d2G) - d2G)
     # 0.5 (d g^{-1} bracket + g^{-1} dbracket), summed in place: a chunk's
     # (B, n, n, n, n) temporaries are what its peak memory is made of.
     dgamma = np.einsum("zkl,zmlij->zmkij", G_inv, dbracket)

@@ -459,7 +459,7 @@ def _point_at_level(chart: CalabiChart, f_level: float) -> np.ndarray:
         ell = chart.ell.ell(f_level)
     except DomainError as exc:
         raise DomainExit(f"level f = {f_level} is outside the chart's potential window") from exc
-    candidate = np.array([0.0, 0.0, ell, 0.0])
+    candidate = np.append(np.zeros(chart.metric.dim - 2), [ell, 0.0])
     if not chart.domain.contains(candidate):
         raise DomainExit(
             f"level f = {f_level} (fiber norm {ell:.4g}) is outside the chart window {chart.domain}"

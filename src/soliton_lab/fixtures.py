@@ -2,9 +2,9 @@
 
 Fixture metrics are analytic charts with known curvature (flat space, round
 spheres in stereographic coordinates, the hyperbolic half-plane) plus the
-assembled 4-dimensional soliton chart; soliton pairs attach the matching
+assembled 2m-dimensional soliton charts; soliton pairs attach the matching
 potential.  Everything is deterministic and cheap to rebuild; the assembled
-chart is cached per process.
+charts are cached per process.
 """
 
 from __future__ import annotations
@@ -115,9 +115,18 @@ _SKRP = {
     "koiso-m2-A1B0": skrp.SkrpParams(
         m=2, kappa=4.0, c=0.0, A=1.0, B=0.0, I=(0.5, 2.5), s=2, a=2.0, p=2.0, phi_sign=+1
     ),
-    # Pure-profile variant with kappa = 0 (the hand-check values phi(1) = 5/2 etc).
+    # Variant over the flat base C^1 (kappa = 0, the hand-check values
+    # phi(1) = 5/2 etc), where lambda_h = a s / p^2 = 1.
     "koiso-m2-A1B0-flatbase": skrp.SkrpParams(
         m=2, kappa=0.0, c=0.0, A=1.0, B=0.0, I=(0.3, 4.0), s=1, a=1.0, p=1.0
+    ),
+    # The same profile over CP^2 (m = 3, kappa = 6) and over the unit disc
+    # (m = 2, kappa = -4): lambda_h = 2m / |kappa| = 1 in both.
+    "koiso-m3-A1B0": skrp.SkrpParams(
+        m=3, kappa=6.0, c=0.0, A=1.0, B=0.0, I=(0.5, 2.5), s=2, a=2.0, p=2.0, phi_sign=+1
+    ),
+    "koiso-m2-ball": skrp.SkrpParams(
+        m=2, kappa=-4.0, c=0.0, A=1.0, B=0.0, I=(0.5, 2.5), s=2, a=2.0, p=2.0, phi_sign=+1
     ),
     # A + B = 0 makes the profile regular at f = c with a simple zero of Q
     # there; the second simple zero caps the interval: compact-extension case.
@@ -207,6 +216,9 @@ _PAIRS = {
     ),
     "non-soliton-cubic": _cubic_pair,
     "koiso-m2-A1B0": lambda: _calabi_pair("koiso-m2-A1B0"),
+    "koiso-m2-A1B0-flatbase": lambda: _calabi_pair("koiso-m2-A1B0-flatbase"),
+    "koiso-m3-A1B0": lambda: _calabi_pair("koiso-m3-A1B0"),
+    "koiso-m2-ball": lambda: _calabi_pair("koiso-m2-ball"),
 }
 
 

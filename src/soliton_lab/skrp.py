@@ -1,4 +1,4 @@
-"""The closed-form gradient Kahler-Ricci soliton family over CP^1.
+"""The closed-form gradient Kahler-Ricci soliton family of the Calabi ansatz.
 
 The family is described by one profile phi(f) on an interval of potential
 values.  With f_c = f - c and S_j the degree-j truncated exponential series,
@@ -24,17 +24,21 @@ E - U as its power series, for |f_c| <= 1, so no term cancels another.
 
 From the profile the module builds Q(f) = 2 f_c phi(f) (the squared gradient
 norm of the potential), the fiber-norm map ell(f) solving
-(a/Q) df = d(log ell), and, for m = 2, the explicit real 4-dimensional chart
-of the metric on a power of the tautological line bundle over CP^1:
+(a/Q) df = d(log ell), and the explicit real 2m-dimensional chart of the
+metric on a power of the tautological line bundle over a Kahler-Einstein
+base of complex dimension m - 1 (E. Calabi, Ann. of Math. Stud. 102, 1982):
 
     g|_horizontal = 2 |f_c| pi^* h,    g|_vertical = Q(f) / (p ell)^2 Re<.,.>
 
-with h the Fubini-Study metric normalized to ric(h) = kappa h, the fiber
-Hermitian metric h_L = (1 + |z|^2)^s, and the horizontal space the kernel of
-the Chern-connection form.  The fundamental 2-form closes only when the
-constants satisfy a s = p^2 lambda_h (lambda_h = 4 / kappa); the assembly
-builds the chart from the constants as given and measures the closedness
-defect, so a parameter set off that relation is refused, not corrected.
+with h the Fubini-Study metric of CP^{m-1}, the flat metric of C^{m-1} or
+the Bergman metric of the unit ball as kappa is positive, zero or negative,
+normalized to ric(h) = kappa h; the fiber Hermitian metric h_L = e^{s Phi},
+Phi the base's Kahler potential; and the horizontal space the kernel of the
+Chern-connection form.  The fundamental 2-form closes only when the
+constants satisfy a s = p^2 lambda_h (lambda_h = 2m / |kappa|, and a s / p^2
+on the flat base, where every scale has ric(h) = 0); the assembly builds the
+chart from the constants as given and measures the closedness defect, so a
+parameter set off that relation is refused, not corrected.
 """
 
 from __future__ import annotations
@@ -134,8 +138,8 @@ class SkrpParams:
 
     Fields
     ------
-    m : complex dimension of the total space (m >= 2; the chart assembly is
-        implemented for m = 2, real dimension 4).
+    m : complex dimension of the total space (m >= 2; the assembled chart
+        has real dimension 2m).
     kappa : Einstein constant of the base metric h.
     c : shift of the potential, f_c = f - c.
     A, B : constants of the closed-form profile.
@@ -377,8 +381,10 @@ def phi_ode_integrate(
     (G. Corliss & Y. F. Chang, ACM TOMS 8 (1982)).  A path that reaches or crosses the pole c, a step
     across which phi changes sign (the forcing jumps there), a non-finite
     state, or more than ``TAYLOR_TERM_CAP`` terms in all raises
-    :class:`IntegrationFailure`.
+    :class:`IntegrationFailure`, a non-finite one at its first term.  The
+    state is summed in Python floats, which overflow without a warning.
     """
+    f0, phi0, dphi0, f = float(f0), float(phi0), float(dphi0), float(f)
     if f == f0:
         return phi0, dphi0
     c, m = params.c, params.m
@@ -411,13 +417,13 @@ def phi_ode_integrate(
             value += term
             slope += (k + 1) * term
             terms += 1
+            if not (math.isfinite(value) and math.isfinite(slope)):
+                raise IntegrationFailure(f"profile ODE from f = {f0} to {f} is not finite past f = {t}")
             if terms > TAYLOR_TERM_CAP:
                 raise IntegrationFailure(
                     f"profile ODE from f = {f0} to {f} needs more than {TAYLOR_TERM_CAP} Taylor terms"
                 )
             small = small + 1 if (k + 1) * abs(term) <= 1e-17 * (abs(value) + abs(slope)) else 0
-        if not (math.isfinite(value) and math.isfinite(slope)):
-            raise IntegrationFailure(f"profile ODE from f = {f0} to {f} is not finite past f = {t}")
         if (math.copysign(1.0, value) if value != 0.0 else 1.0) != sgn:
             raise IntegrationFailure(f"phi changes sign between f = {t} and f = {t + h}: the forcing jumps there")
         t = f if last else t + h
@@ -743,26 +749,50 @@ class EllMap:
         return self.profile.q(f) * self.profile.dq(f) / self.profile.a**2
 
 
-# -- explicit chart assembly (m = 2) -------------------------------------------
+# -- explicit chart assembly ---------------------------------------------------
 
-# Standard complex structure in real coordinates (z1, z2, w1, w2).
-_J4 = np.array(
-    [
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
-)
+
+def _quarter_turn(v, n: int):
+    """J v along the first (length n) axis of an array or a jet v: J turns each
+    coordinate pair (x, y) to (-y, x), exactly, since negation is exact."""
+    return v[[k ^ 1 for k in range(n)]] * np.array([-1.0, 1.0] * (n // 2))[:, None]
+
+
+def _base_sign(params: SkrpParams) -> float:
+    """eps = sgn kappa: the base is CP^{m-1} (1), C^{m-1} (0) or the unit ball (-1)."""
+    return math.copysign(1.0, params.kappa) if params.kappa else 0.0
+
+
+def _base_o(z, eps: float):
+    """o = 1 + eps |z|^2, summed from 1 a square at a time; the base's Kahler
+    potential is Phi = log(o) / eps (|z|^2 at eps = 0)."""
+    squares = (zi * zi for zi in z)
+    return sum(squares if eps > 0 else (eps * sq for sq in squares), 1.0)
+
+
+def _base_block(jets, base_dim: int, eps: float, scale):
+    """scale (I + eps K) on the first ``base_dim`` coordinates (the base's z),
+    0 on the rest: h = lambda_h (I + eps K) / o^2 with K = |z|^2 I - z z^T -
+    Jz Jz^T.  K vanishes on a one-dimensional base, where z z^T + Jz Jz^T =
+    |z|^2 I, so it is skipped there."""
+    mask = np.array([1.0] * base_dim + [0.0] * (len(jets) - base_dim))
+    horizontal = np.diag(mask)[..., None]
+    block = scale * horizontal
+    if eps == 0.0 or base_dim == 2:
+        return block
+    z = ad.stack(jets) * mask[:, None]
+    jz = _quarter_turn(z, len(jets))
+    k = sum(zi * zi for zi in jets[:base_dim]) * horizontal - (z[:, None] * z[None, :] + jz[:, None] * jz[None, :])
+    return block + (eps * scale) * k
 
 
 @dataclass(frozen=True)
 class CalabiChart:
-    """Assembled 4-dimensional chart of a profile-family metric.
+    """Assembled 2m-dimensional chart of a profile-family metric.
 
-    Coordinates are (z1, z2, w1, w2): z the affine base coordinate, w != 0
-    the fiber coordinate of the trivialized bundle power.  The potential
-    field is f(log ell(z, w)) through the fiber-norm map.
+    Coordinates are (z_1 ... z_{2m-2}, w1, w2): z the affine base coordinate,
+    w != 0 the fiber coordinate of the trivialized bundle power.  The
+    potential field is f(log ell(z, w)) through the fiber-norm map.
     """
 
     params: SkrpParams
@@ -789,20 +819,9 @@ class CalabiChart:
         Flow curves stay on that axis, so this is the usable (f1, f2) range
         for in-chart arc-length integration.
         """
-        w_lo, w_hi = self.domain.lo[2], self.domain.hi[2]
-        f_a = self.ell.f_of_ell(w_lo * (1.0 + margin))
-        f_b = self.ell.f_of_ell(w_hi * (1.0 - margin))
+        f_a = self.ell.f_of_ell(self.domain.lo[-2] * (1.0 + margin))
+        f_b = self.ell.f_of_ell(self.domain.hi[-2] * (1.0 - margin))
         return (f_a, f_b) if f_a < f_b else (f_b, f_a)
-
-
-def _fubini_study_chart(lambda_h: float) -> ct.MetricChart:
-    def comps(j):
-        z1, z2 = j
-        conf = lambda_h / (1.0 + z1 * z1 + z2 * z2) ** 2
-        zero = ad.constant(0.0, 2)
-        return [[conf, zero], [zero, conf]]
-
-    return ct.MetricChart.from_jets(comps, 2, Box([-0.9, -0.9], [0.9, 0.9]), "fubini-study")
 
 
 def _lift_batch(x: ad.Jet, jet_of: Callable[[np.ndarray], tuple]) -> ad.Jet:
@@ -827,13 +846,15 @@ class _PotentialCore:
     def __init__(self, params: SkrpParams, ell: EllMap):
         self.params = params
         self.ell = ell
+        self.eps = _base_sign(params)
         self._last: tuple[tuple | None, ad.Jet | None] = (None, None)
 
     def t_jet(self, jets):
-        z1, z2, w1, w2 = jets
-        one_pz = 1.0 + z1 * z1 + z2 * z2
-        wsq = w1 * w1 + w2 * w2
-        return 0.5 * self.params.s * ad.jet_log(one_pz) + 0.5 * ad.jet_log(wsq)
+        """t = s Phi / 2 + log |w|^2 / 2, the log of the fiber norm."""
+        z, (w1, w2) = jets[:-2], jets[-2:]
+        s, eps = self.params.s, self.eps
+        half_s_phi = 0.5 * s / eps * ad.jet_log(_base_o(z, eps)) if eps else 0.5 * s * sum(zi * zi for zi in z)
+        return half_s_phi + 0.5 * ad.jet_log(w1 * w1 + w2 * w2)
 
     def f_jet(self, jets):
         coords = np.array([j.val for j in jets])
@@ -850,55 +871,55 @@ class _PotentialCore:
         return f, self.ell.dfdt(f), self.ell.d2fdt2(f)
 
 
-# The horizontal (base) block of the chart's coordinates (z1, z2, w1, w2),
-# and the signs of the quarter turn; each with a unit batch axis.
-_HORIZONTAL = np.diag([1.0, 1.0, 0.0, 0.0])[..., None]
-_QUARTER_TURN_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
-
-
 def _metric_components_fn(params: SkrpParams, core: _PotentialCore, lambda_h: float, fc_sign: float, conformal_rate: float = 0.0):
-    """Jet function of the 4x4 metric block, one (4, 4)-valued jet
+    """Jet function of the 2m x 2m metric block, one (2m, 2m)-valued jet
 
-        G = pre (d (x) d + sg (x) sg) + base diag(1, 1, 0, 0)
+        G = pre (d (x) d + Jd (x) Jd) + 2 f_c lambda_h (I + eps K) / o^2
 
-    with d and sg the (4,)-valued jets of the vertical projection's real and
-    imaginary parts; an optional conformal factor exp(conformal_rate * f) is
-    multiplied in analytically."""
+    with d = (s z / o, w / |w|^2) the real gradient of t and the base block
+    of :func:`_base_block`; an optional conformal factor
+    exp(conformal_rate * f) is multiplied in analytically."""
 
     s = float(params.s)
     inv_p2 = 1.0 / params.p**2
+    eps = core.eps
 
     def comps(jets):
-        z1, z2, w1, w2 = jets
-        one_pz = 1.0 + z1 * z1 + z2 * z2
+        z, (w1, w2) = jets[:-2], jets[-2:]
+        o = _base_o(z, eps)
         wsq = w1 * w1 + w2 * w2
         fj = core.f_jet(jets)
         phi_j = _lift_batch(fj, lambda f: phi_closed(params, f))
         x = fj - params.c
         q_j = 2.0 * x * phi_j
         pre = q_j * inv_p2
-        base = (2.0 * fc_sign) * x * (lambda_h * one_pz**-2)
+        base = (2.0 * fc_sign) * x * (lambda_h * o**-2)
         if conformal_rate != 0.0:
             scale = ad.jet_exp(conformal_rate * fj)
             pre = pre * scale
             base = base * scale
 
-        inv_o = one_pz**-1
+        inv_o = o**-1
         inv_r = wsq**-1
-        d = ad.stack([s * z1 * inv_o, s * z2 * inv_o, w1 * inv_r, w2 * inv_r])
-        # sg = (-d1, d0, -d3, d2); negation is exact, so this is bit for bit
-        # the entrywise ((-s) z2 / o, s z1 / o, -w2 / r, w1 / r).
-        sg = d[[1, 0, 3, 2]] * _QUARTER_TURN_SIGNS
-        return pre * (d[:, None] * d[None, :] + sg[:, None] * sg[None, :]) + base * _HORIZONTAL
+        d = ad.stack([*(s * zi * inv_o for zi in z), w1 * inv_r, w2 * inv_r])
+        jd = _quarter_turn(d, len(jets))
+        return pre * (d[:, None] * d[None, :] + jd[:, None] * jd[None, :]) + _base_block(jets, len(z), eps, base)
 
     return comps
 
 
-def _chart_window(params: SkrpParams, ell: EllMap, f_window: tuple[float, float]) -> Box:
-    """Coordinate box whose fiber-norm values stay inside the f-window."""
+def _chart_window(params: SkrpParams, ell: EllMap, f_window: tuple[float, float], eps: float) -> Box:
+    """Coordinate box whose fiber-norm values e^{s Phi / 2} |w| stay inside the
+    f-window; Phi >= 0 is largest at the box's corner, and a half-width whose
+    corner leaves the ball is skipped."""
+    base_dim = 2 * params.m - 2
     la, lb = sorted(ell.ell(np.array(f_window)).tolist())
     for zmax in (0.25, 0.15, 0.08, 0.04):
-        factor_max = (1.0 + 2.0 * zmax * zmax) ** (params.s / 2.0)
+        corner = base_dim * zmax * zmax  # |z|^2 at the box's corner
+        o = 1.0 + eps * corner
+        if o <= 0.0:
+            continue
+        factor_max = o ** (params.s / (2.0 * eps)) if eps else math.exp(0.5 * params.s * corner)
         w1_lo = 1.02 * la
         w2_half = 0.08 * la
         top = 0.98 * lb / factor_max
@@ -906,7 +927,7 @@ def _chart_window(params: SkrpParams, ell: EllMap, f_window: tuple[float, float]
             continue
         w1_hi = math.sqrt(top * top - w2_half * w2_half)
         if w1_hi > 1.05 * w1_lo:
-            return Box([-zmax, -zmax, w1_lo, -w2_half], [zmax, zmax, w1_hi, w2_half])
+            return Box([-zmax] * base_dim + [w1_lo, -w2_half], [zmax] * base_dim + [w1_hi, w2_half])
     raise CalibrationFailure(
         f"no coordinate window fits the fiber-norm range ({la:.3g}, {lb:.3g}); widen the f-interval"
     )
@@ -957,11 +978,20 @@ BASE_NORMALIZATION_TOL = 1e-9
 HERMITIAN_TOL = 1e-10
 
 
-def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
-    """Build the explicit 4-dimensional chart for m = 2.
+def _base_chart(params: SkrpParams, lambda_h: float) -> ct.MetricChart:
+    """The base metric h = lambda_h (I + eps K) / o^2, on a box inside the unit ball."""
+    dim, eps = 2 * params.m - 2, _base_sign(params)
+    box = Box([-0.9 / math.sqrt(dim)] * dim, [0.9 / math.sqrt(dim)] * dim)
+    return ct.MetricChart.from_jets(
+        lambda z: _base_block(z, dim, eps, lambda_h * _base_o(z, eps) ** -2), dim, box, "base"
+    )
 
-    The base is CP^1 with the Fubini-Study metric normalized so ric(h) =
-    kappa h (checked numerically), the fiber metric is (1 + |z|^2)^s, and the
+
+def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
+    """Build the explicit real 2m-dimensional chart.
+
+    The base metric (:func:`_base_block`) is normalized so that ric(h) = kappa h
+    (checked numerically), the fiber metric is h_L = e^{s Phi}, and the
     vertical projection uses the Chern-connection kernel.  The potential
     window is the middle 70% of the float64 band of :func:`working_interval`,
     which must be finite.  The chart is built once from ``params`` as given
@@ -969,16 +999,12 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     Hermitian, and a gradient soliton with alpha = 1; any failed check raises
     :class:`CalibrationFailure`.
     """
-    if params.m != 2:
-        raise NotImplementedError("chart assembly is implemented for m = 2 only")
-    if params.kappa <= 0:
-        raise CalibrationFailure("the CP^1 base needs a positive Einstein constant kappa")
-
-    lambda_h = 4.0 / params.kappa
-    base = _fubini_study_chart(lambda_h)
-    zb = np.array([0.21, -0.33])
+    n = 2 * params.m
+    lambda_h = n / abs(params.kappa) if params.kappa else params.a * params.s / params.p**2
+    base = _base_chart(params, lambda_h)
+    zb = np.array([0.21, -0.33] * (params.m - 1)) / math.sqrt(params.m - 1)
     base_resid = np.max(np.abs(ct.ricci(base, zb) - params.kappa * base.matrix(zb)))
-    if base_resid > BASE_NORMALIZATION_TOL:
+    if not base_resid <= BASE_NORMALIZATION_TOL:
         raise CalibrationFailure(f"base normalization failed: |ric(h) - kappa h| = {base_resid:.3e}")
 
     working = working_interval(params)
@@ -995,12 +1021,12 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     pad = 0.02 * (f_window[1] - f_window[0])
     ell = EllMap(params, anchor, (f_window[0] - pad, f_window[1] + pad))
     core = _PotentialCore(params, ell)
-    domain = _chart_window(params, ell, f_window)
-    metric = ct.MetricChart.from_jets(
-        _metric_components_fn(params, core, lambda_h, fc_sign), 4, domain, name or "calabi-m2"
-    )
+    domain = _chart_window(params, ell, f_window, core.eps)
+    name = name or f"calabi-m{params.m}"
+    metric = ct.MetricChart.from_jets(_metric_components_fn(params, core, lambda_h, fc_sign), n, domain, name)
+    J = _quarter_turn(np.eye(n), n)
     closed_points = sample_box(domain, 12, seed=7)
-    closedness = max(kahler_closedness_residual(metric, _J4, p, jet) for p, (jet,) in ct.point_jets(metric, closed_points))
+    closedness = max(kahler_closedness_residual(metric, J, p, jet) for p, (jet,) in ct.point_jets(metric, closed_points))
     if closedness > CLOSEDNESS_TOL:
         ratio = params.a * params.s / (params.p**2 * lambda_h)
         raise CalibrationFailure(
@@ -1011,19 +1037,19 @@ def assemble_calabi_metric(params: SkrpParams, name: str = "") -> CalabiChart:
     chart = CalabiChart(
         params=params,
         metric=metric,
-        f_field=ct.ScalarField(core.f_jet, 4, name="potential"),
-        complex_structure=_J4.copy(),
+        f_field=ct.ScalarField(core.f_jet, n, name="potential"),
+        complex_structure=J,
         ell=ell,
         lambda_h=lambda_h,
         f_window=f_window,
         fc_sign=fc_sign,
-        name=name or "calabi-m2",
+        name=name,
     )
 
     # Both residuals read the check points' geometry, one batched pass.
     check_points = sample_box(domain, 6, seed=11)
     geometries = list(ct.point_geometries(metric, chart.f_field, check_points))
-    herm = max(_hermitian_defect(_J4, geo.G) for geo in geometries)
+    herm = max(_hermitian_defect(J, geo.G) for geo in geometries)
     solres = max(gradient_soliton_residual(chart, p, geo) for p, geo in zip(check_points, geometries))
     if herm > HERMITIAN_TOL:
         raise CalibrationFailure(f"assembled metric is not Hermitian: residual {herm:.3e}")
@@ -1036,8 +1062,7 @@ def dual_metric_direct(chart: CalabiChart) -> ct.MetricChart:
     """Direct assembly of the conformal dual metric: both blocks carry the
     factor exp(-4 f / (n-2)) with n = 2m, using the same closed forms."""
     params = chart.params
-    n = 2 * params.m
-    rate = -4.0 / (n - 2)
+    rate = -4.0 / (chart.metric.dim - 2)
     core = _PotentialCore(params, chart.ell)
     comps = _metric_components_fn(params, core, chart.lambda_h, chart.fc_sign, conformal_rate=rate)
-    return ct.MetricChart.from_jets(comps, 4, chart.domain, f"{chart.name}-dual-direct")
+    return ct.MetricChart.from_jets(comps, chart.metric.dim, chart.domain, f"{chart.name}-dual-direct")

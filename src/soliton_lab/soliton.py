@@ -73,6 +73,10 @@ class SolitonPair:
     f: ct.ScalarField
     name: str = ""
 
+    def __post_init__(self):
+        if self.f.dim != self.metric.dim:
+            raise ValueError(f"field dimension {self.f.dim} does not match metric dimension {self.metric.dim}")
+
     @property
     def dim(self) -> int:
         return self.metric.dim

@@ -8,7 +8,7 @@ import pytest
 
 from soliton_lab import autodiff as ad
 from soliton_lab import chart as ct
-from soliton_lab import fixtures, skrp
+from soliton_lab import fixtures
 from soliton_lab import soliton as sol
 from soliton_lab.errors import DegenerateConformalFactor, DomainError, SingularMetric
 from soliton_lab.sampling import Box, sample_box
@@ -333,11 +333,23 @@ def _nested_component_fn(chart):
     return inspect.getclosurevars(chart._jet_fn).nonlocals["component_fn"]
 
 
+def _fubini_study_nested(lambda_h: float) -> ct.MetricChart:
+    """CP^1's metric lambda_h delta / (1 + |z|^2)^2, as nested components."""
+
+    def comps(j):
+        z1, z2 = j
+        conf = lambda_h / (1.0 + z1 * z1 + z2 * z2) ** 2
+        zero = ad.constant(0.0, 2)
+        return [[conf, zero], [zero, conf]]
+
+    return ct.MetricChart.from_jets(comps, 2, Box([-0.9, -0.9], [0.9, 0.9]), "fubini-study")
+
+
 @pytest.mark.parametrize(
     "name", [*(name for name in sorted(fixtures._METRICS) if not name.startswith("euclidean")), "fubini-study"]
 )
 def test_nested_from_jets_equals_hand_stacked_jet_bitwise(name):
-    g = skrp._fubini_study_chart(1.3) if name == "fubini-study" else fixtures.metric_fixture(name)
+    g = _fubini_study_nested(1.3) if name == "fubini-study" else fixtures.metric_fixture(name)
     component_fn = _nested_component_fn(g)
     stacked = ct.MetricChart.from_jets(lambda jets: _hand_stacked(component_fn(jets), g.dim), g.dim, g.domain)
     for p in sample_box(g.domain, 4, seed=19):

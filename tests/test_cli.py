@@ -752,14 +752,14 @@ def test_dualize_evaluates_each_source_spot_point_once(capsys, monkeypatch):
 
 
 def test_alpha_is_reported_where_hess_f_is_not_a_multiple_of_g(capsys):
-    # Only the Kahler pair has a soliton function whose Hessian is not a
+    # Only the Kahler pairs have a soliton function whose Hessian is not a
     # multiple of g; the Gaussian and trivial pairs leave alpha free.
     reporting = set()
     for fixture in fixtures._PAIRS:
         _, out, _ = run(["verify", "--fixture", fixture, "--samples", "20"], capsys)
         if any(c["name"] == "ricci-hessian-alpha" for c in json.loads(out)["checks"]):
             reporting.add(fixture)
-    assert reporting == {"koiso-m2-A1B0"}
+    assert reporting == {"koiso-m2-A1B0", "koiso-m2-A1B0-flatbase", "koiso-m3-A1B0", "koiso-m2-ball"}
 
 
 def test_cli_names_no_fixture():
@@ -921,6 +921,19 @@ def test_fiber_norm_overflow_is_the_json_diagnostic_alone(params, message, tmp_p
     assert (code, out) == (cli.EXIT_NUMERIC, "")
     # The whole of stderr parses: no numpy warning line precedes the diagnostic.
     assert json.loads(err)["error"] == {"type": "DomainError", "message": message}
+
+
+def test_profile_ode_overflow_is_the_json_diagnostic_alone(tmp_path):
+    # The oracle's Taylor terms overflow at A = 1e300: the first non-finite
+    # term ends the integration, with no numpy warning ahead of the JSON.
+    cfg = tmp_path / "params.json"
+    cfg.write_text(json.dumps({"m": 2, "kappa": 112.3, "c": 1, "A": 1e300, "B": 0.75, "I": [1.1572, 1.1796]}))
+    code, out, err = _cli_process(["skrp", "--config", str(cfg)], timeout=120)
+    assert (code, out) == (cli.EXIT_NUMERIC, "")
+    assert json.loads(err)["error"] == {
+        "type": "IntegrationFailure",
+        "message": "profile ODE from f = 1.157648 to 1.160336 is not finite past f = 1.157648",
+    }
 
 
 # Q = 2 B e^x / x < 0 for every x = f - c < 0 when A = kappa = 0; the profile

@@ -350,6 +350,15 @@ def test_flow_length_matches_profile_integral(koiso_chart):
     assert flow == pytest.approx(reduced, rel=1e-6)
 
 
+@pytest.mark.parametrize("name", ["koiso-m3-A1B0", "koiso-m2-ball"])
+def test_flow_length_matches_profile_integral_over_cp2_and_the_disc(name):
+    chart = fixtures.calabi_fixture(name)
+    f1, f2 = chart.fiber_level_range(margin=0.02)
+    flow = comp.gradient_flow_length_crosscheck(chart, f1, f2)
+    reduced = quad(lambda f: comp.arc_integrand(chart.params, f), f1, f2, epsabs=1e-14, epsrel=1e-13)[0]
+    assert flow == pytest.approx(reduced, rel=1e-6)
+
+
 @pytest.mark.parametrize("margin", [0.02, 0.05])
 def test_flow_length_richardson_estimate_and_reduction_agree_to_1e_9(koiso_chart, margin):
     f1, f2 = koiso_chart.fiber_level_range(margin=margin)

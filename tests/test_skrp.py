@@ -1,4 +1,4 @@
-"""Closed-form profile family, fiber-norm map, and the 4-dim chart assembly."""
+"""Closed-form profile family, fiber-norm map, and the 2m-dim chart assembly."""
 
 import json
 import math
@@ -381,6 +381,19 @@ def test_integrator_refuses_a_step_across_a_sign_change_of_phi():
         skrp.phi_ode_integrate(params, 1.0, 2.0, phi0, dphi0, 3.0)
 
 
+def test_integrator_refuses_an_overflowing_term_at_once(monkeypatch):
+    # At A = 1e300 the recurrence overflows in its first step.  numpy floats
+    # (the ends np.linspace gives) are summed as Python floats, so no
+    # RuntimeWarning is raised, and the first non-finite term ends the sum
+    # long before the term cap.
+    monkeypatch.setattr(skrp, "TAYLOR_TERM_CAP", 1000)
+    params = skrp.SkrpParams(m=2, kappa=112.3, c=1.0, A=1e300, B=0.75, I=(1.1572, 1.1796))
+    f0, f = np.linspace(1.157648, 1.160336, 2)
+    phi0, dphi0, _ = skrp.phi_closed(params, f0)
+    with pytest.raises(IntegrationFailure, match="is not finite past f = 1.157648$"):
+        skrp.phi_ode_integrate(params, 1.0, f0, phi0, dphi0, f)
+
+
 # -- soliton coefficient profile ------------------------------------------------------------
 
 
@@ -719,7 +732,7 @@ def test_assembly_window_of_a1b0_is_unchanged(koiso_chart):
     assert koiso_chart.ell.bounds == (0.772, 2.228)
 
 
-@pytest.mark.parametrize("name", ["koiso-m2-compact", "koiso-m2-tail", "koiso-m2-capped"])
+@pytest.mark.parametrize("name", ["koiso-m2-compact", "koiso-m2-tail", "koiso-m2-capped", "koiso-m2-A1B0-flatbase"])
 def test_assembly_builds_every_positive_profile_fixture(name):
     params = fixtures.skrp_fixture(name)
     chart = skrp.assemble_calabi_metric(params, name=name)
@@ -731,9 +744,9 @@ def test_assembly_builds_every_positive_profile_fixture(name):
         assert sol.residual_report(checked, points).max_residual < sol.SOLITON_RESIDUAL_TOL
 
 
-@pytest.mark.parametrize("name", ["negative-branch", "koiso-m2-A1B0-flatbase"])
+@pytest.mark.parametrize("name", ["negative-branch"])
 def test_assembly_refuses_fixtures_off_the_calibration(name):
-    # negative-branch misses a s = p^2 lambda_h, and flatbase has kappa = 0.
+    # negative-branch misses a s = p^2 lambda_h.
     with pytest.raises(CalibrationFailure):
         skrp.assemble_calabi_metric(fixtures.skrp_fixture(name))
 
@@ -852,14 +865,42 @@ def _fake_chart(metric, f_field):
     shim = _Shim()
     shim.metric = metric
     shim.f_field = f_field
-    shim.complex_structure = skrp._J4
+    shim.complex_structure = skrp._quarter_turn(np.eye(4), 4)
     return shim
 
 
-def test_assembly_rejects_nonpositive_kappa():
-    params = replace(fixtures.skrp_fixture("koiso-m2-A1B0"), kappa=-1.0, phi_sign=+1)
-    with pytest.raises(CalibrationFailure):
-        skrp.assemble_calabi_metric(params)
+def test_assembly_builds_the_ball_and_refuses_it_off_the_calibration():
+    # Over the unit disc lambda_h = 2m / |kappa| = 1 at kappa = -4, so
+    # a s = p^2 lambda_h holds; at kappa = -1 it reads 1/4.
+    params = fixtures.skrp_fixture("koiso-m2-ball")
+    assert skrp.assemble_calabi_metric(params).lambda_h == 1.0
+    with pytest.raises(CalibrationFailure, match=r"not closed: .* lambda_h\) = 0.25 "):
+        skrp.assemble_calabi_metric(replace(params, kappa=-1.0))
+
+
+# The base of each (m, kappa): CP^{m-1}, C^{m-1} or the unit ball.
+_BASES = [(3, 6.0), (4, 8.0), (2, 0.0), (3, 0.0), (2, -4.0), (3, -6.0)]
+
+
+@pytest.mark.parametrize("m, kappa", _BASES, ids=[f"m{m}-kappa{kappa:g}" for m, kappa in _BASES])
+def test_assembly_builds_every_base(m, kappa):
+    params = replace(fixtures.skrp_fixture("koiso-m2-A1B0"), m=m, kappa=kappa)
+    chart = skrp.assemble_calabi_metric(params)
+    n = 2 * m
+    J = chart.complex_structure
+    assert chart.metric.dim == chart.f_field.dim == chart.domain.dim == n
+    assert chart.lambda_h == 1.0
+    np.testing.assert_array_equal(J @ J, -np.eye(n))
+    for p in sample_box(chart.domain, 4, seed=13):
+        assert skrp.kahler_closedness_residual(chart.metric, J, p) < skrp.CLOSEDNESS_TOL
+        assert skrp.hermitian_metric_residual(chart.metric, J, p) < skrp.HERMITIAN_TOL
+        assert skrp.gradient_soliton_residual(chart, p) < sol.SOLITON_RESIDUAL_TOL
+        assert skrp.killing_residual(chart, p) < 1e-10
+    # ric(h) = kappa h on the base, here at points of its own box.
+    base = skrp._base_chart(params, chart.lambda_h)
+    for z in sample_box(base.domain, 4, seed=5):
+        residual = ct.ricci(base, z) - kappa * base.matrix(z)
+        assert np.max(np.abs(residual)) < skrp.BASE_NORMALIZATION_TOL
 
 
 def test_assembly_detects_miscalibrated_constant():

@@ -155,6 +155,14 @@ def test_dualize_involution():
         assert double.f(p) == pytest.approx(GAUSSIAN.f(p), abs=1e-14)
 
 
+def test_pair_refuses_a_field_of_another_dimension():
+    # The chunked evaluation would otherwise seed the field with the
+    # metric's coordinates and only fail, if at all, far downstream.
+    flat3 = fixtures.metric_fixture("euclidean3")
+    with pytest.raises(ValueError, match="field dimension 4 does not match metric dimension 3"):
+        sol.SolitonPair(flat3, ct.ScalarField.constant(0.0, 4))
+
+
 def test_dualize_needs_dimension_above_two():
     flat2 = fixtures.metric_fixture("euclidean2")
     pair = sol.SolitonPair(flat2, ct.ScalarField.constant(0.0, 2))

@@ -38,10 +38,15 @@ PAIRS = (
     "sphere-trivial",
     "non-soliton-cubic",
     "koiso-m2-A1B0",
+    "koiso-m2-A1B0-flatbase",
+    "koiso-m3-A1B0",
+    "koiso-m2-ball",
 )
 PROFILES = (
     "koiso-m2-A1B0",
     "koiso-m2-A1B0-flatbase",
+    "koiso-m3-A1B0",
+    "koiso-m2-ball",
     "koiso-m2-compact",
     "koiso-m2-tail",
     "koiso-m2-capped",
@@ -57,14 +62,18 @@ SEEDS = (None, "7")
 # four profiles whose fiber-norm map overflows float64, five profiles at
 # float64's limits that crashed with a traceback until the checks below, a
 # shifted capped profile whose end lies ulps past a zero of Q, four
-# profiles with no Q-positive interval or a window whose ell overflows, and
+# profiles with no Q-positive interval or a window whose ell overflows,
 # two stiff profile ODEs whose closed-vs-integrated oracle must reach a
-# verdict.
+# verdict, and one whose oracle overflows.
 CONFIGS = {
     "koiso-m2-A1B0": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
                       "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
     "koiso-m2-A1B0-flatbase": {"m": 2, "kappa": 0.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.3, 4.0],
                                "s": 1, "a": 1.0, "p": 1.0, "phi_sign": -1},
+    "koiso-m3-A1B0": {"m": 3, "kappa": 6.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
+                      "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
+    "koiso-m2-ball": {"m": 2, "kappa": -4.0, "c": 0.0, "A": 1.0, "B": 0.0, "I": [0.5, 2.5],
+                      "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
     "koiso-m2-compact": {"m": 2, "kappa": 4.0, "c": 0.0, "A": 1.0, "B": -1.0, "I": [0.0, 6.0],
                          "s": 2, "a": 2.0, "p": 2.0, "phi_sign": 1},
     "koiso-m2-tail": {"m": 2, "kappa": 4.0, "c": 0.0, "A": -1.0, "B": 1.0, "I": [0.0, "inf"],
@@ -118,6 +127,9 @@ CONFIGS = {
     # (inconclusive-at-end, exit 0).
     "stiff-ode-1e10": {"m": 4, "kappa": 1e10, "c": 10, "B": 1e10, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
     "stiff-ode-1e300": {"m": 4, "kappa": 1e300, "c": 10, "B": 1e300, "s": 3, "phi_sign": -1, "I": [-100, -0.2]},
+    # The profile-ODE oracle's Taylor terms overflow at A = 1e300: exit 3
+    # with the JSON diagnostic alone on stderr, no numpy warning before it.
+    "profile-ode-overflow": {"m": 2, "kappa": 112.3, "c": 1, "A": 1e300, "B": 0.75, "I": [1.1572, 1.1796]},
 }
 # The {"fixture": NAME} form of a config, which every command reads.
 FIXTURE_CONFIG = {"fixture": "koiso-m2-A1B0"}
