@@ -1,20 +1,27 @@
 """soliton-lab: chart-level verification of almost-soliton conformal duality.
 
-Subpackages:
+Modules:
 
 * :mod:`soliton_lab.autodiff` -- second-order forward-mode jets.
 * :mod:`soliton_lab.chart` -- metrics, curvature, conformal-change checks.
 * :mod:`soliton_lab.soliton` -- almost-soliton residuals and the duality map.
-* :mod:`soliton_lab.skrp` -- the closed-form Kahler soliton profile family
-  and the explicit 4-dimensional chart assembly.
+* :mod:`soliton_lab.profiles` -- the closed-form Kahler soliton profile
+  family in Python floats: phi, Q, its Q-positive intervals and the named
+  profile sets.
+* :mod:`soliton_lab.skrp` -- the fiber-norm map and the explicit
+  2m-dimensional Calabi chart assembly over CP^{m-1}, C^{m-1} or the ball.
 * :mod:`soliton_lab.completeness` -- endpoint analysis of the dual metric's
   arc-length integral.
+* :mod:`soliton_lab.quadpack` -- QUADPACK's QAG in pure Python.
+* :mod:`soliton_lab.sampling` -- deterministic scrambled-Halton sampling of
+  chart boxes.
 * :mod:`soliton_lab.fixtures` -- named reference metrics, pairs, profiles.
+* :mod:`soliton_lab.errors` -- the package's exception hierarchy.
 * :mod:`soliton_lab.cli` -- the ``soliton-lab`` command.
+
+Importing the package loads none of its modules; only the chart layer
+(``autodiff``, ``chart``, ``soliton``, ``skrp``, ``fixtures``) imports numpy
+at module level.
 """
 
 __version__ = "0.1.0"
-
-from .chart import MetricChart, ScalarField, SmoothFunction1D  # noqa: F401
-from .sampling import Box  # noqa: F401
-from .soliton import SolitonPair  # noqa: F401

@@ -15,6 +15,9 @@ timings are shown in the text format only.
 
 Exit codes: 0 all checks passed (or inconclusive), 1 a check failed,
 2 usage error / unknown fixture, 3 numerical failure.
+
+``verify``, ``dualize`` and ``skrp`` import the chart layer (and numpy) when
+they run; ``completeness`` and the module import itself never load numpy.
 """
 
 from __future__ import annotations
@@ -28,16 +31,15 @@ import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__
-from . import chart as ct
+from . import __version__, profiles
 from . import completeness as comp
-from . import fixtures, skrp
-from . import soliton as sol
-from .errors import DomainError, SolitonLabError, UnknownFixture
+from .errors import SOLITON_RESIDUAL_TOL, DomainError, SolitonLabError, UnknownFixture
 from .sampling import resolve_seed, sample_box
+
+if TYPE_CHECKING:
+    from .soliton import SolitonPair
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -58,9 +60,9 @@ DEFAULT_SAMPLES = 200
 class RunConfig:
     command: str
     fixture: str | None = None
-    params: skrp.SkrpParams | None = None
+    params: profiles.SkrpParams | None = None
     samples: int = DEFAULT_SAMPLES
-    tol_residual: float = sol.SOLITON_RESIDUAL_TOL
+    tol_residual: float = SOLITON_RESIDUAL_TOL
     fmt: str = "json"
     out: str | None = None
     seed: int = 0
@@ -214,13 +216,17 @@ def _table_csv(header, rows) -> str:
 # -- commands ------------------------------------------------------------------------
 
 
-def _load_pair(config: RunConfig) -> sol.SolitonPair:
+def _load_pair(config: RunConfig) -> SolitonPair:
+    from . import fixtures
+
     if not config.fixture:
         raise UnknownFixture("verify/dualize need --fixture (or a config with a fixture name)")
     return fixtures.soliton_fixture(config.fixture)
 
 
 def cmd_verify(config: RunConfig) -> Report:
+    from . import soliton as sol
+
     report = Report(config)
     t0 = time.perf_counter()
     pair = _load_pair(config)
@@ -243,6 +249,11 @@ def cmd_verify(config: RunConfig) -> Report:
 
 
 def cmd_dualize(config: RunConfig) -> Report:
+    import numpy as np
+
+    from . import chart as ct
+    from . import soliton as sol
+
     report = Report(config)
     t0 = time.perf_counter()
     pair = _load_pair(config)
@@ -293,8 +304,12 @@ PROFILE_HEADER = ("f", "phi", "dphi", "Q", "ell", "integrand")
 
 
 def cmd_skrp(config: RunConfig) -> Report:
+    import numpy as np
+
+    from . import skrp
+
     report = Report(config)
-    params = _resolve_params(config, fixtures.skrp_fixture)
+    params = _resolve_params(config, profiles.skrp_fixture)
     t0 = time.perf_counter()
     working = skrp.working_interval(params)
     if working is None:
@@ -359,7 +374,7 @@ def cmd_skrp(config: RunConfig) -> Report:
 def cmd_completeness(config: RunConfig) -> Report:
     report = Report(config)
     t0 = time.perf_counter()
-    profile = _resolve_params(config, fixtures.q_profile_fixture)
+    profile = _resolve_params(config, profiles.q_profile_fixture)
 
     verdict = comp.completeness_verdict(profile)
     report.timings["verdict"] = time.perf_counter() - t0
@@ -376,7 +391,7 @@ def cmd_completeness(config: RunConfig) -> Report:
             continue
         a = analysis.endpoint
         direction = 1.0 if side == "inf" else -1.0
-        for off in np.geomspace(1e-6, 1e-1, 25):
+        for off in comp.geomspace(1e-6, 1e-1, 25):
             f = a + direction * off
             try:
                 rows.append((side, float(f), comp.arc_integrand(profile, f)))
@@ -414,11 +429,11 @@ def _interval(value, name: str) -> tuple[float, float]:
 _CONVERT = {"int": _integral, "float": _number, "tuple[float, float]": _interval}
 
 
-def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
+def _parse_config_file(path: str) -> tuple[str | None, profiles.SkrpParams | None]:
     """Fixture name or inline profile parameters from a JSON config.
 
     A config is either ``{"fixture": NAME}`` alone or a set of
-    :class:`~soliton_lab.skrp.SkrpParams` fields.  Raises ValueError with a
+    :class:`~soliton_lab.profiles.SkrpParams` fields.  Raises ValueError with a
     one-line message for a config that cannot be read, is not JSON, or does
     not describe a valid parameter set.
     """
@@ -436,18 +451,18 @@ def _parse_config_file(path: str) -> tuple[str | None, skrp.SkrpParams | None]:
         if extra:
             raise ValueError(f"config {path!r} names a fixture, so it cannot also set {extra}")
         return str(doc["fixture"]), None
-    known = [param.name for param in fields(skrp.SkrpParams)]
+    known = [param.name for param in fields(profiles.SkrpParams)]
     unknown = [key for key in doc if key not in known]
     if unknown:
         raise ValueError(f"config {path!r} has unknown keys {unknown}; known: {known}")
     try:
         kwargs = {}
-        for param in fields(skrp.SkrpParams):
+        for param in fields(profiles.SkrpParams):
             if param.name in doc:
                 kwargs[param.name] = _CONVERT[param.type](doc[param.name], param.name)
             elif param.default is MISSING:
                 raise KeyError(param.name)
-        params = skrp.SkrpParams(**kwargs)
+        params = profiles.SkrpParams(**kwargs)
     except KeyError as exc:
         raise ValueError(f"config {path!r} lacks the parameter {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

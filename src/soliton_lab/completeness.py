@@ -30,10 +30,8 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import chart as ct
 from . import quadpack
 from .errors import (
     DomainError,
@@ -42,7 +40,12 @@ from .errors import (
     OscillationDetected,
     ToleranceAmbiguity,
 )
-from .skrp import CalabiChart, QProfile, SkrpParams, phi_closed, working_interval
+from .profiles import QProfile, SkrpParams, linspace, phi_closed, working_interval
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .skrp import CalabiChart
 
 __all__ = [
     "EndpointClass",
@@ -53,6 +56,7 @@ __all__ = [
     "CompletenessVerdict",
     "arc_integrand",
     "improper_integral",
+    "geomspace",
     "exponent_fit",
     "classify_endpoint",
     "infinite_range_test",
@@ -187,6 +191,17 @@ def improper_integral(
     return IntegralResult(not diverges, tuple(increments))
 
 
+def geomspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` >= 2 floats in geometric progression from start > 0 to
+    stop > 0: 10 to the power of each node of :func:`.profiles.linspace`
+    between their log10s, the ends set to start and stop, which is what
+    ``numpy.geomspace`` computes (its log10 and pow may differ from libm's in
+    the last place)."""
+    nodes = [10.0**v for v in linspace(math.log10(start), math.log10(stop), num)]
+    nodes[0], nodes[-1] = start, stop
+    return nodes
+
+
 def exponent_fit(
     integrand: Callable[[float], float],
     a: float,
@@ -195,17 +210,20 @@ def exponent_fit(
 ) -> ExponentFit:
     """Fit integrand ~ C (f - a)^p on a 25-point geometric grid of offsets.
 
-    Returns the least-squares slope p of log integrand against log (f - a).
+    Returns the least-squares slope p of log integrand against log (f - a):
+    the two-parameter normal equations solved in Python floats, centred on
+    the means, with every sum a correctly rounded ``math.fsum``.
     """
-    offsets = np.geomspace(lo, hi, 25)
-    logs = np.log(offsets)
-    vals = np.array([integrand(a + d) for d in offsets])
-    if not np.all((vals > 0.0) & np.isfinite(vals)):
+    offsets = geomspace(lo, hi, 25)
+    vals = [integrand(a + d) for d in offsets]
+    if not all(v > 0.0 and math.isfinite(v) for v in vals):
         raise DomainError(f"integrand is 0 or not finite within {hi:.3g} of the endpoint (float64 under- or overflow)")
-    vals = np.log(vals)
-    design = np.stack([logs, np.ones_like(logs)], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(design, vals, rcond=None)
-    return ExponentFit(float(coef[0]))
+    xs = [math.log(d) for d in offsets]
+    ys = [math.log(v) for v in vals]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    slope = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
+    return ExponentFit(slope)
 
 
 # -- endpoint classification -------------------------------------------------------
@@ -224,7 +242,7 @@ def _q_scale(profile: QProfile | SkrpParams, a: float) -> float:
     lo, hi = profile.interval
     lo = max(lo, a - 5.0)
     hi = min(hi, a + 5.0)
-    xs = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 64)
+    xs = linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 64)
     scale = float(max(abs(profile.q(x)) for x in xs))
     return scale if scale != 0.0 else 1e-30
 
@@ -363,7 +381,7 @@ def _infinite_lower_test(profile: QProfile | SkrpParams, f_end: float) -> Endpoi
 
 def completeness_verdict(profile: QProfile | SkrpParams) -> CompletenessVerdict:
     """Combine the endpoint analyses of a profile's Q-positive interval, a
-    closed form's first one (:func:`.skrp.working_interval`).
+    closed form's first one (:func:`.profiles.working_interval`).
 
     Complete when every end has infinite length (higher-order zero or a
     divergent tail) or is a smooth cap over which the metric extends; the
@@ -428,6 +446,10 @@ def gradient_flow_length_crosscheck(chart: CalabiChart, f1: float, f2: float) ->
 
 def _rk4_flow_length(chart: CalabiChart, lo: float, hi: float, steps: int) -> float:
     """Dual length of the gradient flow from level lo to hi: ``steps`` equal RK4 steps."""
+    import numpy as np
+
+    from . import chart as ct
+
     metric, f_field, box = chart.metric, chart.f_field, chart.domain
     rate = -4.0 / (2 * chart.params.m - 2)
 
@@ -455,6 +477,8 @@ def _rk4_flow_length(chart: CalabiChart, lo: float, hi: float, steps: int) -> fl
 
 def _point_at_level(chart: CalabiChart, f_level: float) -> np.ndarray:
     """A chart point on the given potential level (fiber axis over z = 0)."""
+    import numpy as np
+
     try:
         ell = chart.ell.ell(f_level)
     except DomainError as exc:

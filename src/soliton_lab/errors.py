@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all soliton-lab modules."""
+"""Exception hierarchy shared by all soliton-lab modules, and the residual
+tolerance that :class:`NotASoliton` refers to."""
+
+# Residual above which a point is not treated as lying on an almost soliton;
+# here, where the CLI reads its default without importing the chart layer.
+SOLITON_RESIDUAL_TOL = 1e-6
 
 
 class SolitonLabError(Exception):

@@ -4,18 +4,19 @@ Fixture metrics are analytic charts with known curvature (flat space, round
 spheres in stereographic coordinates, the hyperbolic half-plane) plus the
 assembled 2m-dimensional soliton charts; soliton pairs attach the matching
 potential.  Everything is deterministic and cheap to rebuild; the assembled
-charts are cached per process.
+charts are cached per process.  The profile parameter sets live in
+:mod:`.profiles`, which needs no numpy, and are re-exported here.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from . import autodiff as ad
 from . import chart as ct
 from . import skrp
 from .errors import UnknownFixture
+from .profiles import _SKRP, _SYNTHETIC_Q, q_profile_fixture, skrp_fixture  # noqa: F401
 from .sampling import Box
 from .soliton import SolitonPair
 
@@ -104,84 +105,6 @@ def metric_fixture(name: str) -> ct.MetricChart:
         return _METRICS[name]()
     except KeyError:
         raise UnknownFixture(f"unknown metric fixture {name!r}; known: {sorted(_METRICS)}") from None
-
-
-# -- profile-family parameter sets ------------------------------------------------
-
-_SKRP = {
-    # Closed-form profile over CP^1 (kappa = 4, lambda_h = 1) with the
-    # branch sign matching the positive profile; a = p = s / lambda_h = 2
-    # gives a s = p^2 lambda_h, the relation the 2-form needs to close.
-    "koiso-m2-A1B0": skrp.SkrpParams(
-        m=2, kappa=4.0, c=0.0, A=1.0, B=0.0, I=(0.5, 2.5), s=2, a=2.0, p=2.0, phi_sign=+1
-    ),
-    # Variant over the flat base C^1 (kappa = 0, the hand-check values
-    # phi(1) = 5/2 etc), where lambda_h = a s / p^2 = 1.
-    "koiso-m2-A1B0-flatbase": skrp.SkrpParams(
-        m=2, kappa=0.0, c=0.0, A=1.0, B=0.0, I=(0.3, 4.0), s=1, a=1.0, p=1.0
-    ),
-    # The same profile over CP^2 (m = 3, kappa = 6) and over the unit disc
-    # (m = 2, kappa = -4): lambda_h = 2m / |kappa| = 1 in both.
-    "koiso-m3-A1B0": skrp.SkrpParams(
-        m=3, kappa=6.0, c=0.0, A=1.0, B=0.0, I=(0.5, 2.5), s=2, a=2.0, p=2.0, phi_sign=+1
-    ),
-    "koiso-m2-ball": skrp.SkrpParams(
-        m=2, kappa=-4.0, c=0.0, A=1.0, B=0.0, I=(0.5, 2.5), s=2, a=2.0, p=2.0, phi_sign=+1
-    ),
-    # A + B = 0 makes the profile regular at f = c with a simple zero of Q
-    # there; the second simple zero caps the interval: compact-extension case.
-    "koiso-m2-compact": skrp.SkrpParams(
-        m=2, kappa=4.0, c=0.0, A=1.0, B=-1.0, I=(0.0, 6.0), s=2, a=2.0, p=2.0, phi_sign=+1
-    ),
-    # Simple zero of Q at f = c, exponential growth to +inf: the convergent
-    # dual tail makes the dual incomplete.
-    "koiso-m2-tail": skrp.SkrpParams(
-        m=2, kappa=4.0, c=0.0, A=-1.0, B=1.0, I=(0.0, math.inf), s=2, a=2.0, p=2.0, phi_sign=+1
-    ),
-    # Right endpoint is a simple zero of phi itself (not of f_c).
-    "koiso-m2-capped": skrp.SkrpParams(
-        m=2, kappa=1.0, c=0.0, A=1.0, B=-0.01, I=(0.05, 8.9), s=2, a=0.5, p=0.5, phi_sign=+1
-    ),
-    # The default branch (minus-sign constant) is consistent on
-    # negative-profile intervals (here f_c < 0 with Q > 0).
-    "negative-branch": skrp.SkrpParams(
-        m=2, kappa=1.0, c=0.0, A=0.0, B=1.0, I=(-9.0, -2.6), s=1, a=1.0, p=1.0, phi_sign=-1
-    ),
-}
-
-
-def skrp_fixture(name: str) -> skrp.SkrpParams:
-    try:
-        return _SKRP[name]
-    except KeyError:
-        raise UnknownFixture(f"unknown profile fixture {name!r}; known: {sorted(_SKRP)}") from None
-
-
-_SYNTHETIC_Q = {
-    # Simple zeros at both ends: finite length, smooth compact extension.
-    "synthetic-simple-caps": lambda: skrp.QProfile(
-        q=lambda f: f * (1.0 - f),
-        dq=lambda f: 1.0 - 2.0 * f,
-        interval=(0.0, 1.0),
-        m=2,
-    ),
-    # Double zeros at both ends: infinite length toward each, complete.
-    "synthetic-double-zero": lambda: skrp.QProfile(
-        q=lambda f: (f * (1.0 - f)) ** 2,
-        dq=lambda f: 2.0 * f * (1.0 - f) * (1.0 - 2.0 * f),
-        interval=(0.0, 1.0),
-        m=2,
-    ),
-}
-
-
-def q_profile_fixture(name: str) -> skrp.QProfile | skrp.SkrpParams:
-    if name in _SYNTHETIC_Q:
-        return _SYNTHETIC_Q[name]()
-    if name in _SKRP:
-        return _SKRP[name]
-    known = sorted(_SYNTHETIC_Q) + sorted(_SKRP)
-    raise UnknownFixture(f"unknown completeness fixture {name!r}; known: {known}")
 
 
 @lru_cache(maxsize=4)

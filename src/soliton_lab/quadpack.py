@@ -14,7 +14,8 @@ unused); the Kronrod rule's tables are 0-based.  As in QUADPACK, a missed
 tolerance is the status ``ier`` returned to the caller, never a warning.
 :func:`first_steps` takes QAG's first step over many intervals at once,
 with ``dqk21``'s sums on numpy arrays, for callers that integrate many
-short intervals and need the full :func:`quad` only where it goes on.
+short intervals and need the full :func:`quad` only where it goes on; it
+alone imports numpy, when it is called.
 
 ``scipy.integrate.quad`` runs QAGS (``dqagse``), which adds Wynn's epsilon
 extrapolation to the same bisection.  The two agree bit for bit (value,
@@ -34,8 +35,10 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LIMIT", "quad", "qage", "first_steps"]
 
@@ -105,6 +108,8 @@ def first_steps(f: Callable[[np.ndarray], np.ndarray], a, b, *, epsabs: float, e
     finite limits and node values whose estimate :func:`qage` accepts.  Any
     other interval needs :func:`quad` itself.
     """
+    import numpy as np
+
     if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 5e-29):
         raise ValueError("with epsabs <= 0, epsrel must exceed both 5e-29 and 50 * machine epsilon")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)

@@ -12,7 +12,9 @@ followed by ``qmc.scale``.  They are generated here so that no command imports
 ``scipy.stats`` (over a second of start-up), and the digit permutations come
 from an in-package copy of numpy's ``default_rng(seed)`` stream, bit-identical
 to it, so that no command imports ``numpy.random`` either (about 6 MiB of peak
-RSS and 17 ms of start-up).
+RSS and 17 ms of start-up).  numpy itself is imported by the functions that
+build arrays, when they are called, so the CLI can import :func:`resolve_seed`
+without it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import math
 import operator
 import os
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 20240817
 EDGE_MARGIN = 0.05
@@ -34,6 +38,8 @@ class Box:
     """Axis-aligned box of chart coordinates."""
 
     def __init__(self, lo, hi):
+        import numpy as np
+
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
@@ -46,6 +52,8 @@ class Box:
         return self.lo.shape[0]
 
     def contains(self, point) -> bool:
+        import numpy as np
+
         p = np.asarray(point, dtype=float)
         if p.shape != self.lo.shape or not np.all(np.isfinite(p)):
             return False
@@ -159,6 +167,8 @@ def _scrambled_halton(dim: int, count: int, seed: int) -> np.ndarray:
     numpy's ``default_rng(seed)``, and the digits are summed in scipy's
     order, so every bit matches ``qmc.Halton``.
     """
+    import numpy as np
+
     draws = _draws32(seed)
     unit = np.empty((count, dim))
     for k, base in enumerate(_primes(dim)):
@@ -185,6 +195,8 @@ def sample_box(box: Box, count: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     Raises ValueError for a negative count or seed, and TypeError for a seed
     that is not an integer (a numpy integer is one), as ``default_rng`` does.
     """
+    import numpy as np
+
     seed = operator.index(seed)
     if count < 0:
         raise ValueError(f"sample count {count} is negative")

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import chart as ct
 from .errors import (
+    SOLITON_RESIDUAL_TOL,
     DimensionTooSmall,
     DomainError,
     EmptySample,
@@ -57,8 +58,6 @@ __all__ = [
     "canonical_profile",
 ]
 
-# Residual above which a point is not treated as lying on an almost soliton.
-SOLITON_RESIDUAL_TOL = 1e-6
 # Relative variation below which a sampled coefficient field counts as constant.
 COEFF_CONSTANCY_TOL = 1e-6
 # |grad f|^2 below which the soliton function counts as constant.

@@ -7,9 +7,11 @@ completeness integrals, and the closed-form tail asymptote checks the
 u-substituted tail integrand, a restatement of QUADPACK's dqage checks
 the package's QAG off the path it shares with scipy's QAGS, the
 one-point curvature formulas check the chart's batched ones, Newton's
-method on one float at a time checks the batched fiber-norm inversion, and
-one scalar quadrature per grid segment checks the batched fiber-norm table.
-None of them is on a command's path.
+method on one float at a time checks the batched fiber-norm inversion,
+one scalar quadrature per grid segment checks the batched fiber-norm table,
+the array scan of Q on numpy's grid checks ``q_domain``'s float scan, and
+numpy's LAPACK least squares on numpy's geometric grid checks the
+completeness exponent fit.  None of them is on a command's path.
 """
 
 import math
@@ -20,7 +22,7 @@ import numpy as np
 
 from soliton_lab import chart as ct
 from soliton_lab import completeness as comp
-from soliton_lab import quadpack, skrp
+from soliton_lab import profiles, quadpack, skrp
 from soliton_lab.errors import ConvergenceFailure, DomainError
 
 _EPS = np.finfo(float).eps
@@ -284,3 +286,55 @@ def ell_table(ell: skrp.EllMap) -> np.ndarray:
     i0 = min(max(int(np.searchsorted(grid, ell.f0)) - 1, 0), len(grid) - 2)
     cumulative = np.concatenate([[0.0], np.cumsum(segs)])
     return cumulative - (cumulative[i0] + ell._quad(grid[i0], ell.f0))
+
+
+def q_domain_array_scan(params: skrp.SkrpParams) -> list[tuple[float, float]]:
+    """:func:`.profiles.q_domain` with its 2048-point scan of each piece run
+    as one array: Q of ``np.linspace``'s grid through the array path of
+    :func:`.profiles.phi_closed`, and neighbouring signs compared by
+    ``np.sign``.  The cuts, the bisection and the assembly are the same."""
+    lo, hi = params.I
+    scan_lo, scan_hi = profiles.bounded_interval(params.I, params.c, 60.0)
+    margin = params.pole_margin
+    has_pole = params.A + params.B != 0.0
+    cuts = [scan_lo, scan_hi]
+    if scan_lo < params.c < scan_hi:
+        cuts[1:1] = [params.c]
+    pieces = []
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        if has_pole:
+            left = left + margin if left == params.c else left
+            right = right - margin if right == params.c else right
+        if left < right:
+            pieces.append((left, right))
+    q = params.q
+    intervals = []
+    for left, right in pieces:
+        grid = np.linspace(left + 1e-12 * (right - left), right - 1e-12 * (right - left), 2048)
+        vals = q(grid)
+        signs = np.sign(vals)
+        xs = grid.tolist()
+        roots = []
+        for i in range(len(xs) - 1):
+            if vals[i] == 0.0:
+                roots.append(xs[i])
+            elif signs[i] * signs[i + 1] < 0:
+                roots.append(profiles._sign_change(q, xs[i], xs[i + 1]))
+        edges = sorted({left, right, *roots})
+        for a_, b_ in zip(edges[:-1], edges[1:]):
+            if b_ > a_ and q(0.5 * (a_ + b_)) > 0:
+                a_out = -math.inf if a_ == scan_lo and not math.isfinite(lo) else a_
+                b_out = math.inf if b_ == scan_hi and not math.isfinite(hi) else b_
+                intervals.append((a_out, b_out))
+    return intervals
+
+
+def exponent_fit_lstsq(integrand: Callable[[float], float], a: float, lo: float, hi: float) -> float:
+    """The slope of log integrand against log (f - a) on ``np.geomspace(lo,
+    hi, 25)``, fitted by ``np.linalg.lstsq`` (LAPACK) on the design matrix
+    [log (f - a), 1]."""
+    offsets = np.geomspace(lo, hi, 25)
+    logs = np.log(offsets)
+    vals = np.log(np.array([integrand(a + d) for d in offsets]))
+    coef, _, _, _ = np.linalg.lstsq(np.stack([logs, np.ones_like(logs)], axis=1), vals, rcond=None)
+    return float(coef[0])

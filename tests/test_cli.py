@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from soliton_lab import cli, fixtures, skrp
+from soliton_lab import cli, fixtures, profiles, skrp
 
 
 def run(argv, capsys):
@@ -279,13 +279,13 @@ def test_skrp_window_without_resolvable_band_is_numeric_error(params, tmp_path, 
 def test_skrp_below_the_pole_checks_the_whole_window(tmp_path, capsys, monkeypatch):
     # negative-branch lies below c - 0.05: its check band is its profile grid.
     checked = []
-    residual = cli.skrp.phi_ode_residual
+    residual = skrp.phi_ode_residual
 
     def recording(params, alpha, f):
         checked.append(float(f))
         return residual(params, alpha, f)
 
-    monkeypatch.setattr(cli.skrp, "phi_ode_residual", recording)
+    monkeypatch.setattr(skrp, "phi_ode_residual", recording)
     out_path = tmp_path / "report.json"
     code, _, _ = run(["skrp", "--fixture", "negative-branch", "--samples", "30", "--out", str(out_path)], capsys)
     assert code == cli.EXIT_PASS
@@ -764,7 +764,7 @@ def test_alpha_is_reported_where_hess_f_is_not_a_multiple_of_g(capsys):
 
 def test_cli_names_no_fixture():
     # What a command checks follows from what it measures, never from a name.
-    names = {*fixtures._PAIRS, *fixtures._SKRP, *fixtures._SYNTHETIC_Q, *fixtures._METRICS}
+    names = {*fixtures._PAIRS, *profiles._SKRP, *profiles._SYNTHETIC_Q, *fixtures._METRICS}
     tree = ast.parse(inspect.getsource(cli))
     strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert strings & names == set()

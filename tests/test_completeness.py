@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ import oracles
 
 EC = comp.EndpointClass
 OV = comp.OverallVerdict
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # -- arc integrand ------------------------------------------------------------------
@@ -127,6 +131,53 @@ def test_exponent_fit_refuses_values_it_cannot_take_the_log_of(value):
     # An integrand that underflows to 0 near the endpoint made the fit NaN.
     with pytest.raises(DomainError, match="is 0 or not finite"):
         comp.exponent_fit(lambda f: value if f < 1e-5 else f**-0.5, 0.0)
+
+
+@pytest.mark.parametrize("p", [-1.5, -1.0, -0.5, 0.25, 2.0])
+@pytest.mark.parametrize("lo, hi", [(1e-8, 1e-3), (2e-9, 2e-4)])
+def test_exponent_fit_recovers_an_exact_power_law_to_1e_13(p, lo, hi):
+    # On C (f - a)^p the log-log points lie on a line of slope p.
+    fit = comp.exponent_fit(lambda f: 2.5 * f**p, 0.0, lo, hi)
+    assert abs(fit.exponent - p) <= 1e-13
+
+
+@pytest.mark.parametrize("name", [*fixtures._SYNTHETIC_Q, *fixtures._SKRP])
+def test_exponent_fit_matches_lapack_least_squares_at_every_fixture_end(name, monkeypatch):
+    # The fit solves the normal equations in Python floats on a libm
+    # geometric grid; LAPACK's lstsq on numpy's grid gives the same slope.
+    fit, slopes = comp.exponent_fit, []
+
+    def both(integrand, a, lo, hi):
+        mine = fit(integrand, a, lo, hi)
+        slopes.append((mine.exponent, oracles.exponent_fit_lstsq(integrand, a, lo, hi)))
+        return mine
+
+    monkeypatch.setattr(comp, "exponent_fit", both)
+    verdict = comp.completeness_verdict(fixtures.q_profile_fixture(name))
+    assert len(slopes) == sum(math.isfinite(end.endpoint) for end in (verdict.lower, verdict.upper))
+    for mine, lapack in slopes:
+        assert abs(mine - lapack) <= 1e-13, (mine, lapack)
+
+
+def test_completeness_report_does_not_depend_on_the_blas_kernel():
+    # Every exponent fit moved when OpenBLAS was forced to its generic
+    # Prescott kernel while the fit ran on LAPACK; now no BLAS call is made.
+    reports = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "OPENBLAS", "SOLITON_LAB"))}
+        env.update(PYTHONPATH=SRC, **extra)
+        done = subprocess.run(
+            [sys.executable, "-m", "soliton_lab.cli", "completeness", "--fixture", "koiso-m2-compact"],
+            env=env, capture_output=True, timeout=120, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]
+
+
+def test_plot_grid_is_numpy_geomspace_bit_for_bit():
+    # completeness' plot-data CSV samples the integrand at these offsets.
+    assert comp.geomspace(1e-6, 1e-1, 25) == np.geomspace(1e-6, 1e-1, 25).tolist()
 
 
 # -- classify_endpoint ------------------------------------------------------------------------

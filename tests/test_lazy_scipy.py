@@ -2,11 +2,12 @@
 lazy ``scipy.integrate``.
 
 Quadrature is the package's own QUADPACK port, root finding a bisection in
-``skrp.q_domain``, the profile-ODE oracle a Taylor series and the flow
+``profiles.q_domain``, the profile-ODE oracle a Taylor series and the flow
 cross-check classical Runge-Kutta, so no command's cold start-up pays for
 scipy.  ``skrp`` still registers ``scipy.integrate``
-lazily in ``sys.modules``, because perfbench's tracer looks it up there to
-wrap ``quad`` and ``solve_ivp``; nothing in the package reads from it, and
+lazily in ``sys.modules`` when the chart layer loads (``soliton_lab.fixtures``
+imports it, as perfbench's tracer does), because the tracer looks it up there
+to wrap ``quad`` and ``solve_ivp``; nothing in the package reads from it, and
 where scipy cannot be imported nothing is registered.  The Halton scramble
 draws from the package's own copy of numpy's ``default_rng`` stream, so no
 command loads ``numpy.random`` either.
@@ -41,6 +42,7 @@ def test_analytic_commands_do_not_run_scipy_numerics():
         """
         import contextlib, io, sys
         import soliton_lab.cli as cli
+        from soliton_lab import fixtures
 
         HEAVY = ("scipy.special", "scipy.integrate._quadpack_py", "scipy.optimize._zeros_py")
 
@@ -139,6 +141,7 @@ _THREE_COMMANDS = """
     import contextlib, io, json, sys
     {block}
     import soliton_lab.cli as cli
+    from soliton_lab import fixtures
 
     runs = ["scipy.integrate" in sys.modules]
     for argv in (
@@ -168,12 +171,14 @@ def test_commands_run_where_scipy_cannot_be_imported():
 
 def test_perfbench_tracer_wraps_lazy_scipy():
     # The tracer looks scipy.integrate and scipy.optimize up in sys.modules
-    # right after the package import; the workload without quad must not
-    # need the test (or the tracer) to import scipy first.
+    # right after it imports the CLI and the fixtures, as trace_worker.py
+    # does; the workload without quad must not need the test (or the tracer)
+    # to import scipy first.
     _run_fresh(
         """
         import contextlib, io, sys
         import soliton_lab.cli as cli
+        from soliton_lab import fixtures
         import layers
         from spans import Recorder
 

@@ -81,8 +81,8 @@ def _names(source: str) -> set[str]:
 
 
 @pytest.mark.parametrize("module", ["cli.py", "completeness.py"])
-def test_working_interval_comes_from_skrp(module):
-    # skrp.working_interval picks the Q-positive interval and its float64
+def test_working_interval_comes_from_profiles(module):
+    # profiles.working_interval picks the Q-positive interval and its float64
     # band; a command that ran q_domain itself would grow a second rule.
     with open(os.path.join(SRC, "soliton_lab", module), encoding="utf-8") as handle:
         assert "q_domain" not in _names(handle.read())

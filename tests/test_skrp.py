@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from soliton_lab import autodiff as ad
 from soliton_lab import chart as ct
-from soliton_lab import cli, fixtures, skrp
+from soliton_lab import cli, fixtures, profiles, skrp
 from soliton_lab import soliton as sol
 from soliton_lab.errors import (
     CalibrationFailure,
@@ -21,6 +22,7 @@ from soliton_lab.errors import (
     IntegrationFailure,
     NonpositiveQ,
     PoleError,
+    SolitonLabError,
 )
 from soliton_lab.sampling import sample_box
 
@@ -365,7 +367,7 @@ def test_integrator_refuses_past_its_call_budget(monkeypatch):
     # The budget is TAYLOR_TERM_CAP series terms.  At large m the steps
     # shrink to |f - c| / m; the cap turns a huge-m profile into an
     # IntegrationFailure (exit 3) instead of a hang.
-    monkeypatch.setattr(skrp, "TAYLOR_TERM_CAP", 50)
+    monkeypatch.setattr(profiles, "TAYLOR_TERM_CAP", 50)
     phi0, dphi0, _ = skrp.phi_closed(FLATBASE, 0.5)
     with pytest.raises(IntegrationFailure, match="needs more than 50 Taylor terms"):
         skrp.phi_ode_integrate(FLATBASE, 1.0, 0.5, phi0, dphi0, 4.0)
@@ -386,7 +388,7 @@ def test_integrator_refuses_an_overflowing_term_at_once(monkeypatch):
     # (the ends np.linspace gives) are summed as Python floats, so no
     # RuntimeWarning is raised, and the first non-finite term ends the sum
     # long before the term cap.
-    monkeypatch.setattr(skrp, "TAYLOR_TERM_CAP", 1000)
+    monkeypatch.setattr(profiles, "TAYLOR_TERM_CAP", 1000)
     params = skrp.SkrpParams(m=2, kappa=112.3, c=1.0, A=1e300, B=0.75, I=(1.1572, 1.1796))
     f0, f = np.linspace(1.157648, 1.160336, 2)
     phi0, dphi0, _ = skrp.phi_closed(params, f0)
@@ -552,6 +554,35 @@ def test_q_domain_ends_on_the_sign_change(tmp_path):
                         violations.append((name, scale, end))
     assert checked >= 22
     assert violations == []
+
+
+def test_q_domain_float_scan_gives_the_array_scan_bit_for_bit(tmp_path):
+    # The scan evaluates Q in the Python floats it is bisected on.  Where Q
+    # of numpy's array path differs from it in the last bit, the signs must
+    # still agree: every profile fixture and snapshot config, at every
+    # scale, gets the intervals of the array scan on numpy's grid, or the
+    # same refusal.
+    for name, params in _profile_params(tmp_path).items():
+        for scale in (1.0, *TINY_SCALES):
+            scaled = _scaled(params, scale)
+            outcomes = []
+            for scan in (skrp.q_domain, oracles.q_domain_array_scan):
+                try:
+                    outcomes.append(repr(scan(scaled)))
+                except SolitonLabError as exc:
+                    outcomes.append(f"{type(exc).__name__}: {exc}")
+            assert outcomes[0] == outcomes[1], (name, scale)
+
+
+def test_linspace_is_numpy_linspace_bit_for_bit():
+    # q_domain's scan grid and completeness' Q scale come from it.
+    rng = random.Random(5)
+    for _ in range(300):
+        start = rng.uniform(-100.0, 100.0) * 10.0 ** rng.uniform(-5.0, 5.0)
+        stop = start + rng.uniform(0.0, 100.0) * 10.0 ** rng.uniform(-12.0, 5.0)
+        for num in (2, 9, 64, 2048):
+            assert repr(profiles.linspace(start, stop, num)) == repr(np.linspace(start, stop, num).tolist())
+    assert profiles.linspace(0.0, 5e-324, 3) == np.linspace(0.0, 5e-324, 3).tolist()
 
 
 @pytest.mark.parametrize(
