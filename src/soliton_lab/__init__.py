@@ -8,8 +8,10 @@ Modules:
 * :mod:`soliton_lab.profiles` -- the closed-form Kahler soliton profile
   family in Python floats: phi, Q, its Q-positive intervals and the named
   profile sets.
-* :mod:`soliton_lab.skrp` -- the fiber-norm map and the explicit
-  2m-dimensional Calabi chart assembly over CP^{m-1}, C^{m-1} or the ball.
+* :mod:`soliton_lab.fibernorm` -- the fiber-norm map ell(f) of a profile,
+  its table and values in Python floats.
+* :mod:`soliton_lab.skrp` -- the explicit 2m-dimensional Calabi chart
+  assembly over CP^{m-1}, C^{m-1} or the ball.
 * :mod:`soliton_lab.completeness` -- endpoint analysis of the dual metric's
   arc-length integral.
 * :mod:`soliton_lab.quadpack` -- QUADPACK's QAG in pure Python.

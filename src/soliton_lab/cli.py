@@ -16,8 +16,8 @@ timings are shown in the text format only.
 Exit codes: 0 all checks passed (or inconclusive), 1 a check failed,
 2 usage error / unknown fixture, 3 numerical failure.
 
-``verify``, ``dualize`` and ``skrp`` import the chart layer (and numpy) when
-they run; ``completeness`` and the module import itself never load numpy.
+``verify`` and ``dualize`` import the chart layer (and numpy) when they run;
+``skrp``, ``completeness`` and the module import itself never load numpy.
 """
 
 from __future__ import annotations
@@ -304,18 +304,16 @@ PROFILE_HEADER = ("f", "phi", "dphi", "Q", "ell", "integrand")
 
 
 def cmd_skrp(config: RunConfig) -> Report:
-    import numpy as np
-
-    from . import skrp
+    from . import fibernorm
 
     report = Report(config)
     params = _resolve_params(config, profiles.skrp_fixture)
     t0 = time.perf_counter()
-    working = skrp.working_interval(params)
+    working = profiles.working_interval(params)
     if working is None:
-        lo, hi = skrp.bounded_interval(params.I, params.c, 10.0)
-        probe = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 32)
-        phis = [skrp.phi_closed(params, f)[0] for f in probe if abs(f - params.c) > params.pole_margin]
+        lo, hi = profiles.bounded_interval(params.I, params.c, 10.0)
+        probe = profiles.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 32)
+        phis = [profiles.phi_closed(params, f)[0] for f in probe if abs(f - params.c) > params.pole_margin]
         if not phis:
             raise DomainError(f"every probe of ({lo}, {hi}) lies within the pole margin of c = {params.c}")
         if max(phis) <= 0:
@@ -326,47 +324,47 @@ def cmd_skrp(config: RunConfig) -> Report:
         return report
 
     positive, band = working
-    lo, hi = skrp.bounded_interval(positive, params.c, 40.0)
+    lo, hi = profiles.bounded_interval(positive, params.c, 40.0)
     width = hi - lo
     window = (lo + 0.02 * width, hi - 0.02 * width)
     anchor = 0.5 * (window[0] + window[1])
-    ell = skrp.EllMap(params, anchor, window)
+    ell = fibernorm.EllMap(params, anchor, window)
 
-    grid = np.linspace(window[0], window[1], config.samples)
-    # Identity checks run on the window's part of skrp.working_interval's band.
+    grid = profiles.linspace(window[0], window[1], config.samples)
+    # Identity checks run on the window's part of profiles.working_interval's band.
     band = (max(window[0], band[0]), min(window[1], band[1]))
     if not band[0] < band[1]:
         raise DomainError(
             f"profile window ({window[0]}, {window[1]}) has no point where float64 resolves "
-            f"the profile identities (|f - c| > {skrp.BAND_POLE_GAP:g}, and f - c < {skrp.BAND_TAIL_REACH:g} "
+            f"the profile identities (|f - c| > {profiles.BAND_POLE_GAP:g}, and f - c < {profiles.BAND_TAIL_REACH:g} "
             f"above the pole c = {params.c})"
         )
-    check_grid = np.linspace(band[0], band[1], config.samples)
-    ode_res = max(abs(skrp.phi_ode_residual(params, 1.0, f)) for f in check_grid)
+    check_grid = profiles.linspace(band[0], band[1], config.samples)
+    ode_res = max(abs(profiles.phi_ode_residual(params, 1.0, f)) for f in check_grid)
     report.add_bound("profile-ode-residual", ode_res, PROFILE_ODE_TOL)
 
     # Each segment between 9 check points is integrated from the closed form
     # at its left end: one run from the band's midpoint would let the ODE's
     # e^f mode grow the integrator's error by up to e^(band width / 2).
-    nodes = np.linspace(check_grid[0], check_grid[-1], 9)
-    closed = [skrp.phi_closed(params, f) for f in nodes]
+    nodes = profiles.linspace(check_grid[0], check_grid[-1], 9)
+    closed = [profiles.phi_closed(params, f) for f in nodes]
     integrate_err = 0.0
     for k in range(len(nodes) - 1):
         phi0, dphi0, _ = closed[k]
-        phi_num, _ = skrp.phi_ode_integrate(params, 1.0, nodes[k], phi0, dphi0, nodes[k + 1])
+        phi_num, _ = profiles.phi_ode_integrate(params, 1.0, nodes[k], phi0, dphi0, nodes[k + 1])
         phi_ref = closed[k + 1][0]
         integrate_err = max(integrate_err, abs(phi_num - phi_ref) / (1.0 + abs(phi_ref)))
     report.add_bound("closed-vs-integrated", integrate_err, PROFILE_INTEGRATE_TOL)
 
-    coeffs = [skrp.soliton_coeff_profile(params, 1.0, f) for f in check_grid]
+    coeffs = [profiles.soliton_coeff_profile(params, 1.0, f) for f in check_grid]
     variation = (max(coeffs) - min(coeffs)) / (1.0 + max(abs(c) for c in coeffs))
     report.add_bound("coefficient-constancy", variation, PROFILE_COEFF_CONSTANCY_TOL)
     report.timings["profile-checks"] = time.perf_counter() - t0
 
     rows = []
-    for f, ell_f in zip(grid, ell.ell(grid).tolist()):
-        phi, dphi, _ = skrp.phi_closed(params, f)
-        rows.append((float(f), phi, dphi, params.q(f), ell_f, comp.arc_integrand(params, f)))
+    for f, ell_f in zip(grid, [ell.ell(f) for f in grid]):
+        phi, dphi, _ = profiles.phi_closed(params, f)
+        rows.append((f, phi, dphi, params.q(f), ell_f, comp.arc_integrand(params, f)))
     report.tables[".profile.csv"] = (PROFILE_HEADER, rows)
     return report
 
@@ -519,9 +517,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"soliton-lab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    handler = COMMANDS[config.command][0]
     try:
-        report = handler(config)
+        # Through the module binding, which a caller may wrap; COMMANDS holds the originals.
+        report = globals()[f"cmd_{config.command}"](config)
         _emit(report)
     except OSError as exc:
         target = repr(config.out) if config.out else "standard output"

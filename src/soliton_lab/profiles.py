@@ -26,8 +26,10 @@ From the profile the module builds Q(f) = 2 f_c phi(f), the squared gradient
 norm of the potential, and the Q-positive intervals the commands work on
 (:func:`q_domain`, :func:`working_interval`); it also holds the named profile
 sets.  Everything here runs on Python floats and never imports numpy, which
-only the fiber-norm map and the chart assembly of :mod:`.skrp` need; numpy
-arrays passed in by those take the array path of :func:`phi_closed`.
+only the fiber-norm map's inversion (:mod:`.fibernorm`) and the chart
+assembly of :mod:`.skrp` need; numpy arrays passed in by those take the
+array path of :func:`phi_closed`.  Q of a float sums phi alone, without the
+derivatives nothing reading Q needs.
 """
 
 from __future__ import annotations
@@ -146,8 +148,16 @@ class SkrpParams:
 
     def q(self, f: float | np.ndarray) -> float | np.ndarray:
         """Q(f) = 2 f_c phi(f), the squared gradient norm of the potential, at
-        a float or at each entry of an array (see :func:`phi_closed`)."""
-        return 2.0 * (f - self.c) * phi_closed(self, f)[0]
+        a float or at each entry of an array (see :func:`phi_closed`).
+
+        A float sums phi alone, the same float operations as
+        ``phi_closed(self, f)[0]`` and so the same bits, with its refusals:
+        :class:`PoleError` at the pole and :class:`DomainError` where phi is
+        not finite.  It skips the derivative sums, so it returns Q where only
+        phi' or phi'' overflows, which ``phi_closed`` refuses."""
+        if _array_module(f) is not None:
+            return 2.0 * (f - self.c) * phi_closed(self, f)[0]
+        return 2.0 * (f - self.c) * _float_sums(self, f, False)[0]
 
     def dq(self, f: float | np.ndarray) -> float | np.ndarray:
         phi, dphi, _ = phi_closed(self, f)
@@ -158,8 +168,10 @@ class SkrpParams:
 class QProfile:
     """Q with one derivative on an interval; :class:`SkrpParams` is the
     closed-form profile with the same interface.  ``q`` and ``dq`` take a
-    float or a 1-D array of floats (an :class:`.skrp.EllMap` passes arrays);
-    a constant may return one float for an array."""
+    float or a 1-D array of floats: the scan, the completeness ladder and
+    the fiber-norm table and column pass floats, and only the inversion of
+    a :class:`.fibernorm.EllMap` passes arrays; a constant may return one
+    float for an array."""
 
     q: Callable[[float], float]
     dq: Callable[[float], float]
@@ -176,8 +188,9 @@ def _array_module(x):
     return numpy if numpy is not None and isinstance(x, numpy.ndarray) else None
 
 
-def _laurent_U(x, m: int):
-    """U = x^{-m} S_m(x) and two derivatives, exactly; past k = 170 a term is x^(k-m) / inf = 0."""
+def _laurent_U(x, m: int, derivs: bool = True):
+    """U = x^{-m} S_m(x) and two derivatives, exactly; past k = 170 a term is
+    x^(k-m) / inf = 0.  Without ``derivs`` both derivatives are 0."""
     u = u1 = u2 = 0.0
     kfact = 1.0
     for k in range(min(m, _MAX_FACTORIAL) + 1):
@@ -185,17 +198,18 @@ def _laurent_U(x, m: int):
             kfact *= k
         e = k - m
         u += x**e / kfact
-        if e != 0:
+        if derivs and e != 0:
             u1 += e * x ** (e - 1) / kfact
             u2 += e * (e - 1) * x ** (e - 2) / kfact
     return u, u1, u2
 
 
-def _scaled_exp_E(x, m: int):
+def _scaled_exp_E(x, m: int, derivs: bool = True):
     """E = x^{-m} e^x and two derivatives, E' = E (1 - m/x) and
     E'' = E ((1 - m/x)^2 + m/x^2); for |x| > 1, where no factor cancels.
     Where x^{-m} underflows to a subnormal or 0, E is formed as
-    +-exp(x - m log|x|) instead, which keeps it while it is a normal float."""
+    +-exp(x - m log|x|) instead, which keeps it while it is a normal float.
+    Without ``derivs`` both derivatives are 0."""
     power = x ** (-m)
     if (np := _array_module(x)) is not None:
         tiny = np.abs(power) < sys.float_info.min
@@ -204,15 +218,18 @@ def _scaled_exp_E(x, m: int):
         e = math.copysign(math.exp(x - m * math.log(abs(x))), power)
     else:
         e = power * math.exp(x)
+    if not derivs:
+        return e, 0.0, 0.0
     r = 1.0 - m / x
     return e, e * r, e * (r * r + m / (x * x))
 
 
-def _scaled_remainder_T(x, m: int):
+def _scaled_remainder_T(x, m: int, derivs: bool = True):
     """T = x^{-m} (e^x - S_m(x)) with two derivatives, for |x| <= 1.
 
     Entire in x, but the difference loses every digit near x = 0, so T is
-    the power series sum_{j>=1} x^j / (m+j)!.
+    the power series sum_{j>=1} x^j / (m+j)!.  Without ``derivs`` both
+    derivatives are 0.
     """
     if m > _MAX_FACTORIAL:  # before m! costs O(m^2) to overflow float()
         raise OverflowError(f"{m}! overflows float64")
@@ -223,20 +240,21 @@ def _scaled_remainder_T(x, m: int):
     for j in range(1, 30):
         fact *= m + j
         t += pow_jm1 * x / fact
-        t1 += j * pow_jm1 / fact
-        if j >= 2:
-            t2 += j * (j - 1) * pow_jm2 / fact
+        if derivs:
+            t1 += j * pow_jm1 / fact
+            if j >= 2:
+                t2 += j * (j - 1) * pow_jm2 / fact
         pow_jm2 = pow_jm1
         pow_jm1 = pow_jm1 * x
     return t, t1, t2
 
 
-def _term_sums(params: SkrpParams, x, far: bool):
+def _term_sums(params: SkrpParams, x, far: bool, derivs: bool = True):
     """phi, phi', phi'' at x = f - c, floats or arrays alike: the module
     docstring's terms for |x| > 1 (``far``) or |x| <= 1, a zero coefficient
-    skipping its term, and then the constant.  A float term that overflows
-    raises OverflowError in exp and ** and makes phi inf; an array's
-    overflows to inf."""
+    skipping its term, and then the constant; without ``derivs`` phi alone,
+    with phi' = phi'' = 0.  A float term that overflows raises OverflowError
+    in exp and ** and makes phi inf; an array's overflows to inf."""
     if far:
         terms = ((params.A, _laurent_U), (params.B, _scaled_exp_E))
     else:
@@ -245,7 +263,7 @@ def _term_sums(params: SkrpParams, x, far: bool):
     try:
         for coeff, term in terms:
             if coeff != 0.0:
-                t, t1, t2 = term(x, params.m)
+                t, t1, t2 = term(x, params.m, derivs)
                 phi += coeff * t
                 dphi += coeff * t1
                 d2phi += coeff * t2
@@ -293,10 +311,16 @@ def phi_closed(params: SkrpParams, f: float | np.ndarray) -> tuple:
             k = int(np.argmax(bad))
             raise _refusal(params, float(f[k]), float(x[k]), bool(pole[k]))
         return sums[0], sums[1], sums[2]
+    return _float_sums(params, f, True)
+
+
+def _float_sums(params: SkrpParams, f: float, derivs: bool) -> tuple[float, float, float]:
+    """The float path of :func:`phi_closed`; without ``derivs``, phi alone
+    (phi' = phi'' = 0), refused only where phi itself is not finite."""
     x = float(f - params.c)
     if params.A + params.B != 0.0 and abs(x) < params.pole_margin:
         raise _refusal(params, f, x, True)
-    phi, dphi, d2phi = _term_sums(params, x, abs(x) > 1.0)
+    phi, dphi, d2phi = _term_sums(params, x, abs(x) > 1.0, derivs)
     if not (math.isfinite(phi) and math.isfinite(dphi) and math.isfinite(d2phi)):
         raise _refusal(params, f, x, False)
     return phi, dphi, d2phi

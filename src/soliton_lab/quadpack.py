@@ -13,9 +13,10 @@ The interval lists keep the Fortran's 1-based indices (element 0 is
 unused); the Kronrod rule's tables are 0-based.  As in QUADPACK, a missed
 tolerance is the status ``ier`` returned to the caller, never a warning.
 :func:`first_steps` takes QAG's first step over many intervals at once,
-with ``dqk21``'s sums on numpy arrays, for callers that integrate many
-short intervals and need the full :func:`quad` only where it goes on; it
-alone imports numpy, when it is called.
+with ``dqk21``'s sums on numpy arrays, for the fiber-norm map's inversion,
+which integrates many short intervals of a chunk of points and needs the
+full :func:`quad` only where it goes on; it alone imports numpy, when it is
+called, so every other caller runs on Python floats.
 
 ``scipy.integrate.quad`` runs QAGS (``dqagse``), which adds Wynn's epsilon
 extrapolation to the same bisection.  The two agree bit for bit (value,

@@ -1,11 +1,11 @@
-"""The fiber-norm map and the explicit chart of the Calabi ansatz.
+"""The explicit chart of the Calabi ansatz.
 
 From a profile of :mod:`.profiles` (phi and Q(f) = 2 f_c phi(f), the
-squared gradient norm of the potential) the module builds the fiber-norm map
-ell(f) solving (a/Q) df = d(log ell), and the explicit real 2m-dimensional
-chart of the metric on a power of the tautological line bundle over a
-Kahler-Einstein base of complex dimension m - 1 (E. Calabi, Ann. of Math.
-Stud. 102, 1982):
+squared gradient norm of the potential) and its fiber-norm map ell(f) of
+:mod:`.fibernorm`, solving (a/Q) df = d(log ell), the module builds the
+explicit real 2m-dimensional chart of the metric on a power of the
+tautological line bundle over a Kahler-Einstein base of complex dimension
+m - 1 (E. Calabi, Ann. of Math. Stud. 102, 1982):
 
     g|_horizontal = 2 |f_c| pi^* h,    g|_vertical = Q(f) / (p ell)^2 Re<.,.>
 
@@ -20,8 +20,9 @@ chart from the constants as given and measures the closedness defect, so a
 parameter set off that relation is refused, not corrected.
 
 The profile layer's names (:class:`.profiles.SkrpParams`,
-:func:`.profiles.phi_closed`, :func:`.profiles.q_domain` and the rest) are
-re-exported here as the same objects.
+:func:`.profiles.phi_closed`, :func:`.profiles.q_domain` and the rest) and
+the fiber-norm map (:class:`.fibernorm.EllMap`, :data:`.fibernorm.NEWTON_STEPS`)
+are re-exported here as the same objects.
 """
 
 from __future__ import annotations
@@ -37,16 +38,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import chart as ct
-from . import quadpack
-from .errors import (
-    SOLITON_RESIDUAL_TOL,
-    CalibrationFailure,
-    ConvergenceFailure,
-    DomainError,
-    DomainSplit,
-    IntegrationFailure,
-    NonpositiveQ,
-)
+from .errors import SOLITON_RESIDUAL_TOL, CalibrationFailure, DomainError, NonpositiveQ
+from .fibernorm import NEWTON_STEPS, EllMap  # noqa: F401
 from .profiles import (  # noqa: F401
     BAND_POLE_GAP,
     BAND_TAIL_REACH,
@@ -111,187 +104,6 @@ __all__ = [
     "hermitian_metric_residual",
     "dual_metric_direct",
 ]
-
-# Newton steps an ell-map inversion may take before it counts as unconverged.
-NEWTON_STEPS = 60
-
-
-class EllMap:
-    """Monotone fiber-norm map ell(f) on a Q-positive interval.
-
-    log ell(f) = integral_{f0}^{f} a / Q(t) dt with ell(f0) = 1.  Built once
-    as a cumulative table over a fixed 257-node grid, whose 256 segments and
-    the anchor's partial one are integrated together by QAG's first step
-    (:func:`.quadpack.first_steps`), with :func:`.quadpack.quad` on any
-    segment that step does not finish.  :meth:`log_ell` and :meth:`ell` take
-    a float or a 1-D array of f the same way (a float is a batch of one), and
-    :meth:`ell` takes exp of each entry through ``math.exp``.  An
-    inversion t -> f starts from the quintic Hermite interpolant of f(t) on
-    the table bracket of t, built from f, df/dt = Q/a and d2f/dt2 = Q Q'/a^2
-    at the two nodes, and refines it by Newton steps on the exact
-    quadrature; a zero-width bracket or a non-finite start falls back to
-    linear interpolation.  The start is accurate to roundoff, so one Newton
-    step settles it.  The steps run on a 1-D array of t at once (the chart
-    inverts a chunk of points together; a float t is a batch of one), each
-    one batched first step over the pending entries.  Round trips
-    f -> ell -> f are accurate to ~1e-12.  The node derivatives are computed
-    on the first inversion, with one call of the profile's dq on the grid,
-    so a map that is never inverted does not pay for them.
-    Read-only after construction apart from that one-time table.  Q <= 0 at a
-    grid node or at a quadrature node raises :class:`DomainSplit`.
-    """
-
-    def __init__(self, profile: QProfile | SkrpParams, f0: float, bounds: tuple[float, float]):
-        self.profile = profile
-        lo, hi = bounds
-        if not (lo < f0 < hi):
-            raise DomainError(f"anchor f0 = {f0} must lie inside ({lo}, {hi})")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError("ell map needs finite working bounds")
-        self.f0 = float(f0)
-        self._grid = np.linspace(lo, hi, 257)
-        qvals = np.array([profile.q(f) for f in self._grid])
-        if np.any(qvals <= 0):
-            bad = self._grid[qvals <= 0][0]
-            raise DomainSplit(f"Q vanishes or changes sign inside the working interval near f = {bad}")
-        # Cumulative log-ell values at the grid nodes, anchored exactly at f0
-        # (log ell(f0) = 0) by the partial segment [grid[i0], f0].
-        i0 = int(np.searchsorted(self._grid, self.f0)) - 1
-        i0 = min(max(i0, 0), len(self._grid) - 2)
-        ints = self._integrals(np.append(self._grid[:-1], self._grid[i0]), np.append(self._grid[1:], self.f0))
-        segs, extra = ints[:-1], ints[-1]
-        # An overflowing table (tiny Q, huge a) is refused below, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            cumulative = np.concatenate([[0.0], np.cumsum(segs)])
-            self._t_nodes = cumulative - (cumulative[i0] + extra)
-        if not np.all(np.isfinite(self._t_nodes)):
-            raise DomainError(f"log ell = integral of a / Q overflows float64 on ({lo}, {hi}) (a = {profile.a})")
-        self._q_nodes = qvals
-        self._node_slopes: tuple[np.ndarray, np.ndarray] | None = None
-        self.bounds = (float(lo), float(hi))
-        self.increasing = bool(self._t_nodes[-1] > self._t_nodes[0])
-
-    def log_ell(self, f: float | np.ndarray) -> float | np.ndarray:
-        """log ell at each entry of a 1-D array of f; a float f is a batch of
-        one and gives a float."""
-        fs = np.atleast_1d(np.asarray(f, dtype=float))
-        lo, hi = self.bounds
-        outside = ~((lo <= fs) & (fs <= hi))
-        if outside.any():
-            raise DomainError(f"f = {float(fs[outside][0])} outside ell-map bounds {self.bounds}")
-        i = np.clip(np.searchsorted(self._grid, fs) - 1, 0, len(self._grid) - 2)
-        t = self._t_nodes[i] + self._integrals(self._grid[i], fs)
-        return t if isinstance(f, np.ndarray) else float(t[0])
-
-    def ell(self, f: float | np.ndarray) -> float | np.ndarray:
-        """ell = exp(log ell) entry by entry, through ``math.exp``; a float f
-        is a batch of one and gives a float."""
-        fs = np.atleast_1d(np.asarray(f, dtype=float))
-        values = []
-        for t, fk in zip(self.log_ell(fs).tolist(), fs.tolist()):
-            try:
-                values.append(math.exp(t))
-            except OverflowError:
-                raise DomainError(f"ell = exp({t}) overflows float64 at f = {fk}") from None
-        return np.array(values) if isinstance(f, np.ndarray) else values[0]
-
-    def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Integral of a / Q over each [lo[k], hi[k]]: QAG's first step of
-        all of them in one call, and :meth:`_quad` on each it does not finish."""
-        value, _, done = quadpack.first_steps(self._batch_integrand, lo, hi, epsabs=1e-14, epsrel=1e-13)
-        for k in np.flatnonzero(~done):
-            value[k] = self._quad(lo[k], hi[k])
-        return value
-
-    def _integrand(self, f: float) -> float:
-        q = self.profile.q(f)
-        if q <= 0.0:
-            raise DomainSplit(f"Q vanishes or changes sign inside the working interval at f = {f!r}")
-        return self.profile.a / q
-
-    def _quad(self, lo: float, hi: float) -> float:
-        """Integral of a / Q over [lo, hi]; :class:`IntegrationFailure` if ``ier > 0``."""
-        value, abserr, ier = quadpack.quad(self._integrand, lo, hi, epsabs=1e-14, epsrel=1e-13)
-        if ier:
-            raise IntegrationFailure(f"fiber-norm quadrature of a / Q over [{float(lo)!r}, {float(hi)!r}] may "
-                                     f"miss its tolerance (QUADPACK ier = {ier}, error estimate {abserr:.3e})")
-        return value
-
-    def f_of_log_ell(self, t: float | np.ndarray) -> float | np.ndarray:
-        """f with log ell(f) = t at each entry of a 1-D array of t; a float t
-        is a batch of one and gives a float."""
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        t_nodes = self._t_nodes if self.increasing else -self._t_nodes
-        tt = ts if self.increasing else -ts
-        outside = ~((t_nodes[0] - 1e-12 <= tt) & (tt <= t_nodes[-1] + 1e-12))
-        if outside.any():
-            raise DomainError(f"log ell = {float(ts[outside][0])} outside ell-map range")
-        last = len(self._grid) - 2
-        bracket = np.clip(np.searchsorted(t_nodes, tt) - 1, 0, last)
-        f = self._hermite_starts(ts, bracket)
-        for k in np.flatnonzero(np.isnan(f)):
-            i = bracket[k]
-            f[k] = np.interp(tt[k], t_nodes[i : i + 2], self._grid[i : i + 2])
-        # Newton refinement on log_ell(f) - t, whose derivative is a/Q, of
-        # every entry not yet settled.
-        pending = np.arange(len(ts))
-        for _ in range(NEWTON_STEPS):
-            fp = f[pending]
-            i = np.clip(np.searchsorted(self._grid, fp) - 1, 0, last)
-            resid = self._t_nodes[i] + self._integrals(self._grid[i], fp) - ts[pending]
-            step = resid * self.profile.q(fp) / self.profile.a
-            f_new = np.minimum(np.maximum(fp - step, self.bounds[0]), self.bounds[1])
-            f[pending] = f_new
-            moving = ~(np.abs(f_new - fp) <= 1e-15 * (1.0 + np.abs(fp)))
-            if not moving.any():
-                return f if isinstance(t, np.ndarray) else float(f[0])
-            pending = pending[moving]
-        raise ConvergenceFailure(
-            f"ell-map inversion of log ell = {float(ts[pending[0]])!r} did not converge in {NEWTON_STEPS} Newton "
-            f"steps (last f = {float(f[pending[0]])!r}, residual {resid[moving][0]:.3e})"
-        )
-
-    def _batch_integrand(self, f: np.ndarray) -> np.ndarray:
-        """a / Q at each entry of f, NaN where Q <= 0 (where :meth:`_quad`
-        raises :class:`DomainSplit`), so that interval is not done."""
-        q = np.broadcast_to(self.profile.q(f), f.shape)
-        with np.errstate(over="ignore"):  # an overflowing lane is not finite, so not done
-            return self.profile.a / np.where(q > 0.0, q, np.nan)
-
-    def _hermite_starts(self, t: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Quintic Hermite estimate of f(t) on the table bracket i, entry by
-        entry, clipped to the bracket; NaN when the bracket has zero width or
-        the estimate is not finite."""
-        if self._node_slopes is None:
-            a = self.profile.a
-            self._node_slopes = (self._q_nodes / a, self._q_nodes * self.profile.dq(self._grid) / a**2)
-        d1, d2 = self._node_slopes
-        t0, t1 = self._t_nodes[i], self._t_nodes[i + 1]
-        f0, f1 = self._grid[i], self._grid[i + 1]
-        with np.errstate(all="ignore"):
-            h = t1 - t0
-            # Scaled end data: the jump, the slopes times h, the curvatures times h^2.
-            jump, s0, s1 = f1 - f0, h * np.take(d1, i), h * np.take(d1, i + 1)
-            c0, c1 = h * h * np.take(d2, i), h * h * np.take(d2, i + 1)
-            c3 = 10.0 * jump - 6.0 * s0 - 4.0 * s1 - 1.5 * c0 + 0.5 * c1
-            c4 = -15.0 * jump + 8.0 * s0 + 7.0 * s1 + 1.5 * c0 - c1
-            c5 = 6.0 * jump - 3.0 * s0 - 3.0 * s1 - 0.5 * c0 + 0.5 * c1
-            u = np.minimum(np.maximum((t - t0) / h, 0.0), 1.0)
-            f = f0 + u * (s0 + u * (0.5 * c0 + u * (c3 + u * (c4 + u * c5))))
-        clipped = np.minimum(np.maximum(f, np.minimum(f0, f1)), np.maximum(f0, f1))
-        return np.where((h != 0.0) & np.isfinite(f), clipped, np.nan)
-
-    def f_of_ell(self, ell: float) -> float:
-        if ell <= 0:
-            raise DomainError("fiber norm ell must be positive")
-        return self.f_of_log_ell(math.log(ell))
-
-    def dfdt(self, f: float | np.ndarray) -> float | np.ndarray:
-        """df / d(log ell) = Q(f) / a."""
-        return self.profile.q(f) / self.profile.a
-
-    def d2fdt2(self, f: float | np.ndarray) -> float | np.ndarray:
-        return self.profile.q(f) * self.profile.dq(f) / self.profile.a**2
 
 
 # -- explicit chart assembly ---------------------------------------------------
@@ -458,7 +270,7 @@ def _chart_window(params: SkrpParams, ell: EllMap, f_window: tuple[float, float]
     f-window; Phi >= 0 is largest at the box's corner, and a half-width whose
     corner leaves the ball is skipped."""
     base_dim = 2 * params.m - 2
-    la, lb = sorted(ell.ell(np.array(f_window)).tolist())
+    la, lb = sorted(ell.ell(f) for f in f_window)
     for zmax in (0.25, 0.15, 0.08, 0.04):
         corner = base_dim * zmax * zmax  # |z|^2 at the box's corner
         o = 1.0 + eps * corner

@@ -8,7 +8,8 @@ u-substituted tail integrand, a restatement of QUADPACK's dqage checks
 the package's QAG off the path it shares with scipy's QAGS, the
 one-point curvature formulas check the chart's batched ones, Newton's
 method on one float at a time checks the batched fiber-norm inversion,
-one scalar quadrature per grid segment checks the batched fiber-norm table,
+one batched Kronrod pass over every grid segment checks the fiber-norm
+table's scalar quadratures,
 the array scan of Q on numpy's grid checks ``q_domain``'s float scan, and
 numpy's LAPACK least squares on numpy's geometric grid checks the
 completeness exponent fit.  None of them is on a command's path.
@@ -22,7 +23,7 @@ import numpy as np
 
 from soliton_lab import chart as ct
 from soliton_lab import completeness as comp
-from soliton_lab import profiles, quadpack, skrp
+from soliton_lab import fibernorm, profiles, quadpack
 from soliton_lab.errors import ConvergenceFailure, DomainError
 
 _EPS = np.finfo(float).eps
@@ -138,12 +139,12 @@ def point_geometry_at(g: ct.MetricChart, f: ct.ScalarField, p) -> ct.PointGeomet
     return ct.PointGeometry(G, G_inv, ric, f_val, df, hess_f, lap_f, float(df @ G_inv @ df))
 
 
-def ell_inverse(ell: skrp.EllMap, t: float) -> float:
+def ell_inverse(ell: fibernorm.EllMap, t: float) -> float:
     """f with ``ell.log_ell(f) = t`` by Newton's method on Python floats,
     one t at a time, from the map's Hermite start on the table bracket of t
     (linear on the bracket where that is NaN), until a step moves f by at
     most 1e-15 (1 + |f|)."""
-    t_nodes = ell._t_nodes if ell.increasing else -ell._t_nodes
+    t_nodes = np.array(ell._t_nodes) if ell.increasing else -np.array(ell._t_nodes)
     tt = t if ell.increasing else -t
     if not (t_nodes[0] - 1e-12 <= tt <= t_nodes[-1] + 1e-12):
         raise DomainError(f"log ell = {t} outside ell-map range")
@@ -151,7 +152,7 @@ def ell_inverse(ell: skrp.EllMap, t: float) -> float:
     f = float(ell._hermite_starts(np.array([t]), np.array([i]))[0])
     if math.isnan(f):
         f = float(np.interp(tt, t_nodes[i : i + 2], ell._grid[i : i + 2]))
-    for _ in range(skrp.NEWTON_STEPS):
+    for _ in range(fibernorm.NEWTON_STEPS):
         resid = ell.log_ell(f) - t
         f_new = min(max(f - resid * ell.profile.q(f) / ell.profile.a, ell.bounds[0]), ell.bounds[1])
         if abs(f_new - f) <= 1e-15 * (1.0 + abs(f)):
@@ -276,19 +277,25 @@ def _dqpsrt(limit, last, maxerr, elist, iord, nrmax):
     return maxerr, elist[maxerr], nrmax
 
 
-def ell_table(ell: skrp.EllMap) -> np.ndarray:
-    """The log-ell table of ``ell`` from one scalar ``quadpack.quad`` per
-    grid segment (:meth:`.EllMap._quad`, on Python floats), summed in grid
-    order and anchored by the partial segment [grid[i0], f0] so that
-    log ell(f0) = 0."""
-    grid = ell._grid
-    segs = np.array([ell._quad(grid[i], grid[i + 1]) for i in range(len(grid) - 1)])
+def ell_table(ell: fibernorm.EllMap) -> np.ndarray:
+    """The log-ell table of ``ell`` from one batched Kronrod pass: QAG's
+    first step of its 256 grid segments and of the anchor's partial segment
+    [grid[i0], f0] in one ``quadpack.first_steps`` call on numpy's
+    ``np.linspace`` grid, with Q of the array path (:meth:`.EllMap._batch_integrand`),
+    and :meth:`.EllMap._quad` on any lane that step does not finish; summed
+    by ``np.cumsum`` and anchored so that log ell(f0) = 0."""
+    lo, hi = ell.bounds
+    grid = np.linspace(lo, hi, len(ell._grid))
     i0 = min(max(int(np.searchsorted(grid, ell.f0)) - 1, 0), len(grid) - 2)
-    cumulative = np.concatenate([[0.0], np.cumsum(segs)])
-    return cumulative - (cumulative[i0] + ell._quad(grid[i0], ell.f0))
+    a, b = np.append(grid[:-1], grid[i0]), np.append(grid[1:], ell.f0)
+    ints, _, done = quadpack.first_steps(ell._batch_integrand, a, b, epsabs=1e-14, epsrel=1e-13)
+    for k in np.flatnonzero(~done):
+        ints[k] = ell._quad(a[k], b[k])
+    cumulative = np.concatenate([[0.0], np.cumsum(ints[:-1])])
+    return cumulative - (cumulative[i0] + ints[-1])
 
 
-def q_domain_array_scan(params: skrp.SkrpParams) -> list[tuple[float, float]]:
+def q_domain_array_scan(params: profiles.SkrpParams) -> list[tuple[float, float]]:
     """:func:`.profiles.q_domain` with its 2048-point scan of each piece run
     as one array: Q of ``np.linspace``'s grid through the array path of
     :func:`.profiles.phi_closed`, and neighbouring signs compared by

@@ -279,13 +279,13 @@ def test_skrp_window_without_resolvable_band_is_numeric_error(params, tmp_path, 
 def test_skrp_below_the_pole_checks_the_whole_window(tmp_path, capsys, monkeypatch):
     # negative-branch lies below c - 0.05: its check band is its profile grid.
     checked = []
-    residual = skrp.phi_ode_residual
+    residual = profiles.phi_ode_residual
 
     def recording(params, alpha, f):
         checked.append(float(f))
         return residual(params, alpha, f)
 
-    monkeypatch.setattr(skrp, "phi_ode_residual", recording)
+    monkeypatch.setattr(profiles, "phi_ode_residual", recording)
     out_path = tmp_path / "report.json"
     code, _, _ = run(["skrp", "--fixture", "negative-branch", "--samples", "30", "--out", str(out_path)], capsys)
     assert code == cli.EXIT_PASS
@@ -532,14 +532,14 @@ def test_profile_oracle_matches_the_closed_form_at_the_check_points(name, monkey
     # closed-vs-integrated integrates 8 segments between 9 check points; at
     # each segment's end the Taylor oracle must give the closed form's phi to
     # 1e-13 relative, not just 1e-13 of 1 + |phi|.
-    integrate, ends = skrp.phi_ode_integrate, []
+    integrate, ends = profiles.phi_ode_integrate, []
 
     def recording(params, alpha, f0, phi0, dphi0, f):
         phi, dphi = integrate(params, alpha, f0, phi0, dphi0, f)
         ends.append((params, f, phi))
         return phi, dphi
 
-    monkeypatch.setattr(skrp, "phi_ode_integrate", recording)
+    monkeypatch.setattr(profiles, "phi_ode_integrate", recording)
     if name in WIDE_BANDS:
         cfg = tmp_path / "params.json"
         cfg.write_text(json.dumps(WIDE_BANDS[name]))
@@ -768,6 +768,20 @@ def test_cli_names_no_fixture():
     tree = ast.parse(inspect.getsource(cli))
     strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert strings & names == set()
+
+
+@pytest.mark.parametrize("command", ["verify", "dualize", "skrp", "completeness"])
+def test_main_runs_the_module_binding_of_each_handler(command, monkeypatch, capsys):
+    # A wrapper bound over cli.cmd_* (as the benchmark's tracer binds one)
+    # is what main runs; COMMANDS keeps the originals for help and options.
+    calls = []
+    handler = getattr(cli, f"cmd_{command}")
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda config: calls.append(config.command) or handler(config))
+    fixture = "gaussian-soliton" if command in ("verify", "dualize") else "koiso-m2-A1B0"
+    argv = [command, "--fixture", fixture, *(["--samples", "10"] if command != "completeness" else [])]
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert calls == [command]
+    assert cli.COMMANDS[command][0] is handler
 
 
 def test_each_command_takes_exactly_the_options_its_handler_reads():

@@ -145,13 +145,18 @@ def test_package_integrals_match_scipy_bitwise(monkeypatch, name, run):
         for call in calls:
             _assert_consistent(*call)
         return
-    # The fiber-norm map takes QAG's first Kronrod step of its intervals in
-    # batches and every one ends there, where QAG and QAGS are one code path:
-    # each lane returns scipy's bits on the same integrand, evaluated one
-    # float at a time, and no interval goes on to quad.  So skrp, verify and
-    # dualize read scipy's numbers exactly.
-    assert lanes and not calls
+    # The fiber-norm table and ell column take one float quad per interval,
+    # and the chart's inversion takes QAG's first Kronrod step of a chunk's
+    # intervals in one batch.  Every interval of both ends at that first
+    # step, where QAG and QAGS are one code path: each returns scipy's bits
+    # on the same integrand (a lane's evaluated one float at a time), and no
+    # lane goes on to quad.  So skrp, verify and dualize read scipy's
+    # numbers exactly.
+    assert calls and lanes
+    assert {call[3:] for call in calls} <= set(CALL_SHAPES)
     assert {(lane[3], lane[4], quadpack.LIMIT) for lane in lanes} <= set(CALL_SHAPES)
+    for call in calls:
+        assert _assert_consistent(*call)[2:] == (21, 0)
     for f, a, b, epsabs, epsrel, value, abserr, done in lanes:
         assert done
         theirs = _scipy(lambda x: float(f(np.array([x]))[0]), a, b, epsabs, epsrel, quadpack.LIMIT)

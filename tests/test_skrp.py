@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from soliton_lab import autodiff as ad
 from soliton_lab import chart as ct
-from soliton_lab import cli, fixtures, profiles, skrp
+from soliton_lab import cli, fibernorm, fixtures, profiles, quadpack, skrp
 from soliton_lab import soliton as sol
 from soliton_lab.errors import (
     CalibrationFailure,
@@ -425,6 +425,68 @@ def test_q_value_from_phi():
     assert FLATBASE.q(1.0) == pytest.approx(5.0, abs=1e-13)
 
 
+def test_float_q_sums_phi_alone_with_the_bits_of_phi_closed():
+    # Q of a float skips the derivative sums; its phi is the same float
+    # operations as phi_closed's, on both |f - c| branches, with B = 0 and
+    # with A + B = 0.
+    branches = set()
+    for params in fixtures._SKRP.values():
+        lo, hi = profiles.bounded_interval(params.I, params.c, 40.0)
+        for f in profiles.linspace(lo, hi, 5000):
+            expected = 2.0 * (f - params.c) * skrp.phi_closed(params, f)[0]
+            assert params.q(f).hex() == expected.hex(), (params, f)
+            branches.add((abs(f - params.c) > 1.0, params.B == 0.0, params.A + params.B == 0.0))
+    assert {(far, b0) for far, b0, _ in branches} >= {(True, True), (False, True)}
+    assert {(far, cancels) for far, _, cancels in branches} >= {(True, True), (False, True)}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        skrp.SkrpParams(m=2, kappa=112.3, c=1.0, A=1e300, B=0.75, I=(1.1572, 1.1796)),
+        skrp.SkrpParams(m=2, B=-1.0, a=2.0, I=(-12.5, -12.0)),
+        skrp.SkrpParams(m=2, B=1e308, I=(0.5, 3.0)),
+    ],
+    ids=["profile-ode-overflow", "ell-quadrature-roundoff", "B-1e308"],
+)
+def test_float_q_refuses_where_phi_closed_refuses_phi(params):
+    # The snapshot's overflow configs, from 3 past the pole to 3 beyond it
+    # and across I: PoleError at the pole, DomainError where phi is not
+    # finite.  phi_closed also refuses where only phi' or phi'' is not
+    # finite, which Q never reads; there Q is summed from phi alone.
+    refused = 0
+    c = params.c
+    for f in profiles.linspace(c - 3.0, c + 3.0, 5001) + profiles.linspace(*params.I, 5000):
+        try:
+            phi = skrp.phi_closed(params, f)[0]
+        except (PoleError, DomainError) as exc:
+            x = f - c
+            sums = profiles._term_sums(params, x, abs(x) > 1.0)
+            if isinstance(exc, DomainError) and math.isfinite(sums[0]) and not all(map(math.isfinite, sums)):
+                value = profiles._term_sums(params, x, abs(x) > 1.0, False)[0]
+                assert params.q(f) == 2.0 * x * value == 2.0 * x * sums[0]
+                continue
+            refused += 1
+            with pytest.raises(type(exc)) as alone:
+                params.q(f)
+            assert str(alone.value) == str(exc)
+        else:
+            assert params.q(f).hex() == (2.0 * (f - c) * phi).hex()
+    assert refused >= 1
+
+
+def test_float_q_is_finite_where_only_the_derivatives_of_phi_overflow():
+    # U = x^-2 + x^-1 + 1/2 is finite at x = 1.5e-80, but U'' = 6 x^-4 + 2 x^-3
+    # overflows there: phi_closed refuses the point and Q, which reads phi
+    # alone, does not.
+    params = skrp.SkrpParams(m=2, A=1.0, I=(1e-80, 2e-80))
+    x = 1.5e-80
+    with pytest.raises(DomainError, match="profile overflows float64"):
+        skrp.phi_closed(params, x)
+    assert params.q(x) == 2.0 * x * (x**-2 + x**-1 + 0.5)
+    assert math.isfinite(params.q(x))
+
+
 @pytest.mark.parametrize("name", list(fixtures._SKRP))
 def test_params_are_the_q_profile(name):
     # SkrpParams carries the QProfile interface: Q = 2 f_c phi, Q' its
@@ -680,14 +742,14 @@ def test_ell_map_monotone():
 
 def test_ell_map_inversion_raises_without_convergence(monkeypatch):
     ell = skrp.EllMap(FLATBASE, 1.5, (0.8, 2.2))
-    first_steps = skrp.quadpack.first_steps
+    first_steps = quadpack.first_steps
     flip = iter(np.tile([1e-6, -1e-6], 100))  # a jittering residual Newton cannot settle
 
     def jittered(*args, **kwargs):
         value, abserr, done = first_steps(*args, **kwargs)
         return value + next(flip), abserr, done
 
-    monkeypatch.setattr(skrp.quadpack, "first_steps", jittered)
+    monkeypatch.setattr(quadpack, "first_steps", jittered)
     with pytest.raises(ConvergenceFailure, match=r"log ell = 0\.1 did not converge in 60 Newton steps \(last f = "):
         ell.f_of_log_ell(0.1)
 
@@ -970,29 +1032,30 @@ def test_ell_map_thousand_round_trips():
 def _skrp_ell_column(name, monkeypatch):
     """The fiber-norm map `skrp --fixture NAME` builds, its f grid and its
     200-point ell column."""
-    maps, build = [], skrp.EllMap
-    monkeypatch.setattr(skrp, "EllMap", lambda *args: maps.append(build(*args)) or maps[-1])
+    maps, build = [], fibernorm.EllMap
+    monkeypatch.setattr(fibernorm, "EllMap", lambda *args: maps.append(build(*args)) or maps[-1])
     _, rows = cli.cmd_skrp(cli.RunConfig("skrp", fixture=name)).tables[".profile.csv"]
     monkeypatch.undo()
     (ell,) = maps
-    return ell, np.array([row[0] for row in rows]), np.array([row[4] for row in rows])
+    return ell, [row[0] for row in rows], [row[4] for row in rows]
 
 
 def _assert_ell_matches_the_scalar_path(ell, grid, column):
+    # The float table against one batched Kronrod pass over its segments.
     table = oracles.ell_table(ell)
-    assert np.all(np.abs(ell._t_nodes - table) <= 1e-15 * np.abs(table))
+    assert np.all(np.abs(np.array(ell._t_nodes) - table) <= 1e-15 * np.abs(table))
     assert len(column) == 200
-    i = np.clip(np.searchsorted(ell._grid, grid) - 1, 0, len(ell._grid) - 2)
-    scalar = np.array([math.exp(table[k] + ell._quad(ell._grid[k], f)) for k, f in zip(i, grid.tolist())])
-    assert np.all(np.abs(column - scalar) <= 1e-15 * scalar)
-    # exp through libm, entry by entry, of the batched and the float log ell.
-    assert column.tolist() == [math.exp(t) for t in ell.log_ell(grid).tolist()]
-    floats = [math.exp(ell.log_ell(f)) for f in grid.tolist()]
-    assert np.all(np.abs(column - floats) <= 1e-15 * column)
-    for f, value in zip(grid.tolist(), column.tolist()):
+    # Each entry is its segment's table entry plus one float quad, exp
+    # through libm; against the batched table it agrees to 1e-15.
+    segments = np.clip(np.searchsorted(ell._grid, grid) - 1, 0, len(ell._grid) - 2).tolist()
+    ends = [(k, ell._quad(ell._grid[k], f)) for k, f in zip(segments, grid)]
+    assert column == [math.exp(ell._t_nodes[k] + t) for k, t in ends]
+    batched = np.array([math.exp(table[k] + t) for k, t in ends])
+    assert np.all(np.abs(np.array(column) - batched) <= 1e-15 * batched)
+    for f, value in zip(grid, column):
         single = ell.ell(f)
         assert type(single) is float
-        assert single.hex() == value.hex() == ell.ell(np.array([f]))[0].hex()
+        assert single.hex() == value.hex()
 
 
 @pytest.mark.parametrize("name", sorted(fixtures._SKRP))
@@ -1001,19 +1064,23 @@ def test_skrp_ell_table_and_column_match_the_scalar_quadratures(name, monkeypatc
 
 
 def test_chart_ell_table_and_column_match_the_scalar_quadratures(koiso_chart):
-    grid = np.linspace(*koiso_chart.f_window, 200)
-    _assert_ell_matches_the_scalar_path(koiso_chart.ell, grid, koiso_chart.ell.ell(grid))
+    grid = np.linspace(*koiso_chart.f_window, 200).tolist()
+    _assert_ell_matches_the_scalar_path(koiso_chart.ell, grid, [koiso_chart.ell.ell(f) for f in grid])
 
 
-def test_skrp_builds_its_ell_table_and_column_with_one_first_step_each(monkeypatch):
+def test_skrp_integrates_on_floats_and_the_chart_inverts_in_batches(monkeypatch):
     lanes, quads = [], []
-    first_steps, quad = skrp.quadpack.first_steps, skrp.quadpack.quad
-    monkeypatch.setattr(skrp.quadpack, "first_steps", lambda f, a, b, **kw: lanes.append(len(a)) or first_steps(f, a, b, **kw))
-    monkeypatch.setattr(skrp.quadpack, "quad", lambda *args, **kw: quads.append(args) or quad(*args, **kw))
+    first_steps, quad = quadpack.first_steps, quadpack.quad
+    monkeypatch.setattr(quadpack, "first_steps", lambda f, a, b, **kw: lanes.append(len(a)) or first_steps(f, a, b, **kw))
+    monkeypatch.setattr(quadpack, "quad", lambda *args, **kw: quads.append(args) or quad(*args, **kw))
     cli.cmd_skrp(cli.RunConfig("skrp", fixture="koiso-m2-A1B0"))
     # 256 segments and the anchor's partial one, then the 200-point column.
-    assert lanes == [257, 200]
-    assert quads == []
+    assert lanes == []
+    assert len(quads) == 257 + 200
+    # The assembly inverts its 12 closedness points as one chunk, then its 6
+    # check points, each chunk settled by one batched Newton step.
+    skrp.assemble_calabi_metric(fixtures.skrp_fixture("koiso-m2-A1B0"))
+    assert lanes == [12, 6]
 
 
 # -- the tensor-valued metric block and the one-quadrature inversion ---------------------
@@ -1075,9 +1142,9 @@ def test_ell_inversion_costs_one_quadrature(koiso_chart, monkeypatch):
     targets = [ell.log_ell(f) for f in np.linspace(*koiso_chart.f_window, 200)]
     # 21-point Kronrod steps: one per lane of first_steps, one per _qk21 of quad.
     steps = []
-    first_steps, qk21 = skrp.quadpack.first_steps, skrp.quadpack._qk21
-    monkeypatch.setattr(skrp.quadpack, "first_steps", lambda f, a, b, **kw: steps.extend(a) or first_steps(f, a, b, **kw))
-    monkeypatch.setattr(skrp.quadpack, "_qk21", lambda *args: steps.append(None) or qk21(*args))
+    first_steps, qk21 = quadpack.first_steps, quadpack._qk21
+    monkeypatch.setattr(quadpack, "first_steps", lambda f, a, b, **kw: steps.extend(a) or first_steps(f, a, b, **kw))
+    monkeypatch.setattr(quadpack, "_qk21", lambda *args: steps.append(None) or qk21(*args))
     hermite = [ell.f_of_log_ell(t) for t in targets]
     assert len(steps) <= 1.05 * len(targets)
     # Non-finite node slopes force the linear start of the bracket, which
@@ -1117,15 +1184,15 @@ def test_batched_inversion_hands_unfinished_entries_to_quad(koiso_chart, monkeyp
     ell = koiso_chart.ell
     t = np.array([ell.log_ell(f) for f in np.linspace(*koiso_chart.f_window, 6)])
     alone = [ell.f_of_log_ell(v) for v in t.tolist()]
-    first_steps, quad = skrp.quadpack.first_steps, skrp.quadpack.quad
+    first_steps, quad = quadpack.first_steps, quadpack.quad
 
     def entry_2_goes_on(*args, **kwargs):
         value, abserr, done = first_steps(*args, **kwargs)
         return value, abserr, done & (np.arange(len(done)) != 2)
 
-    monkeypatch.setattr(skrp.quadpack, "first_steps", entry_2_goes_on)
+    monkeypatch.setattr(quadpack, "first_steps", entry_2_goes_on)
     ends = []
-    monkeypatch.setattr(skrp.quadpack, "quad", lambda f, a, b, **kw: ends.append(b) or quad(f, a, b, **kw))
+    monkeypatch.setattr(quadpack, "quad", lambda f, a, b, **kw: ends.append(b) or quad(f, a, b, **kw))
     batched = ell.f_of_log_ell(t)
     assert ends and all(math.isclose(b, alone[2], rel_tol=1e-12) for b in ends)
     assert batched.tolist() == alone
@@ -1157,7 +1224,7 @@ def test_ell_inversion_on_zero_width_brackets_never_yields_nan():
     hi = params.c + 40.0
     window = (lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
     ell = skrp.EllMap(params, 0.5 * sum(window), window)
-    nodes = ell._t_nodes
+    nodes = np.array(ell._t_nodes)
     flat = np.flatnonzero(np.diff(nodes) == 0.0)
     assert len(flat) > 0
     assert np.isnan(ell._hermite_starts(nodes[flat], flat)).all()
