@@ -364,7 +364,8 @@ def cmd_skrp(config: RunConfig) -> Report:
     rows = []
     for f, ell_f in zip(grid, [ell.ell(f) for f in grid]):
         phi, dphi, _ = profiles.phi_closed(params, f)
-        rows.append((f, phi, dphi, params.q(f), ell_f, comp.arc_integrand(params, f)))
+        q = 2.0 * (f - params.c) * phi  # params.q(f), bit for bit
+        rows.append((f, phi, dphi, q, ell_f, comp.arc_density(params.m, f, q)))
     report.tables[".profile.csv"] = (PROFILE_HEADER, rows)
     return report
 

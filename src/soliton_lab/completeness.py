@@ -55,6 +55,7 @@ __all__ = [
     "EndpointAnalysis",
     "CompletenessVerdict",
     "arc_integrand",
+    "arc_density",
     "improper_integral",
     "geomspace",
     "exponent_fit",
@@ -135,11 +136,15 @@ class CompletenessVerdict:
 
 def arc_integrand(profile: QProfile | SkrpParams, f: float) -> float:
     """Dual arc-length density exp(-2 f / (n-2)) / sqrt(Q(f)), n = 2m."""
-    q = profile.q(f)
+    return arc_density(profile.m, f, profile.q(f))
+
+
+def arc_density(m: int, f: float, q: float) -> float:
+    """:func:`arc_integrand` at f from the value q = Q(f) a caller holds."""
     if q <= 0:
         raise NonpositiveQ(f"Q({f}) = {q} must be positive for the arc integrand")
     try:
-        return math.exp(-f / (profile.m - 1)) / math.sqrt(q)
+        return math.exp(-f / (m - 1)) / math.sqrt(q)
     except OverflowError:
         raise DomainError(f"arc integrand exp(-f / (m - 1)) overflows float64 at f = {f}") from None
 

@@ -38,7 +38,12 @@ class EllMap:
     log ell(f) = integral_{f0}^{f} a / Q(t) dt with ell(f0) = 1.  Built once
     as a cumulative table over a fixed 257-node grid, one :func:`.quadpack.quad`
     per segment, summed in grid order and anchored by the partial segment
-    [grid[i0], f0].  :meth:`log_ell` and :meth:`ell` take a float: the table
+    [grid[i0], f0].  On every fixture each of those quads ends at QAG's
+    first 21-point estimate, so a build calls the profile's float Q at the
+    257 nodes and 257 x 21 = 5,397 times in its quads, and each
+    :meth:`ell` 21 more; for a :class:`.profiles.SkrpParams` each call is
+    its value-only kernel, which sums phi without its derivatives.
+    :meth:`log_ell` and :meth:`ell` take a float: the table
     entry of f's segment plus one quad from its left node, and for
     :meth:`ell` exp of that through ``math.exp``.  An inversion t -> f starts
     from the quintic Hermite interpolant of f(t) on the table bracket of t,

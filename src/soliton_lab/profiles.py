@@ -28,8 +28,12 @@ norm of the potential, and the Q-positive intervals the commands work on
 sets.  Everything here runs on Python floats and never imports numpy, which
 only the fiber-norm map's inversion (:mod:`.fibernorm`) and the chart
 assembly of :mod:`.skrp` need; numpy arrays passed in by those take the
-array path of :func:`phi_closed`.  Q of a float sums phi alone, without the
-derivatives nothing reading Q needs.
+array path of :func:`phi_closed`.  Q of a float runs one value-only kernel
+per :class:`SkrpParams` (:func:`_q_kernel`), built on its first call with
+the factorials and constants the parameters fix and kept: it sums phi
+alone, without the derivatives nothing reading Q needs, with the bits of
+:func:`phi_closed`'s phi.  Every ``skrp`` and ``completeness`` number is a
+quadrature, root or scan of that Q.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, IntegrationFailure, PoleError, UnknownFixture
@@ -146,18 +150,24 @@ class SkrpParams:
     def interval(self) -> tuple[float, float]:
         return self.I
 
+    @cached_property
+    def _q_of_float(self) -> Callable[[float], float]:
+        return _q_kernel(self)
+
     def q(self, f: float | np.ndarray) -> float | np.ndarray:
         """Q(f) = 2 f_c phi(f), the squared gradient norm of the potential, at
         a float or at each entry of an array (see :func:`phi_closed`).
 
-        A float sums phi alone, the same float operations as
-        ``phi_closed(self, f)[0]`` and so the same bits, with its refusals:
-        :class:`PoleError` at the pole and :class:`DomainError` where phi is
-        not finite.  It skips the derivative sums, so it returns Q where only
-        phi' or phi'' overflows, which ``phi_closed`` refuses."""
-        if _array_module(f) is not None:
-            return 2.0 * (f - self.c) * phi_closed(self, f)[0]
-        return 2.0 * (f - self.c) * _float_sums(self, f, False)[0]
+        A float, an int or a numpy scalar goes to one value-only kernel,
+        built on the first such call and kept (:func:`_q_kernel`).  It sums
+        phi alone, the same float operations as ``phi_closed(self, f)[0]``
+        and so the same bits, with its refusals: :class:`PoleError` at the
+        pole and :class:`DomainError` where phi is not finite.  It skips the
+        derivative sums, so it returns Q where only phi' or phi'' overflows,
+        which ``phi_closed`` refuses."""
+        if type(f) is float or _array_module(f) is None:
+            return self._q_of_float(f)
+        return 2.0 * (f - self.c) * phi_closed(self, f)[0]
 
     def dq(self, f: float | np.ndarray) -> float | np.ndarray:
         phi, dphi, _ = phi_closed(self, f)
@@ -188,28 +198,49 @@ def _array_module(x):
     return numpy if numpy is not None and isinstance(x, numpy.ndarray) else None
 
 
-def _laurent_U(x, m: int, derivs: bool = True):
-    """U = x^{-m} S_m(x) and two derivatives, exactly; past k = 170 a term is
-    x^(k-m) / inf = 0.  Without ``derivs`` both derivatives are 0."""
-    u = u1 = u2 = 0.0
+@lru_cache(maxsize=32)  # a process holds few profiles
+def _u_pairs(m: int) -> tuple[tuple[int, float], ...]:
+    """U's exponents k - m with k!, k = 0 .. min(m, 170), each k! the running
+    float product 1 * 2 * ... * k; past k = 170 a term is x^(k-m) / inf = 0."""
+    pairs = []
     kfact = 1.0
     for k in range(min(m, _MAX_FACTORIAL) + 1):
         if k > 0:
             kfact *= k
-        e = k - m
+        pairs.append((k - m, kfact))
+    return tuple(pairs)
+
+
+@lru_cache(maxsize=32)
+def _t_factorials(m: int) -> tuple[float, ...]:
+    """T's factorials (m + j)!, j = 1 .. 29, each the float m! times m + 1 ..
+    m + j in turn; past m = 170, m! itself overflows."""
+    if m > _MAX_FACTORIAL:  # before m! costs O(m^2) to overflow float()
+        raise OverflowError(f"{m}! overflows float64")
+    facts = []
+    fact = float(math.factorial(m))
+    for j in range(1, 30):
+        fact *= m + j
+        facts.append(fact)
+    return tuple(facts)
+
+
+def _laurent_U(x, m: int):
+    """U = x^{-m} S_m(x) and two derivatives, exactly."""
+    u = u1 = u2 = 0.0
+    for e, kfact in _u_pairs(m):
         u += x**e / kfact
-        if derivs and e != 0:
+        if e != 0:
             u1 += e * x ** (e - 1) / kfact
             u2 += e * (e - 1) * x ** (e - 2) / kfact
     return u, u1, u2
 
 
-def _scaled_exp_E(x, m: int, derivs: bool = True):
+def _scaled_exp_E(x, m: int):
     """E = x^{-m} e^x and two derivatives, E' = E (1 - m/x) and
     E'' = E ((1 - m/x)^2 + m/x^2); for |x| > 1, where no factor cancels.
     Where x^{-m} underflows to a subnormal or 0, E is formed as
-    +-exp(x - m log|x|) instead, which keeps it while it is a normal float.
-    Without ``derivs`` both derivatives are 0."""
+    +-exp(x - m log|x|) instead, which keeps it while it is a normal float."""
     power = x ** (-m)
     if (np := _array_module(x)) is not None:
         tiny = np.abs(power) < sys.float_info.min
@@ -218,43 +249,35 @@ def _scaled_exp_E(x, m: int, derivs: bool = True):
         e = math.copysign(math.exp(x - m * math.log(abs(x))), power)
     else:
         e = power * math.exp(x)
-    if not derivs:
-        return e, 0.0, 0.0
     r = 1.0 - m / x
     return e, e * r, e * (r * r + m / (x * x))
 
 
-def _scaled_remainder_T(x, m: int, derivs: bool = True):
+def _scaled_remainder_T(x, m: int):
     """T = x^{-m} (e^x - S_m(x)) with two derivatives, for |x| <= 1.
 
     Entire in x, but the difference loses every digit near x = 0, so T is
-    the power series sum_{j>=1} x^j / (m+j)!.  Without ``derivs`` both
-    derivatives are 0.
+    the power series sum_{j>=1} x^j / (m+j)!.
     """
-    if m > _MAX_FACTORIAL:  # before m! costs O(m^2) to overflow float()
-        raise OverflowError(f"{m}! overflows float64")
     t = t1 = t2 = 0.0
-    fact = float(math.factorial(m))
     pow_jm2 = 1.0  # x^(j-2), meaningful from j = 2 on
     pow_jm1 = 1.0  # x^(j-1)
-    for j in range(1, 30):
-        fact *= m + j
+    for j, fact in enumerate(_t_factorials(m), 1):
         t += pow_jm1 * x / fact
-        if derivs:
-            t1 += j * pow_jm1 / fact
-            if j >= 2:
-                t2 += j * (j - 1) * pow_jm2 / fact
+        t1 += j * pow_jm1 / fact
+        if j >= 2:
+            t2 += j * (j - 1) * pow_jm2 / fact
         pow_jm2 = pow_jm1
         pow_jm1 = pow_jm1 * x
     return t, t1, t2
 
 
-def _term_sums(params: SkrpParams, x, far: bool, derivs: bool = True):
+def _term_sums(params: SkrpParams, x, far: bool):
     """phi, phi', phi'' at x = f - c, floats or arrays alike: the module
     docstring's terms for |x| > 1 (``far``) or |x| <= 1, a zero coefficient
-    skipping its term, and then the constant; without ``derivs`` phi alone,
-    with phi' = phi'' = 0.  A float term that overflows raises OverflowError
-    in exp and ** and makes phi inf; an array's overflows to inf."""
+    skipping its term, and then the constant.  A float term that overflows
+    raises OverflowError in exp and ** and makes phi inf; an array's
+    overflows to inf."""
     if far:
         terms = ((params.A, _laurent_U), (params.B, _scaled_exp_E))
     else:
@@ -263,7 +286,7 @@ def _term_sums(params: SkrpParams, x, far: bool, derivs: bool = True):
     try:
         for coeff, term in terms:
             if coeff != 0.0:
-                t, t1, t2 = term(x, params.m, derivs)
+                t, t1, t2 = term(x, params.m)
                 phi += coeff * t
                 dphi += coeff * t1
                 d2phi += coeff * t2
@@ -271,6 +294,64 @@ def _term_sums(params: SkrpParams, x, far: bool, derivs: bool = True):
         phi = math.inf
     phi += params.phi_sign * params.kappa / (2.0 * params.m)
     return phi, dphi, d2phi
+
+
+def _q_kernel(params: SkrpParams) -> Callable[[float], float]:
+    """Q of a float, phi summed alone: the float operations of
+    ``_term_sums(params, x, far)[0]`` in its order, with the constants the
+    parameters fix (U's and T's factorials, the branch coefficients, the
+    constant term, the pole margin) read once, here."""
+    m, c, A, B = params.m, params.c, params.A, params.B
+    near_a = A + B
+    has_pole = near_a != 0.0
+    margin = params.pole_margin
+    const = params.phi_sign * params.kappa / (2.0 * m)
+    u_pairs = _u_pairs(m)
+    t_facts = _t_factorials(m) if m <= _MAX_FACTORIAL else None
+    tiny = sys.float_info.min
+    exp, log, copysign = math.exp, math.log, math.copysign
+
+    def q(f):
+        x = float(f - c)
+        if has_pole and abs(x) < margin:
+            raise _refusal(params, f, x, True)
+        phi = 0.0
+        try:
+            if abs(x) > 1.0:
+                if A != 0.0:
+                    u = 0.0
+                    for e, kfact in u_pairs:
+                        u += x**e / kfact
+                    phi += A * u
+                if B != 0.0:
+                    power = x ** (-m)
+                    if abs(power) < tiny:
+                        phi += B * copysign(exp(x - m * log(abs(x))), power)
+                    else:
+                        phi += B * (power * exp(x))
+            else:
+                if has_pole:
+                    u = 0.0
+                    for e, kfact in u_pairs:
+                        u += x**e / kfact
+                    phi += near_a * u
+                if B != 0.0:
+                    if t_facts is None:  # T's m! overflows, as in _scaled_remainder_T
+                        raise OverflowError
+                    t = 0.0
+                    pow_jm1 = 1.0
+                    for fact in t_facts:
+                        t += pow_jm1 * x / fact
+                        pow_jm1 = pow_jm1 * x
+                    phi += B * t
+        except OverflowError:
+            phi = math.inf
+        phi += const
+        if not math.isfinite(phi):
+            raise _refusal(params, f, x, False)
+        return 2.0 * (f - c) * phi
+
+    return q
 
 
 def _refusal(params: SkrpParams, f: float, x: float, pole: bool) -> Exception:
@@ -311,16 +392,10 @@ def phi_closed(params: SkrpParams, f: float | np.ndarray) -> tuple:
             k = int(np.argmax(bad))
             raise _refusal(params, float(f[k]), float(x[k]), bool(pole[k]))
         return sums[0], sums[1], sums[2]
-    return _float_sums(params, f, True)
-
-
-def _float_sums(params: SkrpParams, f: float, derivs: bool) -> tuple[float, float, float]:
-    """The float path of :func:`phi_closed`; without ``derivs``, phi alone
-    (phi' = phi'' = 0), refused only where phi itself is not finite."""
     x = float(f - params.c)
     if params.A + params.B != 0.0 and abs(x) < params.pole_margin:
         raise _refusal(params, f, x, True)
-    phi, dphi, d2phi = _term_sums(params, x, abs(x) > 1.0, derivs)
+    phi, dphi, d2phi = _term_sums(params, x, abs(x) > 1.0)
     if not (math.isfinite(phi) and math.isfinite(dphi) and math.isfinite(d2phi)):
         raise _refusal(params, f, x, False)
     return phi, dphi, d2phi

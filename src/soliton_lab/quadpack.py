@@ -225,10 +225,6 @@ def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
     """
     epmach, uflow = _EPMACH, _UFLOW
     ier = 0
-    alist, blist, rlist, elist = ([0.0] * (limit + 1) for _ in range(4))
-    iord = [0] * (limit + 1)
-    alist[1] = a
-    blist[1] = b
     if epsabs <= 0.0 and epsrel < max(50.0 * epmach, 5e-29):
         return 0.0, 0.0, 0, 6
 
@@ -236,7 +232,6 @@ def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
     result, abserr, defabs, resabs = _qk21(f, a, b)
     errbnd = max(epsabs, epsrel * abs(result))
     last = 1
-    rlist[1] = result
     if abserr <= 50.0 * epmach * defabs and abserr > errbnd:
         ier = 2
     if limit == 1:
@@ -244,6 +239,12 @@ def qage(f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel:
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, 42 * last - 21, ier
 
+    # The interval lists, needed only once the first estimate is rejected.
+    alist, blist, rlist, elist = ([0.0] * (limit + 1) for _ in range(4))
+    iord = [0] * (limit + 1)
+    alist[1] = a
+    blist[1] = b
+    rlist[1] = result
     errmax = abserr
     maxerr = 1
     area = result

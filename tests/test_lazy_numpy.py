@@ -68,6 +68,13 @@ def test_every_skrp_run_leaves_numpy_unloaded(tmp_path):
         import soliton_lab.cli as cli
         from soliton_lab import profiles
 
+        # Each profile's float-Q kernel, built and run on a float and an int,
+        # here at m = 171 and 10^5 as well.
+        wide = [profiles.SkrpParams(m=m, A=1.0, B=-0.5, I=(0.0, float("inf"))) for m in (171, 100_000)]
+        for params in (*profiles._SKRP.values(), *wide):
+            for f in (params.c + 2.5, int(params.c) + 3):
+                assert isinstance(params.q(f), float)
+        assert "numpy" not in sys.modules, "loaded by the float-Q kernel"
         runs = [["--fixture", name] for name in profiles._SKRP]
         runs += [["--config", {str(inline)!r}], ["--config", {str(named)!r}]]
         for k, argv in enumerate(runs):

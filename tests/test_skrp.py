@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -425,19 +426,65 @@ def test_q_value_from_phi():
     assert FLATBASE.q(1.0) == pytest.approx(5.0, abs=1e-13)
 
 
+# Profiles beyond the fixtures for the float-Q kernel: m = 3, 7, 170 (the last
+# finite factorial), 171 (T's m! overflows, so |f - c| <= 1 is refused with
+# B != 0) and 10^5; A + B = 0 out to where e^(f - c) overflows, with
+# phi(c) = -1 and so Q(c) = -0.0, A = 0 and B = 0; and m = 170 on
+# [100, 700], where x^-m underflows and E is exp(x - m log|x|).
+KERNEL_PARAMS = {
+    "m3": skrp.SkrpParams(m=3, kappa=6.0, A=1.0, B=0.5, I=(0.0, math.inf), phi_sign=1),
+    "m7": skrp.SkrpParams(m=7, kappa=1.0, A=-2.0, B=1.0, I=(-math.inf, 0.0)),
+    "m170": skrp.SkrpParams(m=170, A=1.0, B=1.0, I=(0.0, math.inf)),
+    "m171": skrp.SkrpParams(m=171, A=1.0, B=1.0, I=(0.0, math.inf)),
+    "m1e5": skrp.SkrpParams(m=100_000, A=1.0, B=-0.5, I=(0.0, math.inf)),
+    "A+B=0": skrp.SkrpParams(m=2, kappa=-4.0, A=1.0, B=-1.0, I=(-800.0, 800.0), phi_sign=1),
+    "A=0": skrp.SkrpParams(m=4, kappa=-3.0, c=1.5, A=0.0, B=2.0, I=(1.5, math.inf)),
+    "B=0": skrp.SkrpParams(m=5, kappa=2.0, c=-2.0, A=-1.0, B=0.0, I=(-math.inf, -2.0)),
+    "tiny-power": skrp.SkrpParams(m=170, B=1.0, I=(100.0, 700.0)),
+}
+
+
+def _kernel_points(params):
+    """5,000 f across I cut 40 past c, then 5,001 from c - 3 to c + 3, and
+    c, c +- 1 and c +- the pole margin with the three floats on either side
+    of each."""
+    c = params.c
+    lo, hi = profiles.bounded_interval(params.I, c, 40.0)
+    points = profiles.linspace(lo, hi, 5000) + profiles.linspace(c - 3.0, c + 3.0, 5001)
+    for centre in (c, c - 1.0, c + 1.0, c - params.pole_margin, c + params.pole_margin):
+        below = above = centre
+        for _ in range(3):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            points += [below, above]
+        points.append(centre)
+    return points
+
+
 def test_float_q_sums_phi_alone_with_the_bits_of_phi_closed():
     # Q of a float skips the derivative sums; its phi is the same float
-    # operations as phi_closed's, on both |f - c| branches, with B = 0 and
-    # with A + B = 0.
+    # operations as phi_closed's wherever phi_closed evaluates: on both
+    # |f - c| branches, with B = 0, with A + B = 0, and through E's
+    # exp(x - m log|x|) where x^-m underflows.
     branches = set()
-    for params in fixtures._SKRP.values():
-        lo, hi = profiles.bounded_interval(params.I, params.c, 40.0)
-        for f in profiles.linspace(lo, hi, 5000):
-            expected = 2.0 * (f - params.c) * skrp.phi_closed(params, f)[0]
-            assert params.q(f).hex() == expected.hex(), (params, f)
-            branches.add((abs(f - params.c) > 1.0, params.B == 0.0, params.A + params.B == 0.0))
-    assert {(far, b0) for far, b0, _ in branches} >= {(True, True), (False, True)}
-    assert {(far, cancels) for far, _, cancels in branches} >= {(True, True), (False, True)}
+    for params in (*fixtures._SKRP.values(), *KERNEL_PARAMS.values()):
+        evaluated = 0
+        for k, f in enumerate(_kernel_points(params)):
+            try:
+                phi = skrp.phi_closed(params, f)[0]
+            except (PoleError, DomainError):
+                # Nowhere on a fixture's I; the refusals elsewhere are
+                # test_float_q_refuses_where_phi_closed_refuses_phi's.
+                assert k >= 5000 or params in KERNEL_PARAMS.values(), (params, f)
+                continue
+            assert params.q(f).hex() == (2.0 * (f - params.c) * phi).hex(), (params, f)
+            x = f - params.c
+            branches.add((abs(x) > 1.0, params.B == 0.0, params.A + params.B == 0.0,
+                          abs(x) > 1.0 and abs(x ** -params.m) < sys.float_info.min))
+            evaluated += 1
+        assert evaluated >= 5000, params
+    assert {(far, b0) for far, b0, _, _ in branches} >= {(True, True), (False, True)}
+    assert {(far, cancels) for far, _, cancels, _ in branches} >= {(True, True), (False, True)}
+    assert any(tiny for *_, tiny in branches)
 
 
 @pytest.mark.parametrize(
@@ -446,26 +493,35 @@ def test_float_q_sums_phi_alone_with_the_bits_of_phi_closed():
         skrp.SkrpParams(m=2, kappa=112.3, c=1.0, A=1e300, B=0.75, I=(1.1572, 1.1796)),
         skrp.SkrpParams(m=2, B=-1.0, a=2.0, I=(-12.5, -12.0)),
         skrp.SkrpParams(m=2, B=1e308, I=(0.5, 3.0)),
+        *KERNEL_PARAMS.values(),
     ],
-    ids=["profile-ode-overflow", "ell-quadrature-roundoff", "B-1e308"],
+    ids=["profile-ode-overflow", "ell-quadrature-roundoff", "B-1e308", *KERNEL_PARAMS],
 )
 def test_float_q_refuses_where_phi_closed_refuses_phi(params):
-    # The snapshot's overflow configs, from 3 past the pole to 3 beyond it
-    # and across I: PoleError at the pole, DomainError where phi is not
-    # finite.  phi_closed also refuses where only phi' or phi'' is not
-    # finite, which Q never reads; there Q is summed from phi alone.
+    # The snapshot's overflow configs and the kernel's profiles, from 3 past
+    # the pole to 3 beyond it, across I and at the points of _kernel_points:
+    # PoleError at the pole, DomainError where phi is not finite.
+    # phi_closed also refuses where only phi' or phi'' is not finite, which Q
+    # never reads; there Q is summed from phi alone.  Where a derivative
+    # term raised OverflowError, phi_closed's float sums end at inf, and
+    # phi alone is read from the array path, which overflows term by term.
     refused = 0
     c = params.c
-    for f in profiles.linspace(c - 3.0, c + 3.0, 5001) + profiles.linspace(*params.I, 5000):
+    for f in _kernel_points(params):
         try:
             phi = skrp.phi_closed(params, f)[0]
         except (PoleError, DomainError) as exc:
             x = f - c
-            sums = profiles._term_sums(params, x, abs(x) > 1.0)
-            if isinstance(exc, DomainError) and math.isfinite(sums[0]) and not all(map(math.isfinite, sums)):
-                value = profiles._term_sums(params, x, abs(x) > 1.0, False)[0]
-                assert params.q(f) == 2.0 * x * value == 2.0 * x * sums[0]
-                continue
+            if isinstance(exc, DomainError):
+                sums = profiles._term_sums(params, x, abs(x) > 1.0)
+                with np.errstate(all="ignore"):
+                    alone = np.ravel(profiles._term_sums(params, np.array([x]), abs(x) > 1.0)[0])[0]
+                if math.isfinite(sums[0]):
+                    assert params.q(f) == 2.0 * x * sums[0]
+                    continue
+                if math.isfinite(alone):
+                    assert params.q(f) == pytest.approx(2.0 * x * alone, rel=1e-13)
+                    continue
             refused += 1
             with pytest.raises(type(exc)) as alone:
                 params.q(f)
@@ -473,6 +529,40 @@ def test_float_q_refuses_where_phi_closed_refuses_phi(params):
         else:
             assert params.q(f).hex() == (2.0 * (f - c) * phi).hex()
     assert refused >= 1
+
+
+def test_float_int_and_numpy_scalar_give_the_same_q():
+    # Every integer in c +- 3 and across I cut 40 past c, including f = c,
+    # where Q is a signed zero wherever the profile is regular there.
+    signs_of_zero = set()
+    for params in (*fixtures._SKRP.values(), *KERNEL_PARAMS.values()):
+        lo, hi = profiles.bounded_interval(params.I, params.c, 40.0)
+        for k in range(math.ceil(min(lo, params.c - 3.0)), math.floor(max(hi, params.c + 3.0)) + 1):
+            results = []
+            for f in (float(k), k, np.float64(k)):
+                try:
+                    results.append(float(params.q(f)).hex())
+                except (PoleError, DomainError) as exc:
+                    results.append(type(exc))  # its message quotes f as given
+            assert results[0] == results[1] == results[2], (params, k)
+            if results[0] in ("0x0.0p+0", "-0x0.0p+0"):
+                signs_of_zero.add(results[0])
+    assert signs_of_zero == {"0x0.0p+0", "-0x0.0p+0"}
+
+
+def test_one_params_builds_its_float_q_kernel_once(monkeypatch):
+    builds = []
+    build = profiles._q_kernel
+    monkeypatch.setattr(profiles, "_q_kernel", lambda params: builds.append(params) or build(params))
+    params = replace(fixtures.skrp_fixture("koiso-m2-compact"))
+    for f in profiles.linspace(0.1, 5.0, 100):
+        params.q(f)
+    params.q(2)
+    params.q(np.float64(2.0))
+    assert builds == [params]
+    twin = replace(params)
+    twin.q(1.0)
+    assert len(builds) == 2 and builds[1] is twin
 
 
 def test_float_q_is_finite_where_only_the_derivatives_of_phi_overflow():
@@ -1073,14 +1163,22 @@ def test_skrp_integrates_on_floats_and_the_chart_inverts_in_batches(monkeypatch)
     first_steps, quad = quadpack.first_steps, quadpack.quad
     monkeypatch.setattr(quadpack, "first_steps", lambda f, a, b, **kw: lanes.append(len(a)) or first_steps(f, a, b, **kw))
     monkeypatch.setattr(quadpack, "quad", lambda *args, **kw: quads.append(args) or quad(*args, **kw))
+    calls, q = [], profiles.SkrpParams.q
+    monkeypatch.setattr(profiles.SkrpParams, "q", lambda self, f: calls.append(f) or q(self, f))
     cli.cmd_skrp(cli.RunConfig("skrp", fixture="koiso-m2-A1B0"))
     # 256 segments and the anchor's partial one, then the 200-point column.
     assert lanes == []
     assert len(quads) == 257 + 200
+    # Q of a float, pinned: q_domain's scan and bisections, the fiber-norm
+    # table and column and the profile checks; the 200 CSV rows take Q
+    # from their phi_closed.
+    assert len(calls) == 11_882
+    assert all(type(f) is float for f in calls)
     # The assembly inverts its 12 closedness points as one chunk, then its 6
     # check points, each chunk settled by one batched Newton step.
     skrp.assemble_calabi_metric(fixtures.skrp_fixture("koiso-m2-A1B0"))
     assert lanes == [12, 6]
+
 
 
 # -- the tensor-valued metric block and the one-quadrature inversion ---------------------
